@@ -1,14 +1,15 @@
 """Discrete Legendre-Fenchel transforms, subdifferentials and slope domains.
 
 The transform of a masked field is f*(y) = max over masked nodes x of
-y.x - f(x), i.e. the conjugate of the piecewise-linear interpolant. Three
-evaluation routes exist:
-
-* `conjugate_brute`  - chunked O(N^2) reference,
-* `conjugate_fast`   - per-axis factorization with a linear-time 1-D hull
-                       transform (contract: equals brute to 1e-12),
-* `refined_sup`      - sup over local second-order node models, exact on
-                       quadratics; the rotation operator builds on this.
+y.x - f(x), i.e. the conjugate of the piecewise-linear interpolant. One
+kernel evaluates it: a separable pass of linear-time 1-D lower-hull
+transforms per axis that also returns the maximizing node (Lucet's
+linear-time Legendre transform; Felzenszwalb-Huttenlocher lower envelopes).
+`sup_with_argmax` (values, argmax, interior-only values) and
+`conjugate_fast` (values) are its two entry points; `refined_sup` polishes
+its node suprema with local Taylor models and the rotation operator builds
+on that. The chunked O(N^2) `_sup_brute` survives only as the oracle behind
+`conjugate_brute` and the tests (contract: equal to 1e-12).
 
 Slope grids are sized automatically from attained first differences plus a
 two-cell margin, with a node pinned at the slope-space origin.
@@ -83,14 +84,105 @@ def auto_slope_grid(f: PotentialField, margin: int = 2,
     return GridSpec(f.grid.dim, tuple(shape), spacing, tuple(origin), None)
 
 
+def _hull_transform_1d(xs, vs, ys):
+    """max_i (y * xs[i] - vs[i]) and its maximizer i, for ascending xs and ys.
+
+    Linear in len(xs) + len(ys): a monotone-chain lower hull followed by a
+    searchsorted merge against the hull's breakpoint slopes. Grid abscissae
+    are strictly increasing, so no duplicate handling is needed. Collinear
+    points leave the hull and a slope equal to a breakpoint takes the left
+    vertex, so an exact tie resolves to the smallest i.
+    """
+    x = xs.tolist()
+    v = vs.tolist()
+    hull: list[int] = []
+    for i in range(len(x)):
+        while len(hull) >= 2 and (
+            (v[hull[-1]] - v[hull[-2]]) * (x[i] - x[hull[-1]])
+            >= (v[i] - v[hull[-1]]) * (x[hull[-1]] - x[hull[-2]])
+        ):
+            hull.pop()
+        hull.append(i)
+    k = np.array(hull)
+    if len(k) == 1:
+        pick = np.full(ys.size, k[0])
+    else:
+        breaks = np.diff(vs[k]) / np.diff(xs[k])
+        pick = k[np.searchsorted(breaks, ys, side="left")]
+    return ys * xs[pick] - vs[pick], pick
+
+
+def _transform_axis(work: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                    axis: int):
+    """Apply the 1-D transform along one axis; non-finite entries are missing.
+
+    Returns (values, index along `axis` of each value's maximizer); rows
+    with no entry give -inf and index 0.
+    """
+    moved = np.moveaxis(work, axis, -1)
+    shape = moved.shape[:-1] + (ys.size,)
+    flat = moved.reshape(-1, moved.shape[-1])
+    out = np.full((flat.shape[0], ys.size), -np.inf)
+    pick = np.zeros((flat.shape[0], ys.size), dtype=np.intp)
+    for r, row in enumerate(flat):
+        ok = np.flatnonzero(np.isfinite(row))
+        if ok.size:
+            out[r], j = _hull_transform_1d(xs[ok], row[ok], ys)
+            pick[r] = ok[j]
+    return (np.moveaxis(out.reshape(shape), -1, axis),
+            np.moveaxis(pick.reshape(shape), -1, axis))
+
+
+def _separable_sup(f: PotentialField, slopes: GridSpec, mask: np.ndarray):
+    """Node suprema of y.x - f over `mask` at every slope node, one axis at a time.
+
+    max_x (y.x - f(x)) splits into nested 1-D maxima, innermost over the
+    last axis; each pass is a 1-D hull transform of the previous pass's
+    negated output. Returns (values of slopes.shape, the maximizing node as
+    a tuple of index arrays). The node is read back through the passes:
+    the last pass (axis 0) picks x_0, then each earlier pass's pick is
+    looked up at the coordinates already found. Values are -inf where the
+    mask is empty.
+    """
+    d = f.grid.dim
+    xaxes = f.grid.axes()
+    yaxes = slopes.axes()
+    work = np.where(mask, f.values, np.inf)
+    picks = [None] * d
+    for axis in range(d - 1, -1, -1):
+        work, picks[axis] = _transform_axis(
+            work if axis == d - 1 else -work, xaxes[axis], yaxes[axis], axis
+        )
+    ys = np.indices(slopes.shape)
+    node = [picks[0]]
+    for axis in range(1, d):
+        node.append(picks[axis][tuple(node) + tuple(ys[axis:])])
+    return work, tuple(node)
+
+
 def sup_with_argmax(f: PotentialField, slopes: GridSpec,
                     interior_cells: int = 1):
-    """Chunked node suprema of y.x - f(x) over the mask.
+    """Node suprema of y.x - f over the mask, by the separable hull transform.
 
-    Returns (values, argmax flat index into masked nodes, interior values)
-    where the interior values max only over the mask eroded by
-    `interior_cells`; their gap to `values` tells whether the sup is forced
-    to the mask boundary.
+    Returns (values, argmax flat index into masked nodes in row-major order,
+    interior values) where the interior values max only over the mask
+    eroded by `interior_cells` (-inf where that leaves no node); their gap
+    to `values` tells whether the sup is forced to the mask boundary.
+    Linear in the number of grid plus slope nodes per pass. On an exact tie
+    the argmax is the first maximizer in row-major order, the node
+    `_sup_brute` picks; ties within round-off may resolve to either node.
+    """
+    vals, node = _separable_sup(f, slopes, f.mask)
+    rank = np.cumsum(f.mask.reshape(-1)) - 1
+    arg = rank[np.ravel_multi_index(node, f.grid.shape)]
+    vals_in, _ = _separable_sup(f, slopes, erode_mask(f.mask, interior_cells))
+    return vals.reshape(-1), arg.reshape(-1), vals_in.reshape(-1)
+
+
+def _sup_brute(f: PotentialField, slopes: GridSpec, interior_cells: int = 1):
+    """O(N*M) reference for `sup_with_argmax`, in chunks of slope nodes.
+
+    Same returns; the argmax is numpy's first maximum in row-major order.
     """
     xs, fs = f.masked_points()
     inner = erode_mask(f.mask, interior_cells)[f.mask]
@@ -118,74 +210,27 @@ def conjugate_brute(f: PotentialField, slopes: GridSpec | None = None,
     _require_convex(f, convexity_tol)
     if slopes is None:
         slopes = auto_slope_grid(f)
-    vals, _, _ = sup_with_argmax(f, slopes)
+    vals, _, _ = _sup_brute(f, slopes)
     return PotentialField(slopes, vals.reshape(slopes.shape))
-
-
-def _hull_transform_1d(xs, vs, ys):
-    """max_i (y * xs[i] - vs[i]) for ascending xs and ys, via the lower hull.
-
-    Linear in len(xs) + len(ys): a monotone-chain hull followed by a
-    searchsorted merge against the hull's breakpoint slopes. Grid abscissae
-    are strictly increasing, so no duplicate handling is needed.
-    """
-    hx: list[float] = []
-    hv: list[float] = []
-    for x, v in zip(xs, vs):
-        while len(hx) >= 2 and (
-            (hv[-1] - hv[-2]) * (x - hx[-1]) >= (v - hv[-1]) * (hx[-1] - hx[-2])
-        ):
-            hx.pop()
-            hv.pop()
-        hx.append(x)
-        hv.append(v)
-    ax = np.array(hx)
-    av = np.array(hv)
-    if len(ax) == 1:
-        return ys * ax[0] - av[0]
-    slopes = np.diff(av) / np.diff(ax)
-    j = np.searchsorted(slopes, ys, side="right")
-    return ys * ax[j] - av[j]
-
-
-def _transform_axis(work: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                    axis: int) -> np.ndarray:
-    """Apply the 1-D transform along one axis; non-finite entries are missing."""
-    moved = np.moveaxis(work, axis, -1)
-    lead = moved.shape[:-1]
-    flat = moved.reshape(-1, moved.shape[-1])
-    out = np.full((flat.shape[0], ys.size), -np.inf)
-    for r in range(flat.shape[0]):
-        row = flat[r]
-        ok = np.isfinite(row)
-        if ok.any():
-            out[r] = _hull_transform_1d(xs[ok], row[ok], ys)
-    return np.moveaxis(out.reshape(lead + (ys.size,)), -1, axis)
 
 
 def conjugate_fast(f: PotentialField, slopes: GridSpec | None = None,
                    convexity_tol: float = 1e-8) -> PotentialField:
-    """Factorized transform; values match `conjugate_brute` to 1e-12."""
+    """Separable transform; values match `conjugate_brute` to 1e-12."""
     _require_convex(f, convexity_tol)
     if slopes is None:
         slopes = auto_slope_grid(f)
-    d = f.grid.dim
-    xaxes = f.grid.axes()
-    yaxes = slopes.axes()
-    work = np.where(f.mask, f.values, np.inf)
-    work = _transform_axis(work, xaxes[d - 1], yaxes[d - 1], d - 1)
-    for axis in range(d - 2, -1, -1):
-        work = _transform_axis(-work, xaxes[axis], yaxes[axis], axis)
-    if not np.isfinite(work).all():
+    vals, _ = _separable_sup(f, slopes, f.mask)
+    if not np.isfinite(vals).all():
         raise SlopeGridError("factorized transform hit an empty mask section")
-    return PotentialField(slopes, work)
+    return PotentialField(slopes, vals)
 
 
 def refined_sup(f: PotentialField, slopes: GridSpec, window: int = 2,
                 psd_floor: float = 1e-10, order: int = 4):
     """Sup of y.x - f over local Taylor-model node maxima.
 
-    Around each slope node's brute argmax, every interior node within
+    Around each slope node's node argmax, every interior node within
     `window` cells contributes the maximum of its local Taylor model over
     its own half-cell box (argmax from the quadratic part, value corrected
     by the cubic/quartic terms when order = 4). Exact on polynomial fields
@@ -337,11 +382,10 @@ def _lipschitz_at(f: PotentialField, idx: tuple[int, ...]) -> float:
     return best
 
 
-def _fenchel_gap(f: PotentialField, a, slopes: GridSpec | None,
-                 convexity_tol: float = 1e-8):
+def _fenchel_gap(f: PotentialField, star: PotentialField, a):
+    """f(a) + f*(y) - y.a at every slope node of the transform `star`."""
     idx = _locate_node(f, a)
     anchor = f.grid.node_coords(idx)
-    star = conjugate_fast(f, slopes, convexity_tol)
     ys = star.grid.coords().reshape(-1, f.grid.dim)
     gap = f.values[idx] + star.values.reshape(-1) - ys @ anchor
     return idx, anchor, ys, gap
@@ -356,7 +400,8 @@ def subdifferential(f: PotentialField, a, tol: float | None = None,
     result on any auto-sized slope grid; pass a tighter tolerance to localize
     smooth-point gradients.
     """
-    idx, anchor, ys, gap = _fenchel_gap(f, a, slopes, convexity_tol)
+    star = conjugate_fast(f, slopes, convexity_tol)
+    idx, anchor, ys, gap = _fenchel_gap(f, star, a)
     if tol is None:
         tol = 2.0 * f.grid.spacing * (1.0 + _lipschitz_at(f, idx))
     members = ys[gap <= tol]
@@ -374,7 +419,13 @@ def tight_subdifferential(f: PotentialField, a,
     inclusions) need the gap minimizer neighborhood instead. Exact kinks
     (gap identically zero on the subdifferential) are unaffected.
     """
-    idx, anchor, ys, gap = _fenchel_gap(f, a, slopes, convexity_tol)
+    return _tight_members(f, conjugate_fast(f, slopes, convexity_tol), a, slack)
+
+
+def _tight_members(f: PotentialField, star: PotentialField, a,
+                   slack: float | None) -> SlopeSet:
+    """`tight_subdifferential` at `a` from a precomputed transform `star`."""
+    idx, anchor, ys, gap = _fenchel_gap(f, star, a)
     if slack is None:
         # a quarter of the one-cell gap increment keeps smooth-point sets at
         # the argmin node; exact kink plateaus (gap == 0) are kept whole
@@ -420,15 +471,16 @@ def check_sum_rule(v: PotentialField, kappa: float, samples,
     coords = v.grid.coords()
     q = 0.5 * kappa * np.sum(coords**2, axis=-1)
     vq = v.with_values(v.values + q)
-    grid_sum = auto_slope_grid(vq)
-    grid_v = auto_slope_grid(v)
-    allowance = 2.0 * max(grid_sum.spacing, grid_v.spacing) + tol
+    star_sum = conjugate_fast(vq, auto_slope_grid(vq))
+    star_v = conjugate_fast(v, auto_slope_grid(v))
+    allowance = 2.0 * max(star_sum.grid.spacing, star_v.grid.spacing) + tol
+    samples = list(samples)
     violations = []
     min_margin = np.inf
     worst = (None, -np.inf)
     for a in samples:
-        s_sum = tight_subdifferential(vq, a, slopes=grid_sum, slack=subdiff_tol)
-        s_v = tight_subdifferential(v, a, slopes=grid_v, slack=subdiff_tol)
+        s_sum = _tight_members(vq, star_sum, a, subdiff_tol)
+        s_v = _tight_members(v, star_v, a, subdiff_tol)
         dist = _hausdorff(s_sum.members, s_v.members + kappa * s_sum.anchor)
         margin = allowance - dist
         min_margin = min(min_margin, margin)
@@ -440,7 +492,7 @@ def check_sum_rule(v: PotentialField, kappa: float, samples,
     violations.sort(key=lambda t: t[0])
     return AuditReport(
         name="sum-rule",
-        checked_nodes=len(list(samples)),
+        checked_nodes=len(samples),
         violations=violations,
         min_margin=float(min_margin),
         details={"worst_point": worst[0], "worst_distance": worst[1],
@@ -467,6 +519,7 @@ def check_slope_increase(f: PotentialField, s_delta: float, samples,
     h = f.grid.spacing
     dm = slope_domain(f)
     slopes = dm.slope_grid
+    star = conjugate_fast(f, slopes)
     ys = slopes.coords().reshape(-1, f.grid.dim)
     inside_flat = dm.inside.reshape(-1)
     structure = np.ones((3,) * f.grid.dim, dtype=bool)
@@ -484,7 +537,7 @@ def check_slope_increase(f: PotentialField, s_delta: float, samples,
         if r <= 0:
             continue
         min_margin = min(min_margin, r)
-        sd = tight_subdifferential(f, a, slopes=slopes)
+        sd = _tight_members(f, star, a, None)
         for member in sd.members:
             dist = np.linalg.norm(ys - member, axis=1)
             required = dist <= r

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import DomainMask, auto_slope_grid, refined_sup, sup_with_argmax
+from .conjugate import DomainMask, auto_slope_grid, refined_sup
 from .errors import RotationError
 from .fields import GridSpec, PotentialField
 from .hessians import gradient_field, semiconvexity_modulus
@@ -85,14 +85,12 @@ def _main_component(mask: np.ndarray) -> np.ndarray:
 def rotate(u: PotentialField, params: RotationParams,
            delta: float | None = None,
            slopes: GridSpec | None = None,
-           conjugate: str = "refined",
            source_id: str | None = None) -> RotatedPotential:
     """Rotate `u` by angle alpha; requires (cot(a) - delta)-semiconvexity.
 
     delta defaults to cot(a), the right margin for convex input. The
     conjugate of the uniformly convex core is evaluated with the
-    quadratic-exact local-model sup by default; pass conjugate="nodes" for
-    the plain node suprema.
+    quartic-exact local-model sup (`refined_sup`).
     """
     if delta is None:
         delta = params.cot
@@ -105,13 +103,7 @@ def rotate(u: PotentialField, params: RotationParams,
     tilde = _tilde_field(u, params)
     if slopes is None:
         slopes = auto_slope_grid(tilde)
-    if conjugate == "refined":
-        vals, _, vals_in, node_vals = refined_sup(tilde, slopes)
-    elif conjugate == "nodes":
-        vals, _, vals_in = sup_with_argmax(tilde, slopes)
-        node_vals = vals
-    else:
-        raise ValueError(f"unknown conjugate mode {conjugate!r}")
+    vals, _, vals_in, node_vals = refined_sup(tilde, slopes)
     # attainment is a node-sup notion; refined values exceed node suprema
     inside = vals_in >= node_vals - 1e-12 * (1.0 + np.abs(node_vals))
     inside = _main_component(inside.reshape(slopes.shape))

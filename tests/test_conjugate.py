@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from slag_lab import (
     ConvexityError,
@@ -14,8 +17,8 @@ from slag_lab import (
     slope_domain,
     subdifferential,
 )
-from slag_lab.conjugate import auto_slope_grid
-from slag_lab.fields import connected_components, erode_mask
+from slag_lab.conjugate import _sup_brute, auto_slope_grid, sup_with_argmax
+from slag_lab.fields import PotentialField, connected_components, erode_mask
 from slag_lab.formulas import (
     iso_quad,
     norm,
@@ -29,8 +32,6 @@ from slag_lab.hessians import directional_convexity_deficit
 
 def attained_interior(f, star_grid):
     """Slope nodes whose sup lands strictly inside the mask (test helper)."""
-    from slag_lab.conjugate import sup_with_argmax
-
     vals, _, vals_in = sup_with_argmax(f, star_grid)
     return (vals_in >= vals - 1e-12 * (1 + np.abs(vals))).reshape(star_grid.shape)
 
@@ -113,6 +114,79 @@ class TestConjugateFast:
         b = conjugate_fast(u, slopes)
         tol = 1e-12 * (1.0 + np.abs(a.values))
         assert np.all(np.abs(a.values - b.values) <= tol)
+
+
+def _random_masked_field(seed, dim, one_node):
+    """Random values on a random face-connected mask of a small box grid.
+
+    The mask is the largest component of a Bernoulli field inside a random
+    sub-box, so rows have holes and whole rows and sections are empty."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(3, 12 if dim == 2 else 7, size=dim))
+    grid = GridSpec(dim, shape, float(rng.uniform(0.05, 0.5)),
+                    tuple(rng.uniform(-1.0, 0.0, size=dim)), None)
+    mask = np.zeros(shape, dtype=bool)
+    if one_node:
+        mask[tuple(int(rng.integers(n)) for n in shape)] = True
+    else:
+        lo = [int(rng.integers(n - 1)) for n in shape]
+        hi = [int(rng.integers(a + 1, n + 1)) for a, n in zip(lo, shape)]
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        mask[box] = rng.random(mask[box].shape) < rng.uniform(0.5, 1.0)
+        if not mask.any():
+            mask[tuple(lo)] = True
+        labels, count = ndimage.label(
+            mask, structure=ndimage.generate_binary_structure(dim, 1))
+        sizes = ndimage.sum_labels(mask, labels, index=np.arange(1, count + 1))
+        mask = labels == 1 + int(np.argmax(sizes))
+    values = np.where(mask, rng.uniform(-1.0, 1.0, size=shape), np.nan)
+    slope_shape = tuple(int(n) for n in rng.integers(3, 9, size=dim))
+    slopes = GridSpec(dim, slope_shape, float(rng.uniform(0.1, 1.0)),
+                      tuple(rng.uniform(-3.0, 0.0, size=dim)), None)
+    return PotentialField(grid, values, mask), slopes
+
+
+class TestSupKernelOracle:
+    """The separable hull kernel against the O(N*M) brute sup."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           one_node=st.booleans(), cells=st.integers(1, 2))
+    def test_matches_brute_on_random_masks(self, seed, dim, one_node, cells):
+        f, slopes = _random_masked_field(seed, dim, one_node)
+        vals, arg, vals_in = sup_with_argmax(f, slopes, cells)
+        ref, _, ref_in = _sup_brute(f, slopes, cells)
+        assert np.all(np.abs(vals - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+        assert np.array_equal(np.isneginf(vals_in), np.isneginf(ref_in))
+        fin = np.isfinite(ref_in)
+        assert np.all(np.abs(vals_in[fin] - ref_in[fin])
+                      <= 1e-12 * (1.0 + np.abs(ref_in[fin])))
+        xs, fs = f.masked_points()
+        assert arg.dtype.kind == "i"
+        assert np.all((arg >= 0) & (arg < len(fs)))
+        ys = slopes.coords().reshape(-1, f.grid.dim)
+        attained = np.einsum("ij,ij->i", ys, xs[arg]) - fs[arg]
+        assert np.all(np.abs(attained - vals) <= 1e-14 * (1.0 + np.abs(vals)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_exact_ties_take_the_first_node_in_row_major_order(self, dim):
+        # dyadic affine data make every product and difference exact, so
+        # slope nodes with y_k = p_k tie exactly along axis k and y = p ties
+        # at every masked node; the kernel must pick brute's first maximum
+        p = np.array([0.5, -0.25, 0.75][:dim])
+        grid = GridSpec(dim, (6,) * dim, 0.25, (-0.5,) * dim, None)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[(slice(1, 5),) * dim] = True
+        f = PotentialField(grid, grid.coords() @ p + 0.125, mask)
+        slopes = GridSpec(dim, (5,) * dim, 0.25, tuple(p - 0.5), None)
+        vals, arg, _ = sup_with_argmax(f, slopes)
+        ref, ref_arg, _ = _sup_brute(f, slopes)
+        assert np.array_equal(vals, ref)
+        assert np.array_equal(arg, ref_arg)
+        centre = np.ravel_multi_index((2,) * dim, slopes.shape)
+        xs, fs = f.masked_points()
+        assert np.all(xs @ p - fs == vals[centre])
+        assert arg[centre] == 0
 
 
 class TestTransformLaws:
@@ -320,6 +394,15 @@ class TestSumRule:
         samples = smooth_max_affine_anchors(grid65, slopes, offsets, rng, 10)
         rep = check_sum_rule(u, 0.7, samples)
         assert rep.passed, rep.violations[:3]
+
+
+    def test_counts_anchors_given_as_an_iterator(self, grid65):
+        u = sample_potential(iso_quad(1.0), grid65)
+        anchors = [(0.25, 0.0), (0.0, 0.0), (0.0, -0.25)]
+        listed = check_sum_rule(u, 1.0, anchors)
+        streamed = check_sum_rule(u, 1.0, iter(anchors))
+        assert listed.checked_nodes == streamed.checked_nodes == 3
+        assert streamed.min_margin == listed.min_margin
 
 
 class TestSlopeIncrease:

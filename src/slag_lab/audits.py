@@ -82,14 +82,10 @@ def _jet_report(u, theta, cfg, side: str) -> AuditReport:
     active = checked & ~skip
     resid = np.arctan(lam_h).sum(axis=-1) - theta
     margins = -resid if side == "super" else resid
-    violations = []
-    min_margin = math.inf
-    for node in np.argwhere(active):
-        t = tuple(int(i) for i in node)
-        m = float(margins[t])
-        min_margin = min(min_margin, m)
-        if m < -cfg.tolerance:
-            violations.append((t, "residual_margin", m))
+    violations = [(tuple(int(i) for i in node), "residual_margin",
+                   float(margins[tuple(node)]))
+                  for node in np.argwhere(active & (margins < -cfg.tolerance))]
+    min_margin = float(margins[active].min()) if active.any() else math.inf
     return AuditReport(
         name=f"{side}solution-check",
         checked_nodes=int(active.sum()),

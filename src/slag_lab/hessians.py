@@ -3,6 +3,8 @@
 Diagonal entries use the centered second difference, off-diagonals the
 4-point cross stencil; both are exact on quadratics. Hessians exist only at
 nodes whose full 3^dim stencil lies in the mask (no one-sided fallbacks).
+The same stencil table gives the sparse operators D_ij and boundary lifts
+over the interior unknowns that the Dirichlet solver linearizes with.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .eigen import eigvals_sym
 from .errors import GridError
@@ -58,6 +61,22 @@ def _shift(values: np.ndarray, offset: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _stencil(d: int, i: int, j: int) -> tuple[list, float]:
+    """Offsets and weights of the (i, j) entry, and its divisor in units of h^2.
+
+    The diagonal is the centered second difference, the off-diagonal the
+    4-point cross stencil. The weights are +-1 and -2, so summing the terms
+    in this order reproduces the plain difference formulas bit for bit.
+    """
+    e = np.eye(d, dtype=int)
+    if i == j:
+        offs, weights, div = [e[i], 0 * e[i], -e[i]], (1.0, -2.0, 1.0), 1.0
+    else:
+        offs = [e[i] + e[j], e[i] - e[j], e[j] - e[i], -e[i] - e[j]]
+        weights, div = (1.0, -1.0, -1.0, 1.0), 4.0
+    return [(tuple(int(c) for c in o), w) for o, w in zip(offs, weights)], div
+
+
 def hessian_matrices(u: PotentialField, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Raw FD Hessian matrices at stride*h and the mask where they exist.
 
@@ -73,21 +92,55 @@ def hessian_matrices(u: PotentialField, stride: int = 1) -> tuple[np.ndarray, np
     if not valid.any():
         raise GridError("domain too small: no interior node carries a full stencil")
     for i in range(d):
-        e = tuple(stride if k == i else 0 for k in range(d))
-        ne = tuple(-stride if k == i else 0 for k in range(d))
-        mats[..., i, i] = (_shift(v, e) - 2.0 * v + _shift(v, ne)) / h**2
-        for j in range(i + 1, d):
-            pp = tuple(stride * ((k == i) + (k == j)) for k in range(d))
-            pm = tuple(stride * ((k == i) - (k == j)) for k in range(d))
-            mp = tuple(stride * ((k == j) - (k == i)) for k in range(d))
-            mm = tuple(-stride * ((k == i) + (k == j)) for k in range(d))
-            cross = (
-                _shift(v, pp) - _shift(v, pm) - _shift(v, mp) + _shift(v, mm)
-            ) / (4.0 * h**2)
-            mats[..., i, j] = cross
-            mats[..., j, i] = cross
+        for j in range(i, d):
+            terms, div = _stencil(d, i, j)
+            acc = None
+            for off, w in terms:
+                t = w * _shift(v, tuple(stride * o for o in off))
+                acc = t if acc is None else acc + t
+            mats[..., i, j] = mats[..., j, i] = acc / (div * h**2)
     mats[~valid] = 0.0
     return mats, valid
+
+
+def second_difference_operators(u: PotentialField) -> tuple[dict, dict]:
+    """Sparse FD Hessian operators over the one-cell interior, with lifts.
+
+    Returns `(ops, lifts)` keyed by (i, j), i <= j: `ops[i, j]` is a CSR
+    matrix over the interior nodes in row-major order and `lifts[i, j]` holds
+    the rim contributions, so that `ops[i, j] @ u.values[interior] +
+    lifts[i, j]` equals `hessian_matrices(u)[0][interior][:, i, j]`.
+    Interior values of `u` are not read.
+    """
+    grid = u.grid
+    d = grid.dim
+    h = grid.spacing
+    interior = erode_mask(u.mask, 1)
+    if not interior.any():
+        raise GridError("domain too small: no interior node carries a full stencil")
+    nodes = np.argwhere(interior)
+    n = len(nodes)
+    index = np.full(grid.shape, -1, dtype=np.int64)
+    index[interior] = np.arange(n)
+    ops, lifts = {}, {}
+    for i in range(d):
+        for j in range(i, d):
+            terms, div = _stencil(d, i, j)
+            rows, cols, data = [], [], []
+            lift = np.zeros(n)
+            for off, w in terms:
+                nb = tuple((nodes + np.array(off)).T)
+                col = index[nb]
+                inner = col >= 0
+                rows.append(np.flatnonzero(inner))
+                cols.append(col[inner])
+                data.append(np.full(int(inner.sum()), w / (div * h**2)))
+                lift[~inner] += w * u.values[nb][~inner]
+            ops[i, j] = sparse.csr_matrix(
+                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(n, n))
+            lifts[i, j] = lift / (div * h**2)
+    return ops, lifts
 
 
 def hessian_field(u: PotentialField) -> HessianField:

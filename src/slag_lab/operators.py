@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import eigvals_sym
 from .errors import PhaseError
 from .hessians import HessianField
 
@@ -52,15 +51,9 @@ class ResidualField:
         return float(np.abs(self.values[self.valid]).max())
 
 
-def _eig_field(h: HessianField) -> np.ndarray:
-    lam = np.full(h.interior_mask.shape + (h.dim,), np.nan)
-    lam[h.interior_mask] = eigvals_sym(h.matrices[h.interior_mask])
-    return lam
-
-
 def slag_residual(h: HessianField, theta: float) -> ResidualField:
     """Sum of arctan eigenvalues minus theta, per interior node."""
-    lam = _eig_field(h)
+    lam = h.eigenvalues()
     values = np.full(h.interior_mask.shape, np.nan)
     values[h.interior_mask] = (
         np.arctan(lam[h.interior_mask]).sum(axis=-1) - theta
@@ -70,7 +63,7 @@ def slag_residual(h: HessianField, theta: float) -> ResidualField:
 
 def ma_residual(h: HessianField, phi: float) -> ResidualField:
     """Sum of log eigenvalues minus phi; non-positive spectra are flagged."""
-    lam = _eig_field(h)
+    lam = h.eigenvalues()
     values = np.full(h.interior_mask.shape, np.nan)
     bad = np.zeros(h.interior_mask.shape, dtype=bool)
     bad[h.interior_mask] = lam[h.interior_mask][..., -1] <= 0
@@ -83,7 +76,7 @@ def ma_residual(h: HessianField, phi: float) -> ResidualField:
 
 def mar_residual(h: HessianField, phi: float) -> ResidualField:
     """Sum of ln((1+lambda)/(1-lambda)) minus phi; |lambda| >= 1 flagged."""
-    lam = _eig_field(h)
+    lam = h.eigenvalues()
     values = np.full(h.interior_mask.shape, np.nan)
     bad = np.zeros(h.interior_mask.shape, dtype=bool)
     interior_lam = lam[h.interior_mask]

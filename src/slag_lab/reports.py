@@ -45,25 +45,6 @@ class AuditReport:
         }
 
 
-def make_report(name, checked, margins_and_nodes, tolerance, quantity,
-                details=None) -> AuditReport:
-    """Assemble a report from (margin, node) pairs; margin < -tolerance fails."""
-    violations = []
-    min_margin = float("inf")
-    for margin, node in margins_and_nodes:
-        min_margin = min(min_margin, margin)
-        if margin < -tolerance:
-            violations.append((tuple(node), quantity, float(margin)))
-    violations.sort(key=lambda v: v[0])
-    return AuditReport(
-        name=name,
-        checked_nodes=checked,
-        violations=violations,
-        min_margin=min_margin,
-        details=details or {},
-    )
-
-
 @dataclass
 class SolveReport:
     """Newton iteration record for one Dirichlet solve."""

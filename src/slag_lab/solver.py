@@ -1,11 +1,15 @@
 """Dirichlet solver for the arctangent operator plus smoothing devices.
 
 The solve is a damped Newton iteration on the finite-difference residual
-F_i(u) = sum(arctan(lambda(H_i))) - theta over interior nodes, with the
-Jacobian assembled exactly from trace((I + M^2)^{-1} dM/du_j) on the stencil
-sparsity. The initial guess solves Delta u = n tan(theta/n) with the same
-boundary data. Mollification and the supporting-plane convex extension
-implement the smooth-approximation devices used by the rotation audits.
+F_i(u) = sum(arctan(lambda(H_i))) - theta over interior nodes. One set of
+sparse second-difference operators D_ij with boundary lifts, built once per
+solve by `hessians.second_difference_operators`, serves both linear systems:
+the initial guess solves sum_i D_ii u = n tan(theta/n) - sum_i lift_ii, and
+the exact Jacobian trace((I + M^2)^{-1} dM/du) is sum_ij A_ij D_ij with
+A = (I + M^2)^{-1}. A non-finite Newton step (singular Jacobian) stops the
+iteration unconverged. Mollification and the supporting-plane convex
+extension implement the smooth-approximation devices used by the rotation
+audits.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field as dataclass_field
-from itertools import product
 
 import numpy as np
 import scipy.sparse as sparse
@@ -23,7 +26,7 @@ from scipy import ndimage
 from .eigen import eigvals_sym
 from .errors import ConvexityError, GridError
 from .fields import GridSpec, PotentialField, erode_mask
-from .hessians import hessian_matrices
+from .hessians import hessian_matrices, second_difference_operators
 from .operators import ProblemSpec, slag_linearization_batch
 from .reports import AuditReport, SolveReport
 
@@ -98,55 +101,6 @@ def _boundary_values(g, grid: GridSpec, rim: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _poisson_init(grid: GridSpec, mask, interior, values, rhs_const):
-    """Solve Delta u = rhs on the interior with the stored boundary values."""
-    d = grid.dim
-    h = grid.spacing
-    idx = -np.ones(grid.shape, dtype=np.int64)
-    unknowns = np.argwhere(interior)
-    idx[interior] = np.arange(len(unknowns))
-    rows, cols, data = [], [], []
-    rhs = np.full(len(unknowns), rhs_const)
-    for r, node in enumerate(unknowns):
-        rows.append(r)
-        cols.append(r)
-        data.append(-2.0 * d / h**2)
-        for k in range(d):
-            for s in (-1, 1):
-                nb = node.copy()
-                nb[k] += s
-                t = tuple(nb)
-                if interior[t]:
-                    rows.append(r)
-                    cols.append(idx[t])
-                    data.append(1.0 / h**2)
-                else:
-                    rhs[r] -= values[t] / h**2
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=(len(unknowns),) * 2)
-    sol = splinalg.spsolve(mat, rhs)
-    out = values.copy()
-    out[interior] = sol
-    return out
-
-
-def _stencil_offsets(d: int):
-    """(offset, kind) pairs feeding the Hessian entries at one node."""
-    entries = []
-    for k in range(d):
-        e = tuple(1 if i == k else 0 for i in range(d))
-        ne = tuple(-1 if i == k else 0 for i in range(d))
-        entries.append((e, ("diag", k, 1.0)))
-        entries.append((ne, ("diag", k, 1.0)))
-    for k in range(d):
-        for l in range(k + 1, d):
-            for sk, sl in product((1, -1), repeat=2):
-                off = tuple(
-                    sk if i == k else (sl if i == l else 0) for i in range(d)
-                )
-                entries.append((off, ("cross", (k, l), sk * sl * 0.5)))
-    return entries
-
-
 def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
                     cfg: SolverConfig | None = None):
     """Damped-Newton solve of the phase-theta problem with Dirichlet data.
@@ -158,24 +112,21 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
         raise ValueError("only the arctangent-operator variant is solvable")
     cfg = cfg or SolverConfig()
     d = grid.dim
-    h = grid.spacing
     theta = spec.theta
     mask = grid.ball_mask()
     interior, rim = _interior_and_rim(mask)
     if not interior.any():
         raise GridError("domain too small: no interior nodes")
-    values = np.zeros(grid.shape)
-    values[:] = np.nan
-    bvals = _boundary_values(g, grid, rim)
-    values[rim] = bvals[rim]
-    values[interior] = 0.0
-    values = _poisson_init(grid, mask, interior, values, d * math.tan(theta / d))
-
-    unknowns = np.argwhere(interior)
-    n_unk = len(unknowns)
-    idx = -np.ones(grid.shape, dtype=np.int64)
-    idx[interior] = np.arange(n_unk)
-    entries = _stencil_offsets(d)
+    values = np.where(rim, _boundary_values(g, grid, rim), 0.0)
+    ops, lifts = second_difference_operators(PotentialField(grid, values, mask))
+    laplacian = sum(ops[i, i] for i in range(d))
+    rhs = d * math.tan(theta / d) - sum(lifts[i, i] for i in range(d))
+    values[interior] = splinalg.spsolve(laplacian, rhs)
+    # every Jacobian keeps the union stencil pattern, explicit zeros included:
+    # pruning the zeros of A_ij changes SuperLU's ordering and adds fill
+    stack = [(i, j, op.tocoo()) for (i, j), op in ops.items()]
+    rows = np.concatenate([c.row for _, _, c in stack])
+    cols = np.concatenate([c.col for _, _, c in stack])
 
     report = SolveReport()
 
@@ -194,30 +145,15 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
         if norm <= cfg.residual_tol:
             report.converged = True
             break
-        coeff = slag_linearization_batch(mats[interior])  # (n_unk, d, d)
-        rows, cols, data = [], [], []
-        diag_sum = np.einsum("nkk->n", coeff)
-        rows.extend(range(n_unk))
-        cols.extend(range(n_unk))
-        data.extend((-2.0 / h**2) * diag_sum)
-        for off, (kind, key, w) in entries:
-            nb = unknowns + np.array(off)
-            t = tuple(nb.T)
-            inside = interior[t]
-            if kind == "diag":
-                contrib = coeff[:, key, key] / h**2
-            else:
-                k, l = key
-                contrib = w * coeff[:, k, l] / h**2
-            sel = np.flatnonzero(inside)
-            rows.extend(sel)
-            cols.extend(idx[tuple(nb[sel].T)])
-            data.extend(contrib[sel])
-        jac = sparse.csr_matrix((data, (rows, cols)), shape=(n_unk, n_unk))
-        try:
-            step = splinalg.spsolve(jac, -res)
-        except RuntimeError as exc:  # singular Jacobian
-            logger.warning("linear solve failed: %s", exc)
+        coeff = slag_linearization_batch(mats[interior])  # (n_interior, d, d)
+        # trace(A dM) with A = (I + M^2)^{-1}: off-diagonal pairs count twice
+        data = np.concatenate([(1.0 if i == j else 2.0) * coeff[c.row, i, j] * c.data
+                               for i, j, c in stack])
+        jac = sparse.csr_matrix((data, (rows, cols)), shape=laplacian.shape)
+        step = splinalg.spsolve(jac, -res)
+        if not np.isfinite(step).all():
+            logger.warning("non-finite Newton step at iteration %d (residual %.3e)",
+                           it, norm)
             break
         t_step = cfg.damping
         accepted = False

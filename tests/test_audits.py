@@ -28,7 +28,7 @@ from slag_lab import (
     solve_dirichlet,
     subharmonicity_trial,
 )
-from slag_lab.audits import MetricField
+from slag_lab.audits import MetricField, _diverging, _jet_data
 from slag_lab.conjugate import DomainMask
 from slag_lab.fields import PotentialField, erode_mask
 from slag_lab.formulas import bilinear, iso_quad, quad_form, quartic
@@ -95,6 +95,42 @@ class TestJetChecks:
         # the crease column is skipped, the flat parts have zero residual
         assert rep.details["skipped_kink_nodes"] >= 50
         assert rep.passed
+
+    @pytest.mark.parametrize("dim,nodes", [(2, 65), (3, 17)])
+    @pytest.mark.parametrize("side", ["sub", "super"])
+    def test_report_matches_per_node_loop(self, dim, nodes, side):
+        # node-by-node report assembly, kept as the reference for the
+        # vectorized one: same triples, same row-major order, same floats
+        def f(x):
+            q = 0.5 * np.sum(x * x, -1) + 0.2 * x[..., 0] ** 3
+            return np.maximum(q, q + 0.1 * (x[..., 1] - 0.3))
+
+        u = sample_potential(f, GridSpec.ball_box(dim, nodes))
+        cfg = JetCheckConfig()
+        lam_h, lam_2h, checked = _jet_data(u, cfg)
+        k = -1 if side == "super" else 0
+        skip = np.zeros(u.grid.shape, dtype=bool)
+        skip[checked] = _diverging(lam_h[..., k][checked], lam_2h[..., k][checked],
+                                   u.grid.spacing, cfg)
+        theta = dim * np.pi / 4
+        resid = np.arctan(lam_h).sum(axis=-1) - theta
+        margins = -resid if side == "super" else resid
+        violations, min_margin = [], float("inf")
+        for node in np.argwhere(checked & ~skip):
+            t = tuple(int(i) for i in node)
+            min_margin = min(min_margin, float(margins[t]))
+            if margins[t] < -cfg.tolerance:
+                violations.append((t, "residual_margin", float(margins[t])))
+        check = check_supersolution if side == "super" else check_subsolution
+        rep = check(u, theta, cfg)
+        assert 0 < len(violations) < rep.checked_nodes
+        assert rep.details["skipped_kink_nodes"] == int(skip.sum())
+        assert skip.any() or side == "super"
+        assert rep.violations == violations
+        assert all(type(a) is type(b) for v, w in zip(rep.violations, violations)
+                   for a, b in zip(v, w))
+        assert rep.min_margin == min_margin
+        assert type(rep.min_margin) is float
 
 
 class TestRotationPreservation:

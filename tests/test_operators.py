@@ -16,7 +16,9 @@ from slag_lab import (
     slag_linearization,
     slag_residual,
 )
+from slag_lab.fields import PotentialField, erode_mask
 from slag_lab.formulas import iso_quad, quad_form
+from slag_lab.hessians import hessian_matrices, second_difference_operators
 from slag_lab.rotation import RotationParams
 
 
@@ -65,6 +67,42 @@ class TestSlagResidual:
             assert (
                 np.arctan(lam + bump).sum() > np.arctan(lam).sum()
             )
+
+
+@pytest.mark.parametrize("dim,nodes", [(2, 33), (3, 13)])
+@pytest.mark.parametrize("shape", ["ball", "holed"])
+def test_second_difference_operators_match_hessian(dim, nodes, shape):
+    grid = GridSpec.ball_box(dim, nodes)
+    x = grid.coords()
+    mask = grid.ball_mask()
+    if shape == "holed":
+        # off-centre hole: interior rows border rim nodes on both sides
+        hole = np.sum((x - 0.3 * np.eye(dim)[0]) ** 2, axis=-1) < 0.3**2
+        mask &= ~hole
+    values = (0.5 * np.sum(x * x, axis=-1) + 0.3 * x[..., 0] ** 2 * x[..., 1] ** 2
+              + 0.2 * x[..., 0] ** 3 * x[..., 1] + 0.4 * x[..., 0] * x[..., -1]
+              + 0.1 * x[..., 1] * x[..., -1] ** 3)
+    u = PotentialField(grid, np.where(mask, values, np.nan), mask)
+    mats, interior = hessian_matrices(u)
+    ops, lifts = second_difference_operators(u)
+    assert sorted(ops) == [(i, j) for i in range(dim) for j in range(i, dim)]
+    scale = np.abs(mats[interior]).max()
+    for (i, j), op in ops.items():
+        got = op @ u.values[interior] + lifts[i, j]
+        assert np.abs(mats[interior][:, i, j]).max() > 0.1
+        assert np.abs(got - mats[interior][:, i, j]).max() <= 1e-12 * scale
+
+    lap = sum(ops[i, i] for i in range(dim)).tocsr()
+    assert np.all(lap.data != 0)
+    face = np.ones(grid.shape, dtype=bool)
+    for k in range(dim):
+        for s in (-1, 1):
+            face &= np.roll(interior, s, axis=k)
+    full_rows = face[interior]
+    assert full_rows.any() and not full_rows.all()
+    counts = np.diff(lap.indptr)
+    assert np.all(counts[full_rows] == 2 * dim + 1)
+    assert np.all(counts[~full_rows] < 2 * dim + 1)
 
 
 class TestMaResidual:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as splinalg
 
 from slag_lab import (
     GridSpec,
@@ -18,6 +19,7 @@ from slag_lab import (
 )
 from slag_lab.errors import GridError
 from slag_lab.fields import erode_mask
+from slag_lab.hessians import hessian_matrices, second_difference_operators
 from slag_lab.formulas import bilinear, iso_quad, max_affine, quartic
 from slag_lab.solver import dilate_grid
 
@@ -119,6 +121,50 @@ class TestSolveDirichlet:
                            damping=1e-6, min_step=1e-6)
         u, rep = solve_dirichlet(boundary_from(quartic(1.0)), spec, grid, cfg)
         assert not rep.converged
+
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_singular_jacobian_stops_unconverged(self, monkeypatch):
+        # zero coefficients make the Jacobian singular: spsolve returns NaNs
+        import slag_lab.solver as solver_module
+
+        residual_evals = []
+
+        def counted_hessians(u, stride=1):
+            residual_evals.append(stride)
+            return hessian_matrices(u, stride)
+
+        monkeypatch.setattr(solver_module, "slag_linearization_batch",
+                            lambda ms: np.zeros_like(ms))
+        monkeypatch.setattr(solver_module, "hessian_matrices", counted_hessians)
+        grid = GridSpec.ball_box(2, 17)
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        u, rep = solve_dirichlet(boundary_from(quartic(1.0)), spec, grid)
+        assert rep.iterations == 0
+        assert rep.converged is False
+        assert len(residual_evals) == 1
+
+    def test_jacobian_keeps_the_stencil_pattern(self, monkeypatch):
+        # diagonal coefficients zero every cross entry; they stay stored
+        import slag_lab.solver as solver_module
+
+        real = solver_module.slag_linearization_batch
+        solve = splinalg.spsolve
+        nnz = []
+
+        def recording(a, b):
+            nnz.append(a.nnz)
+            return solve(a, b)
+
+        monkeypatch.setattr(solver_module, "slag_linearization_batch",
+                            lambda ms: real(ms) * np.eye(ms.shape[-1]))
+        monkeypatch.setattr(solver_module.splinalg, "spsolve", recording)
+        grid = box_grid(17)
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        u, rep = solve_dirichlet(boundary_from(quartic(1.0)), spec, grid)
+        ops, _ = second_difference_operators(u)
+        assert rep.iterations >= 2
+        assert nnz[0] == (ops[0, 0] + ops[1, 1]).nnz
+        assert nnz[1:] == [nnz[0] + ops[0, 1].nnz] * (len(nnz) - 1)
 
     def test_ball_domain_quadratic(self):
         grid = GridSpec.ball_box(2, 65)

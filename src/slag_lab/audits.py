@@ -18,7 +18,7 @@ import numpy as np
 from .eigen import Spectrum, eigvals_sym
 from .errors import ConvexityError, GridError
 from .fields import GridSpec, PotentialField, erode_mask
-from .hessians import HessianField, hessian_field, hessian_matrices
+from .hessians import HessianField, _shift, _unit, hessian_field, hessian_matrices
 from .reports import AuditReport
 from .rotation import RotatedPotential, RotationParams, rotate
 from .solver import mollify
@@ -258,8 +258,7 @@ def bm_field(v: RotatedPotential, m: int,
     if gap_tol is None:
         gap_tol = DEFAULT_GAP_FACTOR * field.grid.spacing
     hf = hessian_field(field)
-    lam = np.full(field.grid.shape + (d,), np.nan)
-    lam[hf.interior_mask] = eigvals_sym(hf.matrices[hf.interior_mask])
+    lam = hf.eigenvalues()
     valid = hf.interior_mask.copy()
     flagged = []
     if m < d:
@@ -315,36 +314,21 @@ def laplace_beltrami(values: np.ndarray, valid: np.ndarray,
     )
     f = np.where(usable, values, np.nan)
 
-    def shift(arr, off):
-        out = np.full_like(arr, np.nan)
-        src = []
-        dst = []
-        for o, n in zip(off, arr.shape[: d]):
-            if o >= 0:
-                src.append(slice(o, n))
-                dst.append(slice(0, n - o))
-            else:
-                src.append(slice(0, n + o))
-                dst.append(slice(-o, n))
-        out[tuple(dst)] = arr[tuple(src)]
-        return out
-
     acc = np.zeros(grid.shape)
     for i in range(d):
-        e = tuple(1 if k == i else 0 for k in range(d))
-        ne = tuple(-1 if k == i else 0 for k in range(d))
-        w_p = 0.5 * (w[..., i, i] + shift(w[..., i, i], e))
-        w_m = 0.5 * (w[..., i, i] + shift(w[..., i, i], ne))
-        acc += (w_p * (shift(f, e) - f) - w_m * (f - shift(f, ne))) / h**2
+        e, ne = _unit(d, i), _unit(d, i, -1)
+        w_p = 0.5 * (w[..., i, i] + _shift(w[..., i, i], e))
+        w_m = 0.5 * (w[..., i, i] + _shift(w[..., i, i], ne))
+        f_p, f_m = _shift(f, e), _shift(f, ne)
+        acc += (w_p * (f_p - f) - w_m * (f - f_m)) / h**2
         for j in range(d):
             if j == i:
                 continue
-            ej = tuple(1 if k == j else 0 for k in range(d))
-            nej = tuple(-1 if k == j else 0 for k in range(d))
-            dj_p = (shift(shift(f, e), ej) - shift(shift(f, e), nej)) / (2 * h)
-            dj_m = (shift(shift(f, ne), ej) - shift(shift(f, ne), nej)) / (2 * h)
-            acc += (shift(w[..., i, j], e) * dj_p
-                    - shift(w[..., i, j], ne) * dj_m) / (2 * h)
+            ej, nej = _unit(d, j), _unit(d, j, -1)
+            dj_p = (_shift(f_p, ej) - _shift(f_p, nej)) / (2 * h)
+            dj_m = (_shift(f_m, ej) - _shift(f_m, nej)) / (2 * h)
+            acc += (_shift(w[..., i, j], e) * dj_p
+                    - _shift(w[..., i, j], ne) * dj_m) / (2 * h)
     result = np.full(grid.shape, np.nan)
     result[out_valid] = acc[out_valid] / sqrt_det[out_valid]
     out_valid &= np.isfinite(result)
@@ -492,8 +476,7 @@ def subharmonicity_trial(v: RotatedPotential, m: int,
     field = v.field
     bm = bm_field(v, m, gap_tol)
     hf = hessian_field(field)
-    lam1 = np.full(field.grid.shape, np.nan)
-    lam1[hf.interior_mask] = eigvals_sym(hf.matrices[hf.interior_mask])[..., 0]
+    lam1 = hf.eigenvalues()[..., 0]
     sub = bm.valid & (lam1 <= 1.0 + hypothesis_tol)
     sub = erode_mask(sub, rim_exclusion)
     if not sub.any():
@@ -515,20 +498,15 @@ def subharmonicity_trial(v: RotatedPotential, m: int,
             min_margin=math.nan,
             details={"note": "hypothesis never satisfied", "m": m},
         )
-    violations = []
-    min_val = math.inf
     floor = max(slack, 1e-9)
-    for node in np.argwhere(lb_valid):
-        t = tuple(int(i) for i in node)
-        val = float(lb[t])
-        min_val = min(min_val, val)
-        if val < -floor:
-            violations.append((t, "metric_laplacian", val))
+    violations = [(tuple(int(i) for i in node), "metric_laplacian",
+                   float(lb[tuple(node)]))
+                  for node in np.argwhere(lb_valid & (lb < -floor))]
     return AuditReport(
         name="subharmonicity",
         checked_nodes=int(lb_valid.sum()),
         violations=violations,
-        min_margin=min_val,
+        min_margin=float(lb[lb_valid].min()),
         details={"m": m, "flagged_gap_nodes": len(bm.flagged)},
     )
 

@@ -1,7 +1,8 @@
 """Command-line driver: sampling, transforms, rotation, solves and audits.
 
-Exit codes: 0 all good (and all selected audits passed), 1 compute failure,
-2 invalid configuration or arguments.
+Exit codes: 0 all good (and all selected audits passed), 1 compute failure
+(a failed audit or solve, a convexity, rotation or slope-grid precondition,
+file I/O), 2 invalid configuration or arguments.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from .conjugate import (
     slope_domain,
     subdifferential,
 )
-from .errors import SlagLabError
+from .errors import ConvexityError, RotationError, SlagLabError, SlopeGridError
 from .experiments import (
     REGISTRY,
     ExperimentConfig,
+    _key_value_lines,
     parse_config,
     run_all,
     run_experiment,
@@ -48,6 +50,8 @@ from .rotation import RotatedPotential, RotationParams, rotate
 from .solver import SolverConfig, solve_dirichlet
 
 logger = logging.getLogger("slag_lab.cli")
+
+_COMPUTE_FAILURES = (ConvexityError, RotationError, SlopeGridError, OSError)
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -136,11 +140,7 @@ def cmd_solve(args) -> int:
     spec = ProblemSpec(dim=args.dim, theta=args.theta)
     cfg = SolverConfig()
     if args.config:
-        for line in Path(args.config).read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, value = (p.strip() for p in line.split("=", 1))
+        for key, value in _key_value_lines(Path(args.config).read_text()):
             if not hasattr(cfg, key):
                 raise SlagLabError(f"unknown solver option {key!r}")
             cast = int if key == "max_iters" else float
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SlagLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) else 1
+        return 1 if isinstance(exc, _COMPUTE_FAILURES) else 2
 
 
 if __name__ == "__main__":

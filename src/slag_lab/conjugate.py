@@ -6,10 +6,11 @@ kernel evaluates it: a separable pass of linear-time 1-D lower-hull
 transforms per axis that also returns the maximizing node (Lucet's
 linear-time Legendre transform; Felzenszwalb-Huttenlocher lower envelopes).
 `sup_with_argmax` (values, argmax, interior-only values) and
-`conjugate_fast` (values) are its two entry points; `refined_sup` polishes
-its node suprema with local Taylor models and the rotation operator builds
-on that. The chunked O(N^2) `_sup_brute` survives only as the oracle behind
-`conjugate_brute` and the tests (contract: equal to 1e-12).
+`conjugate_fast` (values, finite at every slope node) are its two entry
+points; `refined_sup` polishes its node suprema with local quartic Taylor
+models and the rotation operator builds on that. The chunked O(N^2)
+`_sup_brute` survives only as the oracle behind `conjugate_brute` and the
+tests (contract: equal to 1e-12).
 
 Slope grids are sized automatically from attained first differences plus a
 two-cell margin, with a node pinned at the slope-space origin.
@@ -36,7 +37,12 @@ from .hessians import (
 )
 from .reports import AuditReport
 
+# floats per block of the chunked O(N*M) loops (brute sup, plane envelope)
 _CHUNK_FLOATS = 8_000_000
+# refined_sup: candidate nodes within this many cells of the node argmax,
+# and the smallest Hessian eigenvalue that admits a local model
+_REFINE_WINDOW = 2
+_PSD_FLOOR = 1e-10
 
 
 def _require_convex(f: PotentialField, tol: float = 1e-8) -> None:
@@ -221,24 +227,21 @@ def conjugate_fast(f: PotentialField, slopes: GridSpec | None = None,
     if slopes is None:
         slopes = auto_slope_grid(f)
     vals, _ = _separable_sup(f, slopes, f.mask)
-    if not np.isfinite(vals).all():
-        raise SlopeGridError("factorized transform hit an empty mask section")
     return PotentialField(slopes, vals)
 
 
-def refined_sup(f: PotentialField, slopes: GridSpec, window: int = 2,
-                psd_floor: float = 1e-10, order: int = 4):
-    """Sup of y.x - f over local Taylor-model node maxima.
+def refined_sup(f: PotentialField, slopes: GridSpec):
+    """Sup of y.x - f over local quartic Taylor-model node maxima.
 
     Around each slope node's node argmax, every interior node within
-    `window` cells contributes the maximum of its local Taylor model over
-    its own half-cell box (argmax from the quadratic part, value corrected
-    by the cubic/quartic terms when order = 4). Exact on polynomial fields
-    up to the model order, where plain node suprema carry quantization
-    ripple whose repeated second differences do not vanish. Returns
-    (values, argmax, interior node values, node values); attainment tests
-    must compare the last two (refined values exceed node suprema off the
-    lattice).
+    `_REFINE_WINDOW` cells whose Hessian exceeds `_PSD_FLOOR` contributes
+    the maximum of its local quartic Taylor model over its own half-cell
+    box (a quadratic-model step, Newton-polished with the cubic and quartic
+    terms). Exact on polynomial fields of degree four, where plain node
+    suprema carry quantization ripple whose repeated second differences do
+    not vanish. Returns (values, argmax, interior node values, node
+    values); attainment tests must compare the last two (refined values
+    exceed node suprema off the lattice).
     """
     vals, arg, vals_in = sup_with_argmax(f, slopes)
     grid = f.grid
@@ -246,16 +249,15 @@ def refined_sup(f: PotentialField, slopes: GridSpec, window: int = 2,
     grads, gvalid = gradient_field(f)
     mats, hvalid = hessian_matrices(f, stride=1)
     usable = hvalid & gvalid
-    if order >= 4:
-        # degree-4-exact jets where the wide stencils fit; the one-cell rim
-        # ring degrades to the plain quadratic model
-        tens3, tens4, _ = taylor_tensors(f)
-        g4, h4, valid2 = fourth_order_jet(f)
-        grads = np.where(valid2[..., None], g4, grads)
-        mats = np.where(valid2[..., None, None], h4, mats)
+    # degree-4-exact jets where the wide stencils fit; the one-cell rim
+    # ring degrades to the plain quadratic model
+    tens3, tens4, _ = taylor_tensors(f)
+    g4, h4, valid2 = fourth_order_jet(f)
+    grads = np.where(valid2[..., None], g4, grads)
+    mats = np.where(valid2[..., None, None], h4, mats)
     lam_min = np.full(grid.shape, -np.inf)
     lam_min[hvalid] = eigvals_sym(mats[hvalid])[..., -1]
-    usable &= lam_min > psd_floor
+    usable &= lam_min > _PSD_FLOOR
     inv = np.zeros_like(mats)
     inv[usable] = np.linalg.inv(mats[usable])
 
@@ -265,7 +267,7 @@ def refined_sup(f: PotentialField, slopes: GridSpec, window: int = 2,
     coords = grid.coords()
     best = vals.copy()
     half = grid.spacing / 2.0
-    for offset in product(range(-window, window + 1), repeat=d):
+    for offset in product(range(-_REFINE_WINDOW, _REFINE_WINDOW + 1), repeat=d):
         cand = anchors + np.array(offset)
         ok = np.ones(len(cand), dtype=bool)
         for k in range(d):
@@ -282,45 +284,41 @@ def refined_sup(f: PotentialField, slopes: GridSpec, window: int = 2,
         dy = ys[sel] - g0
         step = np.einsum("nij,nj->ni", inv[cidx], dy)
         np.clip(step, -half, half, out=step)
-        if order >= 4:
-            t3 = tens3[cidx]
-            t4 = tens4[cidx]
-            # Newton-polish the box-clamped maximizer of the quartic model
-            # with the true model Jacobian; exact-polynomial inputs converge
-            # to round-off in a few steps
-            for _ in range(3):
-                grad_tail = (
-                    0.5 * np.einsum("nabc,nb,nc->na", t3, step, step)
-                    + np.einsum("nabcd,nb,nc,nd->na", t4, step, step, step)
-                    / 6.0
-                )
-                resid = dy - np.einsum("nij,nj->ni", h0, step) - grad_tail
-                jac = (
-                    h0
-                    + np.einsum("nabc,nc->nab", t3, step)
-                    + 0.5 * np.einsum("nabcd,nc,nd->nab", t4, step, step)
-                )
-                good = np.linalg.det(jac) > 1e-14
-                delta = np.einsum("nij,nj->ni", inv[cidx], resid)
-                if good.any():
-                    delta[good] = np.linalg.solve(
-                        jac[good], resid[good][..., None]
-                    )[..., 0]
-                step = step + delta
-                np.clip(step, -half, half, out=step)
+        t3 = tens3[cidx]
+        t4 = tens4[cidx]
+        # Newton-polish the box-clamped maximizer of the quartic model
+        # with the true model Jacobian; exact-polynomial inputs converge
+        # to round-off in a few steps
+        for _ in range(3):
+            grad_tail = (
+                0.5 * np.einsum("nabc,nb,nc->na", t3, step, step)
+                + np.einsum("nabcd,nb,nc,nd->na", t4, step, step, step)
+                / 6.0
+            )
+            resid = dy - np.einsum("nij,nj->ni", h0, step) - grad_tail
+            jac = (
+                h0
+                + np.einsum("nabc,nc->nab", t3, step)
+                + 0.5 * np.einsum("nabcd,nc,nd->nab", t4, step, step)
+            )
+            good = np.linalg.det(jac) > 1e-14
+            delta = np.einsum("nij,nj->ni", inv[cidx], resid)
+            if good.any():
+                delta[good] = np.linalg.solve(
+                    jac[good], resid[good][..., None]
+                )[..., 0]
+            step = step + delta
+            np.clip(step, -half, half, out=step)
         model = (
             np.einsum("ni,ni->n", ys[sel], x0 + step)
             - f.values[cidx]
             - np.einsum("ni,ni->n", g0, step)
             - 0.5 * np.einsum("ni,nij,nj->n", step, h0, step)
         )
-        if order >= 4:
-            model -= np.einsum(
-                "nabc,na,nb,nc->n", t3, step, step, step
-            ) / 6.0
-            model -= np.einsum(
-                "nabcd,na,nb,nc,nd->n", t4, step, step, step, step
-            ) / 24.0
+        model -= np.einsum("nabc,na,nb,nc->n", t3, step, step, step) / 6.0
+        model -= np.einsum(
+            "nabcd,na,nb,nc,nd->n", t4, step, step, step, step
+        ) / 24.0
         best[sel] = np.maximum(best[sel], model)
     return best, arg, vals_in, vals
 
@@ -542,15 +540,15 @@ def check_slope_increase(f: PotentialField, s_delta: float, samples,
             dist = np.linalg.norm(ys - member, axis=1)
             required = dist <= r
             checked += int(required.sum())
-            for flat in np.flatnonzero(required & ~inside_flat):
-                if near_rim[flat]:
-                    rim_flags += 1
-                else:
-                    node = np.unravel_index(flat, slopes.shape)
-                    violations.append(
-                        (tuple(int(i) for i in node), "uncovered_slope",
-                         float(dist[flat]))
-                    )
+            uncovered = required & ~inside_flat
+            rim_flags += int((uncovered & near_rim).sum())
+            deep = np.flatnonzero(uncovered & ~near_rim)
+            violations.extend(
+                (tuple(int(i) for i in node), "uncovered_slope", float(r))
+                for node, r in zip(
+                    np.transpose(np.unravel_index(deep, slopes.shape)),
+                    dist[deep])
+            )
     violations.sort(key=lambda t: t[0])
     return AuditReport(
         name="slope-increase",

@@ -67,12 +67,8 @@ class ExperimentResult:
         return all(r.passed for r in self.reports)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Flat key=value lines; unknown keys become float overrides."""
-    name = None
-    outdir = None
-    seed = DEFAULT_SEED
-    overrides = {}
+def _key_value_lines(text: str):
+    """(key, value) pairs of flat key=value lines; `#` starts a comment."""
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,6 +76,16 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {line_no}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        yield key, value
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Flat key=value lines; unknown keys become float overrides."""
+    name = None
+    outdir = None
+    seed = DEFAULT_SEED
+    overrides = {}
+    for key, value in _key_value_lines(text):
         if key == "name":
             name = value
         elif key == "outdir":
@@ -453,20 +459,6 @@ def exp_solver_correctness(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("solver-correctness", reports)
 
 
-def exp_ma_duality(cfg: ExperimentConfig) -> ExperimentResult:
-    """Spec extra: the determinant oracle as a standalone experiment."""
-    spec = ProblemSpec(dim=2, theta=math.pi / 2)
-    grid = _box_grid(int(cfg.overrides.get("grid", 129)))
-    u, srep = solve_dirichlet(_quartic_data, spec, grid)
-    hf = hessian_field(u)
-    dets = np.linalg.det(hf.matrices[hf.interior_mask])
-    worst = float(np.abs(dets - 1.0).max())
-    rep = _margin_report("ma-duality", int(hf.interior_mask.sum()), worst,
-                         5e-3, "det_deviation",
-                         {"converged": srep.converged})
-    return ExperimentResult("ma-duality", [rep], {"ma_solution": u})
-
-
 def exp_coefficient_audit(cfg: ExperimentConfig) -> ExperimentResult:
     """Criterion 8: randomized nonnegativity sweep plus a violating control."""
     rng = np.random.default_rng(cfg.seed)
@@ -619,7 +611,6 @@ REGISTRY = {
     "rotation-window": exp_rotation_window,
     "preservation": exp_preservation,
     "solver-correctness": exp_solver_correctness,
-    "ma-duality": exp_ma_duality,
     "coefficient-audit": exp_coefficient_audit,
     "subharmonicity": exp_subharmonicity,
     "strict-gap": exp_strict_gap,
@@ -639,57 +630,72 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                          f"choose from {sorted(REGISTRY)}")
     result = REGISTRY[cfg.name](cfg)
     if cfg.outdir is not None:
-        write_artifacts(result, cfg.outdir)
+        write_artifacts([result], cfg.outdir)
     return result
 
 
-def write_artifacts(result: ExperimentResult, outdir: Path):
+def write_artifacts(results, outdir: Path):
+    """JSON reports and PF1 fields per experiment, plus one summary.csv.
+
+    summary.csv is rewritten with the rows of exactly these results, so a
+    rerun into the same directory reproduces it.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "name": result.name,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "passed": result.passed,
-        "reports": [r.to_json() for r in result.reports],
-    }
-    with open(outdir / f"{result.name}.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    summary = outdir / "summary.csv"
-    new = not summary.exists()
-    with open(summary, "a", newline="") as fh:
+    for result in results:
+        payload = {
+            "name": result.name,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "passed": result.passed,
+            "reports": [r.to_json() for r in result.reports],
+        }
+        with open(outdir / f"{result.name}.json", "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for fname, field in result.fields.items():
+            save_field(outdir / f"{fname}.pf1", field)
+    with open(outdir / "summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["name", "checked_nodes", "min_margin", "passed"]
         )
-        if new:
-            writer.writeheader()
-        for r in result.reports:
-            writer.writerow(r.summary_row())
-    for fname, field in result.fields.items():
-        save_field(outdir / f"{fname}.pf1", field)
+        writer.writeheader()
+        for result in results:
+            for r in result.reports:
+                writer.writerow(r.summary_row())
 
 
 def max_workers(requested: int) -> int:
+    """`requested` capped by the SLAG_LAB_THREADS environment variable."""
     cap = os.environ.get("SLAG_LAB_THREADS")
-    if cap:
-        return max(1, min(requested, int(cap)))
-    return max(1, requested)
+    if not cap:
+        return max(1, requested)
+    try:
+        limit = int(cap)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(
+            f"SLAG_LAB_THREADS must be a positive integer, got {cap!r}")
+    return max(1, min(requested, limit))
 
 
 def run_all(outdir: Path | None = None, names=None, parallel: int = 1,
             seed: int = DEFAULT_SEED):
-    """Run experiments (sequentially by default); returns (results, passed)."""
+    """Run experiments (sequentially by default); returns (results, passed).
+
+    Artifacts are written from the calling thread once every experiment
+    has finished.
+    """
     names = list(names or REGISTRY)
-    configs = [ExperimentConfig(name=n, outdir=outdir, seed=seed)
-               for n in names]
-    results = []
+    configs = [ExperimentConfig(name=n, seed=seed) for n in names]
     workers = max_workers(parallel)
     if workers <= 1:
-        for c in configs:
-            results.append(run_experiment(c))
+        results = [run_experiment(c) for c in configs]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_experiment, configs))
+    if outdir is not None:
+        write_artifacts(results, outdir)
     return results, all(r.passed for r in results)

@@ -61,6 +61,11 @@ def _shift(values: np.ndarray, offset: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _unit(d: int, i: int, s: int = 1) -> tuple[int, ...]:
+    """Offset of s steps along axis i of a d-dimensional grid."""
+    return tuple(s if k == i else 0 for k in range(d))
+
+
 def _stencil(d: int, i: int, j: int) -> tuple[list, float]:
     """Offsets and weights of the (i, j) entry, and its divisor in units of h^2.
 
@@ -164,42 +169,38 @@ def taylor_tensors(u: PotentialField) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if not valid.any():
         raise GridError("domain too small for two-cell Taylor stencils")
 
-    def sh(arr, off):
-        return _shift(arr, tuple(off))
-
-    def unit(i, s=1):
-        return tuple(s if k == i else 0 for k in range(d))
-
     second = []
     for i in range(d):
-        second.append((sh(v, unit(i)) - 2.0 * v + sh(v, unit(i, -1))) / h**2)
+        second.append((_shift(v, _unit(d, i)) - 2.0 * v
+                       + _shift(v, _unit(d, i, -1))) / h**2)
 
     t = np.zeros(grid.shape + (d, d, d))
     f = np.zeros(grid.shape + (d, d, d, d))
 
     for i in range(d):
-        e2p, e1p = unit(i, 2), unit(i, 1)
-        e1m, e2m = unit(i, -1), unit(i, -2)
-        t_iii = (sh(v, e2p) - 2 * sh(v, e1p) + 2 * sh(v, e1m) - sh(v, e2m)) / (
-            2 * h**3
-        )
+        e2p, e1p = _unit(d, i, 2), _unit(d, i, 1)
+        e1m, e2m = _unit(d, i, -1), _unit(d, i, -2)
+        t_iii = (_shift(v, e2p) - 2 * _shift(v, e1p) + 2 * _shift(v, e1m)
+                 - _shift(v, e2m)) / (2 * h**3)
         t[..., i, i, i] = t_iii
         f[..., i, i, i, i] = (
-            sh(v, e2p) - 4 * sh(v, e1p) + 6 * v - 4 * sh(v, e1m) + sh(v, e2m)
+            _shift(v, e2p) - 4 * _shift(v, e1p) + 6 * v
+            - 4 * _shift(v, e1m) + _shift(v, e2m)
         ) / h**4
         for j in range(d):
             if j == i:
                 continue
-            ejp, ejm = unit(j, 1), unit(j, -1)
-            t_iij = (sh(second[i], ejp) - sh(second[i], ejm)) / (2 * h)
+            ejp, ejm = _unit(d, j, 1), _unit(d, j, -1)
+            t_iij = (_shift(second[i], ejp) - _shift(second[i], ejm)) / (2 * h)
             for perm in ((i, i, j), (i, j, i), (j, i, i)):
                 t[(..., *perm)] = t_iij
-            f_iiij = (sh(t_iii, ejp) - sh(t_iii, ejm)) / (2 * h)
+            f_iiij = (_shift(t_iii, ejp) - _shift(t_iii, ejm)) / (2 * h)
             for perm in ((i, i, i, j), (i, i, j, i), (i, j, i, i), (j, i, i, i)):
                 f[(..., *perm)] = f_iiij
         for j in range(i + 1, d):
-            ejp, ejm = unit(j, 1), unit(j, -1)
-            f_iijj = (sh(second[i], ejp) - 2 * second[i] + sh(second[i], ejm)) / h**2
+            ejp, ejm = _unit(d, j, 1), _unit(d, j, -1)
+            f_iijj = (_shift(second[i], ejp) - 2 * second[i]
+                      + _shift(second[i], ejm)) / h**2
             for perm in {(i, i, j, j), (i, j, i, j), (i, j, j, i),
                          (j, i, i, j), (j, i, j, i), (j, j, i, i)}:
                 f[(..., *perm)] = f_iijj
@@ -208,7 +209,7 @@ def taylor_tensors(u: PotentialField) -> tuple[np.ndarray, np.ndarray, np.ndarra
                  for sk in (1, -1)]
         t_123 = np.zeros(grid.shape)
         for si, sj, sk in signs:
-            t_123 += si * sj * sk * sh(v, (si, sj, sk))
+            t_123 += si * sj * sk * _shift(v, (si, sj, sk))
         t_123 /= 8 * h**3
         from itertools import permutations
 
@@ -220,10 +221,10 @@ def taylor_tensors(u: PotentialField) -> tuple[np.ndarray, np.ndarray, np.ndarra
             ej[j] = 1
             ek[k] = 1
             f_iijk = (
-                sh(second[i], tuple(np.add(ej, ek)))
-                - sh(second[i], tuple(np.subtract(ej, ek)))
-                - sh(second[i], tuple(np.subtract(ek, ej)))
-                + sh(second[i], tuple(np.negative(np.add(ej, ek))))
+                _shift(second[i], tuple(np.add(ej, ek)))
+                - _shift(second[i], tuple(np.subtract(ej, ek)))
+                - _shift(second[i], tuple(np.subtract(ek, ej)))
+                + _shift(second[i], tuple(np.negative(np.add(ej, ek))))
             ) / (4 * h**2)
             base = (i, i, j, k)
             for perm in set(permutations(base)):
@@ -251,13 +252,10 @@ def fourth_order_jet(u: PotentialField):
     if not valid.any():
         raise GridError("domain too small for two-cell jet stencils")
 
-    def unit(i, s=1):
-        return tuple(s if k == i else 0 for k in range(d))
-
     def d4_first(arr, i):
         return (
-            -_shift(arr, unit(i, 2)) + 8 * _shift(arr, unit(i, 1))
-            - 8 * _shift(arr, unit(i, -1)) + _shift(arr, unit(i, -2))
+            -_shift(arr, _unit(d, i, 2)) + 8 * _shift(arr, _unit(d, i, 1))
+            - 8 * _shift(arr, _unit(d, i, -1)) + _shift(arr, _unit(d, i, -2))
         ) / (12 * h)
 
     grads = np.zeros(grid.shape + (d,))
@@ -268,8 +266,8 @@ def fourth_order_jet(u: PotentialField):
         firsts.append(gi)
         grads[..., i] = gi
         hess[..., i, i] = (
-            -_shift(v, unit(i, 2)) + 16 * _shift(v, unit(i, 1)) - 30 * v
-            + 16 * _shift(v, unit(i, -1)) - _shift(v, unit(i, -2))
+            -_shift(v, _unit(d, i, 2)) + 16 * _shift(v, _unit(d, i, 1)) - 30 * v
+            + 16 * _shift(v, _unit(d, i, -1)) - _shift(v, _unit(d, i, -2))
         ) / (12 * h * h)
     for i in range(d):
         for j in range(i + 1, d):
@@ -293,9 +291,8 @@ def gradient_field(u: PotentialField) -> tuple[np.ndarray, np.ndarray]:
     grads = np.zeros(grid.shape + (d,))
     valid = erode_mask(u.mask, 1)
     for i in range(d):
-        e = tuple(1 if k == i else 0 for k in range(d))
-        ne = tuple(-1 if k == i else 0 for k in range(d))
-        grads[..., i] = (_shift(u.values, e) - _shift(u.values, ne)) / (2.0 * h)
+        grads[..., i] = (_shift(u.values, _unit(d, i))
+                         - _shift(u.values, _unit(d, i, -1))) / (2.0 * h)
     grads[~valid] = 0.0
     return grads, valid
 

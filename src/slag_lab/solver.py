@@ -23,6 +23,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 from scipy import ndimage
 
+from .conjugate import _CHUNK_FLOATS
 from .eigen import eigvals_sym
 from .errors import ConvexityError, GridError
 from .fields import GridSpec, PotentialField, erode_mask
@@ -248,7 +249,7 @@ def extend_convex(u: PotentialField, target: GridSpec,
     b = u.values[ok] - np.einsum("pi,pi->p", p, x0)
     scale = 1.0 + float(np.abs(us).max())
     overshoot = np.full(len(p), -np.inf)
-    chunk = max(1, _plane_chunk(len(xs)))
+    chunk = max(1, _CHUNK_FLOATS // max(1, len(xs)))
     for a in range(0, len(p), chunk):
         c = min(a + chunk, len(p))
         vals = p[a:c] @ xs.T + b[a:c, None] - us[None, :]
@@ -266,10 +267,6 @@ def extend_convex(u: PotentialField, target: GridSpec,
                    out=out)
     return PotentialField(target, out.reshape(target.shape),
                           np.ones(target.shape, dtype=bool))
-
-
-def _plane_chunk(n_mask_nodes: int) -> int:
-    return max(1, 8_000_000 // max(1, n_mask_nodes))
 
 
 def scale_potential(u: PotentialField, ratio: float = 1.2) -> PotentialField:

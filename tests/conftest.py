@@ -31,29 +31,3 @@ def make_iso_quad(grid, k):
 def make_quad(grid, matrix):
     return sample_potential(quad_form(matrix), grid)
 
-
-def smooth_max_affine_anchors(grid, slopes, offsets, rng, count,
-                              margin_cells=3):
-    """Masked nodes whose active piece wins on a whole stencil neighborhood.
-
-    Near a crease the grid cannot tell which piece is active, so set-valued
-    comparisons sample anchors where the winner is locally unambiguous.
-    """
-    from scipy import ndimage
-
-    coords = grid.coords()
-    vals = np.tensordot(coords, np.asarray(slopes), axes=([-1], [1])) + offsets
-    active = vals.argmax(axis=-1)
-    mask = grid.ball_mask()
-    for _ in range(margin_cells):
-        mask = ndimage.binary_erosion(
-            mask, structure=np.ones((3,) * grid.dim, bool), border_value=0
-        )
-    stable = mask.copy()
-    footprint = np.ones((3,) * grid.dim, dtype=bool)
-    local_min = ndimage.minimum_filter(active, footprint=footprint)
-    local_max = ndimage.maximum_filter(active, footprint=footprint)
-    stable &= local_min == local_max
-    nodes = np.argwhere(stable)
-    picks = nodes[rng.choice(len(nodes), size=count, replace=False)]
-    return [grid.node_coords(n) for n in picks]

@@ -408,6 +408,42 @@ class TestSubharmonicity:
         assert rep.passed
         assert rep.min_margin >= -1e-4
 
+    @pytest.mark.parametrize("dim, nodes, slack", [(2, 65, 0.5), (3, 25, 0.58)])
+    def test_report_matches_per_node_loop(self, dim, nodes, slack):
+        # hand-built NaN eigenvalue fields and node-by-node report assembly,
+        # kept as the reference for the vectorized one
+        def f(x):
+            q = 0.45 * x[..., 0] ** 2 + 0.1 * x[..., 1] ** 2 - 0.08 * x[..., 0] ** 4
+            return (q + 0.05 * x[..., 0] * x[..., 1] ** 3
+                    + 0.02 * np.sum(x[..., 2:] ** 2, -1))
+
+        rp = as_rotated(sample_potential(f, GridSpec.ball_box(dim, nodes)))
+        hf = hessian_field(rp.field)
+        lam = np.full(hf.grid.shape + (dim,), np.nan)
+        lam[hf.interior_mask] = eigvals_sym(hf.matrices[hf.interior_mask])
+        flagged = hf.interior_mask & (lam[..., 0] - lam[..., 1] < 0.05)
+        valid = hf.interior_mask & ~flagged
+        bm = np.full(hf.grid.shape, np.nan)
+        bm[valid] = np.log(np.sqrt(1.0 + lam[valid][..., :1] ** 2)).sum(axis=-1)
+        sub = erode_mask(valid & (lam[..., 0] <= 1.0 + 1e-9), 3)
+        lb, lb_valid = laplace_beltrami(bm, sub, induced_metric(hf))
+        lb_valid &= sub
+        violations, min_val = [], float("inf")
+        for node in np.argwhere(lb_valid):
+            t = tuple(int(i) for i in node)
+            val = float(lb[t])
+            min_val = min(min_val, val)
+            if val < -slack:
+                violations.append((t, "metric_laplacian", val))
+        rep = subharmonicity_trial(rp, m=1, gap_tol=0.05, slack=slack)
+        assert 0 < len(violations) < rep.checked_nodes == int(lb_valid.sum())
+        assert rep.violations == violations
+        assert all(type(a) is type(b) for v, w in zip(rep.violations, violations)
+                   for a, b in zip(v, w))
+        assert rep.min_margin == min_val
+        assert type(rep.min_margin) is float
+        assert rep.details == {"m": 1, "flagged_gap_nodes": int(flagged.sum())}
+
     def test_hypothesis_never_satisfied_reported(self, grid65):
         u = sample_potential(iso_quad(1.0), grid65)  # zero spectral gap
         rep = subharmonicity_trial(as_rotated(u), m=1, gap_tol=0.5)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from slag_lab.cli import main
-from slag_lab.experiments import ExperimentConfig, parse_config, run_experiment
+from slag_lab.experiments import (
+    REGISTRY,
+    ExperimentConfig,
+    max_workers,
+    parse_config,
+    run_all,
+    run_experiment,
+)
 from slag_lab.fileio import load_field, read_pf1
 
 
@@ -78,6 +85,26 @@ class TestSubcommands:
         assert run_cli("sample", "--formula", "nope", "--grid", "17",
                        "--out", str(tmp_path / "x.pf1")) == 2
 
+    def test_compute_failure_exits_1(self, tmp_path):
+        # a concave field has no semiconvexity margin for the rotation
+        u = tmp_path / "u.pf1"
+        run_cli("sample", "--formula", "iso-quad:-3", "--grid", "17",
+                "--out", str(u))
+        assert run_cli("rotate", "--alpha", str(np.pi / 4), "--in", str(u),
+                       "--out", str(tmp_path / "v.pf1")) == 1
+
+    def test_bad_arguments_exit_2(self, tmp_path, capsys):
+        assert run_cli("audit", "--check", "coeffs") == 2
+        cfg = tmp_path / "solver.cfg"
+        solve = ("solve", "--theta", "1.0", "--grid", "17", "--boundary",
+                 "iso-quad:1", "--config", str(cfg),
+                 "--out", str(tmp_path / "s.pf1"))
+        cfg.write_text("max_iters = 5  # cap\n\nresidual_tol\n")
+        assert run_cli(*solve) == 2
+        assert "line 3: expected key=value" in capsys.readouterr().err
+        cfg.write_text("newton_steps = 5\n")
+        assert run_cli(*solve) == 2
+
     def test_rotation_preservation_audits(self, tmp_path):
         u = tmp_path / "u.pf1"
         run_cli("sample", "--formula", "iso-quad:1", "--grid", "33",
@@ -138,3 +165,42 @@ class TestExperimentRunner:
     def test_exit_status_contract(self, tmp_path):
         assert run_cli("run", "--experiment", "zero-potential") == 0
         assert run_cli("run") == 2
+
+    def test_rerun_rewrites_the_same_summary(self, tmp_path):
+        out = tmp_path / "out"
+        summaries = []
+        for _ in range(2):
+            assert run_cli("run", "--experiment", "zero-potential",
+                           "--outdir", str(out)) == 0
+            summaries.append((out / "summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+
+    def test_parallel_run_writes_one_summary_header(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.delenv("SLAG_LAB_THREADS", raising=False)
+        results, _ = run_all(outdir=tmp_path, parallel=2,
+                             names=["zero-potential", "coefficient-audit"])
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert lines.count("name,checked_nodes,min_margin,passed") == 1
+        assert len(lines) == 1 + sum(len(r.reports) for r in results)
+
+
+class TestThreadCap:
+    def test_cap_applies(self, monkeypatch):
+        monkeypatch.delenv("SLAG_LAB_THREADS", raising=False)
+        assert max_workers(4) == 4
+        monkeypatch.setenv("SLAG_LAB_THREADS", "1")
+        assert max_workers(4) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_cap_rejected_before_any_pool(self, monkeypatch, value):
+        monkeypatch.setenv("SLAG_LAB_THREADS", value)
+        with pytest.raises(ValueError, match="SLAG_LAB_THREADS"):
+            max_workers(2)
+
+        def started(cfg):
+            raise AssertionError("an experiment started")
+
+        monkeypatch.setitem(REGISTRY, "zero-potential", started)
+        with pytest.raises(ValueError, match="SLAG_LAB_THREADS"):
+            run_all(names=["zero-potential"], parallel=2)

@@ -17,7 +17,12 @@ from slag_lab import (
     slope_domain,
     subdifferential,
 )
-from slag_lab.conjugate import _sup_brute, auto_slope_grid, sup_with_argmax
+from slag_lab.conjugate import (
+    _sup_brute,
+    _tight_members,
+    auto_slope_grid,
+    sup_with_argmax,
+)
 from slag_lab.fields import PotentialField, connected_components, erode_mask
 from slag_lab.formulas import (
     iso_quad,
@@ -384,14 +389,14 @@ class TestSumRule:
         # anchors within ~h of a crease cannot resolve the active piece at
         # grid resolution, so sampling sticks to unambiguous smooth regions
         # (the audits' own kink-skip convention)
-        from conftest import smooth_max_affine_anchors
+        from slag_lab.experiments import _smooth_anchors
 
         slopes = rng.uniform(-1, 1, size=(4, 2))
         offsets = rng.uniform(-0.3, 0.3, size=4)
         from slag_lab.formulas import max_affine
 
         u = sample_potential(max_affine(slopes, offsets), grid65)
-        samples = smooth_max_affine_anchors(grid65, slopes, offsets, rng, 10)
+        samples = _smooth_anchors(grid65, slopes, offsets, rng, 10)
         rep = check_sum_rule(u, 0.7, samples)
         assert rep.passed, rep.violations[:3]
 
@@ -421,6 +426,46 @@ class TestSlopeIncrease:
         u = sample_potential(quartic(1.0), grid65)
         rep = check_slope_increase(u, 1.0, [(0.0, 0.0), (0.5, 0.0)])
         assert rep.passed
+
+    @pytest.mark.parametrize("dim, nodes, cut", [(2, 65, 6), (3, 21, 3)])
+    def test_report_matches_per_node_loop(self, dim, nodes, cut):
+        # the field's mask stops `cut` cells inside the ball, so the slope
+        # domain misses part of each required ball and both rim flags and
+        # deep violations occur; the per-node loop is the reference
+        grid = GridSpec.ball_box(dim, nodes)
+        a = np.diag(np.linspace(1.0, 1.5, dim))
+        a[0, 1] = a[1, 0] = 0.2
+        u = sample_potential(quad_form(a), grid)
+        u = PotentialField(grid, u.values, erode_mask(grid.ball_mask(), cut))
+        points = ((0.0, 0.0), (0.3125, 0.125), (-0.1875, 0.25))
+        samples = [grid.node_coords(grid.nearest_node(p + (0.0,) * (dim - 2)))
+                   for p in points]
+        rep = check_slope_increase(u, 0.8, samples)
+
+        dm = slope_domain(u)
+        star = conjugate_fast(u, dm.slope_grid)
+        ys = dm.slope_grid.coords().reshape(-1, dim)
+        inside = dm.inside.reshape(-1)
+        near_rim = (~dm.inside & ndimage.binary_dilation(
+            dm.inside, structure=np.ones((3,) * dim, dtype=bool))).reshape(-1)
+        violations, rim_flags = [], 0
+        for a in samples:
+            r = 0.8 * (1.0 - float(np.linalg.norm(a))) - 2.0 * grid.spacing
+            for member in _tight_members(u, star, a, None).members:
+                dist = np.linalg.norm(ys - member, axis=1)
+                for flat in np.flatnonzero((dist <= r) & ~inside):
+                    if near_rim[flat]:
+                        rim_flags += 1
+                    else:
+                        node = np.unravel_index(flat, dm.slope_grid.shape)
+                        violations.append((tuple(int(i) for i in node),
+                                           "uncovered_slope", float(dist[flat])))
+        violations.sort(key=lambda t: t[0])
+        assert violations and rim_flags
+        assert rep.violations == violations
+        assert all(type(a) is type(b) for v, w in zip(rep.violations, violations)
+                   for a, b in zip(v, w))
+        assert rep.details == {"rim_flagged": rim_flags}
 
     def test_insufficient_convexity_rejected(self, grid65):
         u = sample_potential(iso_quad(0.5), grid65)

@@ -251,6 +251,11 @@ def bm_field(v: RotatedPotential, m: int,
     Nodes where the spectral gap lambda_m - lambda_{m+1} falls below gap_tol
     (default 10h) are flagged and left out of the valid mask.
     """
+    return _bm_with_hessian(v, m, gap_tol)[0]
+
+
+def _bm_with_hessian(v: RotatedPotential, m: int, gap_tol: float | None):
+    """`bm_field` plus the Hessian field and eigenvalues it was built from."""
     field = v.field
     d = field.grid.dim
     if not 1 <= m <= d:
@@ -270,7 +275,7 @@ def bm_field(v: RotatedPotential, m: int,
     values[valid] = (
         np.log(np.sqrt(1.0 + lam[valid][..., :m] ** 2)).sum(axis=-1) / m
     )
-    return BmField(values=values, valid=valid, flagged=flagged, m=m)
+    return BmField(values=values, valid=valid, flagged=flagged, m=m), hf, lam
 
 
 def induced_metric(h: HessianField) -> MetricField:
@@ -473,11 +478,8 @@ def subharmonicity_trial(v: RotatedPotential, m: int,
     solution fields; rotations of non-solution potentials have a genuine
     negative floor.
     """
-    field = v.field
-    bm = bm_field(v, m, gap_tol)
-    hf = hessian_field(field)
-    lam1 = hf.eigenvalues()[..., 0]
-    sub = bm.valid & (lam1 <= 1.0 + hypothesis_tol)
+    bm, hf, lam = _bm_with_hessian(v, m, gap_tol)
+    sub = bm.valid & (lam[..., 0] <= 1.0 + hypothesis_tol)
     sub = erode_mask(sub, rim_exclusion)
     if not sub.any():
         return AuditReport(

@@ -54,6 +54,15 @@ logger = logging.getLogger("slag_lab.cli")
 _COMPUTE_FAILURES = (ConvexityError, RotationError, SlopeGridError, OSError)
 
 
+def _angle(text: str) -> float:
+    """Rotation angle argument: a float strictly inside (0, pi/2)."""
+    alpha = float(text)
+    if not 0.0 < alpha < 0.5 * math.pi:
+        raise argparse.ArgumentTypeError(
+            f"angle must lie in (0, pi/2), got {text}")
+    return alpha
+
+
 def _grid_from_args(args) -> GridSpec:
     if args.h is not None:
         nodes = int(round(2.0 * args.radius / args.h)) + 1
@@ -284,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_slope_domain)
 
     p = sub.add_parser("rotate", help="rotate a potential")
-    p.add_argument("--alpha", type=float, required=True, help="radians")
+    p.add_argument("--alpha", type=_angle, required=True,
+                   help="radians, in (0, pi/2)")
     p.add_argument("--delta", type=float, default=None,
                    help="semiconvexity margin (default cot alpha)")
     p.add_argument("--in", dest="infile", required=True)
@@ -315,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "bm", "coeffs", "hessian-bound"))
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=math.pi / 4)
+    p.add_argument("--alpha", type=_angle, default=math.pi / 4)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--eps", default=None,
                    help="mollifier radii in cells, e.g. 2,4,8")

@@ -9,7 +9,6 @@ mask. Grids in slope (gradient) space reuse the same type with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -179,24 +178,46 @@ class PotentialField:
         return self.with_values(self.values + constant)
 
 
+def evaluate_formula(formula: Callable, points: np.ndarray) -> np.ndarray:
+    """Values of `formula` at `points` (..., dim), of shape points.shape[:-1].
+
+    The formula is called once on the whole array. A plain scalar function
+    is accepted as fallback: after a TypeError or ValueError (what numpy
+    raises when a one-point function receives an array) or an output of the
+    wrong shape, it is called once per point. Any other exception
+    propagates; if the per-point calls fail too, FieldError is raised from
+    the first error.
+    """
+    shape = points.shape[:-1]
+    try:
+        values = np.asarray(formula(points), dtype=float)
+    except (TypeError, ValueError) as err:
+        first = err
+    else:
+        if values.shape == shape:
+            return values
+        first = FieldError(
+            f"formula returned shape {values.shape}, expected {shape}")
+    try:
+        flat = [float(formula(p)) for p in points.reshape(-1, points.shape[-1])]
+    except Exception as err:
+        raise FieldError(
+            f"formula failed on the whole array ({first}) and per point ({err})"
+        ) from first
+    return np.array(flat).reshape(shape)
+
+
 def sample_potential(
     formula: Callable[[np.ndarray], np.ndarray | float], grid: GridSpec
 ) -> PotentialField:
     """Sample a pointwise formula on every grid node.
 
     `formula` receives coordinates of shape (..., dim) and may evaluate
-    vectorized; a plain scalar function is accepted as fallback. Non-finite
-    output at a masked node is rejected with that node's index.
+    vectorized; a plain scalar function is accepted as fallback
+    (`evaluate_formula`). Non-finite output at a masked node is rejected
+    with that node's index.
     """
-    coords = grid.coords()
-    try:
-        values = np.asarray(formula(coords), dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError
-    except Exception:
-        values = np.empty(grid.shape)
-        for idx in product(*(range(n) for n in grid.shape)):
-            values[idx] = float(formula(coords[idx]))
+    values = evaluate_formula(formula, grid.coords())
     mask = grid.ball_mask()
     bad = ~np.isfinite(values) & mask
     if bad.any():

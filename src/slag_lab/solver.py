@@ -26,7 +26,7 @@ from scipy import ndimage
 from .conjugate import _CHUNK_FLOATS
 from .eigen import eigvals_sym
 from .errors import ConvexityError, GridError
-from .fields import GridSpec, PotentialField, erode_mask
+from .fields import GridSpec, PotentialField, erode_mask, evaluate_formula
 from .hessians import hessian_matrices, second_difference_operators
 from .operators import ProblemSpec, slag_linearization_batch
 from .reports import AuditReport, SolveReport
@@ -83,15 +83,8 @@ def _interior_and_rim(mask: np.ndarray):
 
 def _boundary_values(g, grid: GridSpec, rim: np.ndarray) -> np.ndarray:
     if callable(g):
-        pts = grid.coords()[rim]
-        try:
-            out = np.asarray(g(pts), dtype=float)
-            if out.shape != (len(pts),):
-                raise ValueError
-        except Exception:
-            out = np.array([float(g(x)) for x in pts])
         vals = np.zeros(grid.shape)
-        vals[rim] = out
+        vals[rim] = evaluate_formula(g, grid.coords()[rim])
     else:
         vals = np.asarray(g, dtype=float)
         if vals.shape != grid.shape:

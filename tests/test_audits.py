@@ -444,6 +444,22 @@ class TestSubharmonicity:
         assert type(rep.min_margin) is float
         assert rep.details == {"m": 1, "flagged_gap_nodes": int(flagged.sum())}
 
+    def test_builds_the_hessian_once(self, grid65, monkeypatch):
+        from slag_lab import audits
+
+        calls = []
+
+        def counting(field):
+            calls.append(field)
+            return hessian_field(field)
+
+        u = sample_potential(quad_form([[0.8, 0.0], [0.0, 0.2]]), grid65)
+        expected = subharmonicity_trial(as_rotated(u), m=1, gap_tol=0.1)
+        monkeypatch.setattr(audits, "hessian_field", counting)
+        rep = subharmonicity_trial(as_rotated(u), m=1, gap_tol=0.1)
+        assert len(calls) == 1
+        assert rep == expected
+
     def test_hypothesis_never_satisfied_reported(self, grid65):
         u = sample_potential(iso_quad(1.0), grid65)  # zero spectral gap
         rep = subharmonicity_trial(as_rotated(u), m=1, gap_tol=0.5)

@@ -105,6 +105,20 @@ class TestSubcommands:
         cfg.write_text("newton_steps = 5\n")
         assert run_cli(*solve) == 2
 
+    @pytest.mark.parametrize("alpha", ["2", "0", "-0.5", str(np.pi / 2), "nan"])
+    def test_angle_outside_the_open_quarter_turn_exits_2(self, tmp_path,
+                                                          capsys, alpha):
+        u = tmp_path / "u.pf1"
+        run_cli("sample", "--formula", "iso-quad:1", "--grid", "17",
+                "--out", str(u))
+        capsys.readouterr()
+        assert run_cli("rotate", "--alpha", alpha, "--in", str(u),
+                       "--out", str(tmp_path / "v.pf1")) == 2
+        assert "angle must lie in (0, pi/2)" in capsys.readouterr().err
+        assert not (tmp_path / "v.pf1").exists()
+        assert run_cli("audit", "--check", "rotation-super", "--in", str(u),
+                       "--alpha", alpha) == 2
+
     def test_rotation_preservation_audits(self, tmp_path):
         u = tmp_path / "u.pf1"
         run_cli("sample", "--formula", "iso-quad:1", "--grid", "33",

@@ -1,5 +1,8 @@
 """Legendre-Fenchel transforms, subdifferentials, slope domains, sum rule."""
 
+import math
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +20,18 @@ from slag_lab import (
     slope_domain,
     subdifferential,
 )
+from slag_lab import conjugate
 from slag_lab.conjugate import (
+    _REFINE_WINDOW,
+    _box_bound,
+    _candidates,
+    _field_jets,
+    _model_jets,
+    _polish,
     _sup_brute,
     _tight_members,
     auto_slope_grid,
+    refined_sup,
     sup_with_argmax,
 )
 from slag_lab.fields import PotentialField, connected_components, erode_mask
@@ -194,6 +205,117 @@ class TestSupKernelOracle:
         assert arg[centre] == 0
 
 
+def _unpruned_refined_values(f, slopes):
+    """`refined_sup` values with every offset polished and no bound."""
+    vals, arg, _ = sup_with_argmax(f, slopes)
+    jets = _field_jets(f)
+    anchors = np.argwhere(f.mask)[arg]
+    ys = slopes.coords().reshape(-1, f.grid.dim)
+    best = vals.copy()
+    window = range(-_REFINE_WINDOW, _REFINE_WINDOW + 1)
+    for offset in product(window, repeat=f.grid.dim):
+        sel, cidx = _candidates(jets, anchors, offset)
+        if sel.size:
+            best[sel] = np.maximum(best[sel], _polish(jets, ys[sel], cidx))
+    return best
+
+
+def _random_convex_field(seed, dim):
+    """Smooth uniformly convex field on a ball cut by a plane and a hole.
+
+    A quadratic, a quartic, a softplus ridge and an affine part, so the
+    polish is neither exact nor trivial; the cuts give the mask non-convex
+    rims, where candidates fall on the quadratic rim jets."""
+    rng = np.random.default_rng(seed)
+    nodes = int(rng.integers(17, 30) if dim == 2 else rng.integers(15, 18))
+    radius = float(rng.uniform(0.5, 2.0))
+    grid = GridSpec.ball_box(dim, nodes, radius)
+    x = grid.coords()
+    r2 = np.sum(x * x, axis=-1)
+    a = random_spd_matrix(rng, dim)
+    values = (0.5 * np.einsum("...i,ij,...j->...", x, a, x)
+              + rng.uniform(0.0, 2.0) * r2 * r2
+              + np.logaddexp(0.0, x @ rng.normal(size=dim))
+              + x @ rng.normal(size=dim))
+    normal = rng.normal(size=dim)
+    centre = rng.uniform(-0.7, 0.7, size=dim) * radius
+    mask = (grid.ball_mask()
+            & (x @ (normal / np.linalg.norm(normal))
+               <= rng.uniform(0.3, 1.0) * radius)
+            & (np.linalg.norm(x - centre, axis=-1)
+               > rng.uniform(0.0, 0.25) * radius))
+    labels, count = ndimage.label(
+        mask, structure=ndimage.generate_binary_structure(dim, 1))
+    sizes = ndimage.sum_labels(mask, labels, index=np.arange(1, count + 1))
+    mask = labels == 1 + int(np.argmax(sizes))
+    return PotentialField(grid, values, mask)
+
+
+class TestRefinedSupPruning:
+    """The box bound and ring order of `refined_sup` change no output bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
+    def test_equals_the_unpruned_maximum(self, seed, dim):
+        f = _random_convex_field(seed, dim)
+        slopes = auto_slope_grid(f)
+        best, arg, vals_in, vals = refined_sup(f, slopes)
+        ref_vals, ref_arg, ref_in = sup_with_argmax(f, slopes)
+        assert np.array_equal(best, _unpruned_refined_values(f, slopes))
+        assert np.array_equal(arg, ref_arg)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vals_in, ref_in)
+
+    @pytest.mark.parametrize("dim, nodes", [(2, 33), (3, 13)])
+    def test_most_candidates_are_pruned(self, dim, nodes, monkeypatch):
+        f = sample_potential(quartic(1.0), GridSpec.ball_box(dim, nodes))
+        slopes = auto_slope_grid(f)
+        rows = []
+
+        def counting(jets, ys, cidx):
+            rows.append(len(ys))
+            return _polish(jets, ys, cidx)
+
+        monkeypatch.setattr(conjugate, "_polish", counting)
+        refined_sup(f, slopes)
+        jets = _field_jets(f)
+        anchors = np.argwhere(f.mask)[sup_with_argmax(f, slopes)[1]]
+        window = range(-_REFINE_WINDOW, _REFINE_WINDOW + 1)
+        total = sum(_candidates(jets, anchors, o)[0].size
+                    for o in product(window, repeat=dim))
+        assert 0 < sum(rows) < 0.25 * total
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           n=st.integers(1, 12), reach=st.floats(0.0, 20.0))
+    def test_bound_is_never_below_the_polished_model(self, seed, dim, n,
+                                                     reach):
+        # random SPD Hessians and symmetric t3, t4 at n unrelated nodes;
+        # `reach` scales y - g in units of lambda_max h/2, so that above
+        # about 1 the quadratic step leaves the box and is clamped
+        rng = np.random.default_rng(seed)
+        half = float(rng.uniform(0.005, 0.5))
+        mats = np.stack([random_spd_matrix(rng, dim, (1e-3, 5.0))
+                         for _ in range(n)])
+        tens = []
+        for order in (3, 4):
+            t = rng.normal(size=(n,) + (dim,) * order) * rng.uniform(0.0, 20.0)
+            tens.append(sum(np.transpose(t, (0,) + tuple(1 + np.array(p)))
+                            for p in permutations(range(order)))
+                        / math.factorial(order))
+        coords = rng.uniform(-3.0, 3.0, size=(n, dim))
+        grads = rng.normal(size=(n, dim)) * 3.0
+        values = rng.normal(size=n) * 10.0
+        jets = _model_jets(coords, values, grads, mats, tens[0], tens[1],
+                           np.ones(n, dtype=bool), half)
+        assert jets.usable.all()
+        lam_max = np.linalg.eigvalsh(mats)[:, -1]
+        ys = grads + (reach * lam_max * half)[:, None] * rng.normal(size=(n, dim))
+        cidx = (np.arange(n),)
+        model = _polish(jets, ys, cidx)
+        assert np.all(model <= _box_bound(jets, ys, cidx))
+
+
 class TestTransformLaws:
     def test_constant_shift_exact(self, grid65):
         u = sample_potential(iso_quad(2.0), grid65)
@@ -281,6 +403,28 @@ class TestAutoSlopeGrid:
                 hi = slopes.origin[k] + (slopes.shape[k] - 1) * slopes.spacing
                 assert lo <= g[:, k].min() - 2 * slopes.spacing + 1e-12
                 assert hi >= g[:, k].max() + 2 * slopes.spacing - 1e-12
+
+    @pytest.mark.parametrize("dim, nodes, seed",
+                             [(2, 129, 8), (2, 129, 14), (2, 65, 0),
+                              (3, 21, 1), (3, 21, 4), (3, 33, 0)])
+    def test_mirrored_inputs_get_one_shape(self, dim, nodes, seed):
+        # x -> -x on axis 0 and the reversal of all axes are symmetries of
+        # the ball, so the three quadratics have mirrored gradient ranges;
+        # the grid coordinates are not exactly antisymmetric, so their
+        # sampled values differ at round-off, which must not move a node
+        grid = GridSpec.ball_box(dim, nodes)
+        a = random_spd_matrix(np.random.default_rng(seed), dim)
+        flip = np.eye(dim)
+        flip[0, 0] = -1.0
+        shapes = []
+        for m in (a, flip @ a @ flip, a[::-1, ::-1]):
+            slopes = auto_slope_grid(sample_potential(quad_form(m), grid))
+            # a gradient range symmetric about 0 gives a symmetric grid
+            lo_nodes = np.round(np.array(slopes.origin) / slopes.spacing)
+            assert np.array_equal(-2 * lo_nodes, np.array(slopes.shape) - 1)
+            shapes.append(slopes.shape)
+        assert shapes[1] == shapes[0]
+        assert shapes[2] == shapes[0][::-1]
 
     def test_degenerate_range_rejected(self, grid65):
         from slag_lab.errors import SlopeGridError

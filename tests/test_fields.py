@@ -84,6 +84,33 @@ class TestSamplePotential:
         u = sample_potential(lambda x: float(np.dot(x, x)), grid33)
         assert u.values[16, 16] == 0.0
 
+    @pytest.mark.parametrize("error", [ZeroDivisionError, KeyError])
+    def test_vectorized_formula_errors_propagate(self, grid33, error):
+        # the per-point retry would succeed, so a blanket fallback would
+        # hide the bug in the vectorized branch
+        def formula(x):
+            if np.ndim(x) > 1:
+                raise error("bug in the vectorized branch")
+            return float(np.dot(x, x))
+
+        with pytest.raises(error):
+            sample_potential(formula, grid33)
+
+    def test_wrong_shape_falls_back_per_point(self, grid33):
+        u = sample_potential(lambda x: np.sum(x * x), grid33)
+        assert u.values[16, 16] == 0.0
+        assert u.values[16, 32] == pytest.approx(1.0)
+
+    def test_failed_retry_raises_from_the_first_error(self, grid33):
+        def formula(x):
+            if np.ndim(x) > 1:
+                raise TypeError("needs one point")
+            raise ZeroDivisionError("bug in the scalar branch")
+
+        with pytest.raises(FieldError) as err:
+            sample_potential(formula, grid33)
+        assert isinstance(err.value.__cause__, TypeError)
+
     def test_nonfinite_rejection_carries_node(self, grid33):
         def bad(x):
             out = np.sum(x * x, axis=-1)

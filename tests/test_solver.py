@@ -54,6 +54,24 @@ class TestSolveDirichlet:
         expected = 0.5 * np.sum(coords * coords, axis=-1)
         assert np.abs(u.values[u.mask] - expected[u.mask]).max() < 1e-9
 
+    def test_scalar_boundary_formula_falls_back_per_point(self):
+        grid = GridSpec.ball_box(2, 17)
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        u, _ = solve_dirichlet(lambda x: 0.5 * float(np.dot(x, x)), spec, grid)
+        v, _ = solve_dirichlet(boundary_from(iso_quad(1.0)), spec, grid)
+        assert np.array_equal(u.values, v.values, equal_nan=True)
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, KeyError])
+    def test_boundary_formula_errors_propagate(self, error):
+        def g(points):
+            if np.ndim(points) > 1:
+                raise error("bug in the vectorized branch")
+            return 0.5 * float(np.dot(points, points))
+
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        with pytest.raises(error):
+            solve_dirichlet(g, spec, GridSpec.ball_box(2, 17))
+
     def test_monge_ampere_duality_oracle(self):
         # theta = pi/2 in 2-D with positive spectrum means det(D^2 u) = 1
         grid = box_grid(129)

@@ -3,8 +3,8 @@
 Discrete jets are finite-difference Hessians; a node has no jet from the
 relevant side when the extreme eigenvalue keeps growing as the stencil step
 shrinks (compared at steps h and 2h), in which case the check skips it.
-Audits exclude a configurable rim near the mask boundary and report
-violations as (node, quantity, value) triples.
+Audits exclude a fixed rim near the mask boundary and report violations
+as (node, quantity, value) triples.
 """
 
 from __future__ import annotations
@@ -14,16 +14,37 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy import ndimage
 
 from .eigen import Spectrum, eigvals_sym
 from .errors import ConvexityError, GridError
-from .fields import GridSpec, PotentialField, erode_mask
-from .hessians import HessianField, _shift, _unit, hessian_field, hessian_matrices
+from .fields import GridSpec, PotentialField, erode_mask, osc
+from .hessians import (
+    HessianField,
+    _shift,
+    _unit,
+    gradient_field,
+    hessian_field,
+    hessian_matrices,
+)
 from .reports import AuditReport
-from .rotation import RotatedPotential, RotationParams, rotate
+from .rotation import RotatedPotential, RotationParams, _main_component, rotate
 from .solver import mollify
 
 DEFAULT_GAP_FACTOR = 10.0
+# jet checks: rim cells left out, and the kink level of the h/2h comparison
+_RIM_EXCLUSION = 2
+_KINK_LEVEL = 0.015
+# rotation-preservation checks: source cells eroded before the gradient
+# map, and the tolerated growth of the sup gap as epsilon shrinks
+_SOURCE_MARGIN = 4
+_MONOTONE_SLACK = 1e-9
+# subharmonicity_trial: slack on lambda_1 <= 1, and the rim of its sub-mask
+_HYPOTHESIS_TOL = 1e-9
+_SUBHARMONIC_RIM = 3
+# hessian_bound_harness: required gap below 1, and the touching-bound slack
+_GAP_FLOOR = 1e-3
+_TOUCH_TOL = 1e-6
 
 
 @dataclass
@@ -31,13 +52,11 @@ class JetCheckConfig:
     """Settings for the discrete jet tests.
 
     A node is a kink (skipped) when the extreme eigenvalues of the h- and
-    2h-step Hessians disagree by more than kink_level / h: a slope jump J
+    2h-step Hessians disagree by more than `_KINK_LEVEL` / h: a slope jump J
     leaves an O(J/h) stencil disagreement while smooth data leaves O(h).
     """
 
     tolerance: float = 1e-8
-    rim_exclusion: int = 2
-    kink_level: float = 0.015
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -53,11 +72,11 @@ class MetricField:
     interior_mask: np.ndarray
 
 
-def _jet_data(u: PotentialField, cfg: JetCheckConfig):
+def _jet_data(u: PotentialField):
     """Eigenvalues at steps h and 2h plus the checked-node mask."""
     mats_h, valid_h = hessian_matrices(u, stride=1)
     mats_2h, valid_2h = hessian_matrices(u, stride=2)
-    checked = valid_h & valid_2h & erode_mask(u.mask, max(2, cfg.rim_exclusion))
+    checked = valid_h & valid_2h & erode_mask(u.mask, _RIM_EXCLUSION)
     lam_h = np.full(u.grid.shape + (u.grid.dim,), np.nan)
     lam_2h = np.full_like(lam_h, np.nan)
     lam_h[valid_h] = eigvals_sym(mats_h[valid_h])
@@ -65,20 +84,20 @@ def _jet_data(u: PotentialField, cfg: JetCheckConfig):
     return lam_h, lam_2h, checked
 
 
-def _diverging(extreme_h, extreme_2h, h, cfg: JetCheckConfig):
+def _diverging(extreme_h, extreme_2h, h):
     """Kink signature: h- and 2h-step extreme eigenvalues disagree at O(1/h)."""
-    return np.abs(extreme_h - extreme_2h) * h >= cfg.kink_level
+    return np.abs(extreme_h - extreme_2h) * h >= _KINK_LEVEL
 
 
 def _jet_report(u, theta, cfg, side: str) -> AuditReport:
-    lam_h, lam_2h, checked = _jet_data(u, cfg)
+    lam_h, lam_2h, checked = _jet_data(u)
     h = u.grid.spacing
     if side == "super":
         extreme_h, extreme_2h = lam_h[..., -1], lam_2h[..., -1]
     else:
         extreme_h, extreme_2h = lam_h[..., 0], lam_2h[..., 0]
     skip = np.zeros(u.grid.shape, dtype=bool)
-    skip[checked] = _diverging(extreme_h[checked], extreme_2h[checked], h, cfg)
+    skip[checked] = _diverging(extreme_h[checked], extreme_2h[checked], h)
     active = checked & ~skip
     resid = np.arctan(lam_h).sum(axis=-1) - theta
     margins = -resid if side == "super" else resid
@@ -112,7 +131,7 @@ def check_subsolution(u: PotentialField, theta: float,
 
 
 def _image_region(u: PotentialField, params: RotationParams,
-                  slopes, margin_cells: int) -> np.ndarray:
+                  slopes) -> np.ndarray:
     """Slope nodes reached by the gradient map of the margin-eroded source.
 
     The preservation statements live on the image of a ball with margin
@@ -120,12 +139,8 @@ def _image_region(u: PotentialField, params: RotationParams,
     the staircase rim whose image carries unreliable jet data, so checks
     restrict to the image of well-interior nodes (dilated one cell).
     """
-    from scipy import ndimage
-
-    from .hessians import gradient_field
-
     grads, valid = gradient_field(u)
-    deep = valid & erode_mask(u.mask, margin_cells)
+    deep = valid & erode_mask(u.mask, _SOURCE_MARGIN)
     pts = params.c * u.grid.coords()[deep] + params.s * grads[deep]
     marked = np.zeros(slopes.shape, dtype=bool)
     idx = np.round(
@@ -138,10 +153,8 @@ def _image_region(u: PotentialField, params: RotationParams,
     return ndimage.binary_dilation(marked, structure=structure)
 
 
-def _restrict_to_image(rotated, u, params, margin_cells) -> PotentialField:
-    from .rotation import _main_component
-
-    allowed = _image_region(u, params, rotated.field.grid, margin_cells)
+def _restrict_to_image(rotated, u, params) -> PotentialField:
+    allowed = _image_region(u, params, rotated.field.grid)
     allowed &= rotated.domain.inside
     allowed = _main_component(allowed)
     return PotentialField(rotated.field.grid, rotated.field.values, allowed)
@@ -150,12 +163,11 @@ def _restrict_to_image(rotated, u, params, margin_cells) -> PotentialField:
 def check_rotation_preserves_supersolution(
     u: PotentialField, theta: float, alpha: float,
     delta: float | None = None, cfg: JetCheckConfig | None = None,
-    source_margin: int = 4,
 ) -> AuditReport:
     """Rotate a supersolution and re-check against the shifted phase.
 
     The re-check runs on the gradient-map image of the source mask eroded
-    by `source_margin` cells, the discrete version of the domain margin the
+    by `_SOURCE_MARGIN` cells, the discrete version of the domain margin the
     preservation statement carries.
     """
     cfg = cfg or JetCheckConfig()
@@ -165,7 +177,7 @@ def check_rotation_preserves_supersolution(
     params = RotationParams.from_alpha(alpha)
     rotated = rotate(u, params, delta=delta)
     target = theta - u.grid.dim * alpha
-    view = _restrict_to_image(rotated, u, params, source_margin)
+    view = _restrict_to_image(rotated, u, params)
     rep = check_supersolution(view, target, cfg)
     rep.name = "rotation-supersolution"
     rep.details["target_phase"] = target
@@ -175,8 +187,6 @@ def check_rotation_preserves_supersolution(
 def check_rotation_preserves_subsolution(
     u: PotentialField, theta: float, alpha: float, eps_list,
     cfg: JetCheckConfig | None = None,
-    monotone_slack: float = 1e-9,
-    source_margin: int = 4,
 ) -> AuditReport:
     """Mollify-rotate-check pipeline for convex subsolutions.
 
@@ -184,7 +194,7 @@ def check_rotation_preserves_subsolution(
     u_eps against theta - n*alpha (restricted to the gradient-map image of
     the margin-eroded source, like the supersolution variant), and verifies
     the rotated fields converge uniformly (monotonically in epsilon, up to
-    `monotone_slack`) to the rotation of u.
+    `_MONOTONE_SLACK`) to the rotation of u.
     """
     cfg = cfg or JetCheckConfig()
     base = check_subsolution(u, theta, cfg)
@@ -195,7 +205,7 @@ def check_rotation_preserves_subsolution(
     r0 = rotate(u, params)
     slopes = r0.field.grid
     reference = check_subsolution(
-        _restrict_to_image(r0, u, params, source_margin), target, cfg
+        _restrict_to_image(r0, u, params), target, cfg
     )
     violations = list(reference.violations)
     checked = reference.checked_nodes
@@ -204,8 +214,8 @@ def check_rotation_preserves_subsolution(
     for eps in sorted(eps_list, reverse=True):
         smooth = mollify(u, eps)
         r_eps = rotate(smooth, params, slopes=slopes)
-        common = erode_mask(r_eps.domain.inside, cfg.rim_exclusion)
-        common &= erode_mask(r0.domain.inside, cfg.rim_exclusion)
+        common = erode_mask(r_eps.domain.inside, _RIM_EXCLUSION)
+        common &= erode_mask(r0.domain.inside, _RIM_EXCLUSION)
         if common.any():
             gap = float(
                 np.abs(r_eps.field.values[common] - r0.field.values[common]).max()
@@ -214,14 +224,14 @@ def check_rotation_preserves_subsolution(
             gap = math.nan
         sup_gaps.append((float(eps), gap))
         rep = check_subsolution(
-            _restrict_to_image(r_eps, smooth, params, source_margin),
+            _restrict_to_image(r_eps, smooth, params),
             target, cfg,
         )
         checked += rep.checked_nodes
         min_margin = min(min_margin, rep.min_margin)
         violations.extend(rep.violations)
     for (e1, g1), (e2, g2) in zip(sup_gaps, sup_gaps[1:]):
-        if np.isfinite(g1) and np.isfinite(g2) and g2 > g1 + monotone_slack:
+        if np.isfinite(g1) and np.isfinite(g2) and g2 > g1 + _MONOTONE_SLACK:
             violations.append(
                 ((0,) * u.grid.dim, "uniform_convergence_monotonicity", g2 - g1)
             )
@@ -465,33 +475,25 @@ def coefficient_sweep(n_samples: int, rng: np.random.Generator,
 
 def subharmonicity_trial(v: RotatedPotential, m: int,
                          gap_tol: float | None = None,
-                         hypothesis_tol: float = 1e-9,
-                         slack: float = 0.0,
-                         rim_exclusion: int = 3) -> AuditReport:
+                         slack: float = 0.0) -> AuditReport:
     """Sign audit of the metric Laplacian of b_m on the hypothesis sub-mask.
 
     Checked nodes satisfy the gap condition and lambda_1 <= 1 + tol, at
-    least `rim_exclusion` cells from the sub-mask boundary (the transform's
-    one-cell fallback ring near the domain rim is noisy at O(1)). The
+    least `_SUBHARMONIC_RIM` cells from the sub-mask boundary (the
+    transform's one-cell fallback ring near the domain rim is noisy at
+    O(1)). The
     report's min_margin is the smallest Laplacian value seen; values below
     -max(slack, 1e-9) are violations. The sign claim is a property of
     solution fields; rotations of non-solution potentials have a genuine
     negative floor.
     """
     bm, hf, lam = _bm_with_hessian(v, m, gap_tol)
-    sub = bm.valid & (lam[..., 0] <= 1.0 + hypothesis_tol)
-    sub = erode_mask(sub, rim_exclusion)
-    if not sub.any():
-        return AuditReport(
-            name="subharmonicity",
-            checked_nodes=0,
-            violations=[],
-            min_margin=math.nan,
-            details={"note": "hypothesis never satisfied", "m": m},
-        )
-    metric = induced_metric(hf)
-    lb, lb_valid = laplace_beltrami(bm.values, sub, metric)
-    lb_valid &= sub
+    sub = bm.valid & (lam[..., 0] <= 1.0 + _HYPOTHESIS_TOL)
+    sub = erode_mask(sub, _SUBHARMONIC_RIM)
+    lb_valid = sub
+    if sub.any():
+        lb, lb_valid = laplace_beltrami(bm.values, sub, induced_metric(hf))
+        lb_valid &= sub
     if not lb_valid.any():
         return AuditReport(
             name="subharmonicity",
@@ -515,18 +517,14 @@ def subharmonicity_trial(v: RotatedPotential, m: int,
 
 def hessian_bound_harness(u: PotentialField, theta: float,
                           alpha: float = math.pi / 4,
-                          cfg: JetCheckConfig | None = None,
-                          dist: float | None = None,
-                          gap_floor: float = 1e-3,
-                          touch_tol: float = 1e-6) -> AuditReport:
+                          cfg: JetCheckConfig | None = None) -> AuditReport:
     """Interior-regularity shadow: strict gap and touching bound after rotation.
 
     Reports the oscillation, the center Hessian norm, and the extreme rotated
-    eigenvalue; asserts max(lambda_bar) <= 1 - gap_floor and that some node
-    satisfies the touching bound (K-1)/(K+1) with K = 2 osc / dist^2.
+    eigenvalue; asserts max(lambda_bar) <= 1 - `_GAP_FLOOR` and that some
+    node satisfies the touching bound (K-1)/(K+1) with K = 2 osc / dist^2,
+    dist the ball radius of the grid (1 without one).
     """
-    from .fields import osc as osc_fn
-
     cfg = cfg or JetCheckConfig()
     sup = check_supersolution(u, theta, cfg)
     sub = check_subsolution(u, theta, cfg)
@@ -536,14 +534,13 @@ def hessian_bound_harness(u: PotentialField, theta: float,
     rotated = rotate(u, params)
     hf = hessian_field(rotated.field)
     inner = hf.interior_mask & erode_mask(rotated.domain.inside,
-                                          cfg.rim_exclusion)
+                                          _RIM_EXCLUSION)
     if not inner.any():
         raise GridError("rotated domain interior is empty")
     lam = eigvals_sym(hf.matrices[inner])
     lam_max = lam[..., 0]
-    osc_val = osc_fn(u)
-    if dist is None:
-        dist = u.grid.ball_radius or 1.0
+    osc_val = osc(u)
+    dist = u.grid.ball_radius or 1.0
     big_k = 2.0 * osc_val / dist**2
     touch_bound = (big_k - 1.0) / (big_k + 1.0)
     center = u.grid.nearest_node((0.0,) * u.grid.dim)
@@ -556,12 +553,12 @@ def hessian_bound_harness(u: PotentialField, theta: float,
     max_rot = float(lam_max.max())
     min_node_max = float(lam_max.min())
     violations = []
-    strict_margin = 1.0 - gap_floor - max_rot
+    strict_margin = 1.0 - _GAP_FLOOR - max_rot
     if strict_margin < 0:
         violations.append(
             ((0,) * u.grid.dim, "strict_gap", max_rot)
         )
-    if min_node_max > touch_bound + touch_tol:
+    if min_node_max > touch_bound + _TOUCH_TOL:
         violations.append(
             ((0,) * u.grid.dim, "touching_bound", min_node_max - touch_bound)
         )
@@ -569,7 +566,7 @@ def hessian_bound_harness(u: PotentialField, theta: float,
         name="hessian-bound",
         checked_nodes=int(inner.sum()),
         violations=violations,
-        min_margin=float(min(strict_margin, touch_bound + touch_tol - min_node_max)),
+        min_margin=float(min(strict_margin, touch_bound + _TOUCH_TOL - min_node_max)),
         details={
             "osc": osc_val,
             "center_hessian_norm": center_norm,

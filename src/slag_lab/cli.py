@@ -19,6 +19,8 @@ import numpy as np
 from . import fileio
 from .audits import (
     JetCheckConfig,
+    check_rotation_preserves_subsolution,
+    check_rotation_preserves_supersolution,
     check_subsolution,
     check_supersolution,
     coefficient_audit,
@@ -41,7 +43,7 @@ from .experiments import (
     run_all,
     run_experiment,
 )
-from .fields import GridSpec, sample_potential
+from .fields import GridSpec, PotentialField, sample_potential
 from .formulas import REGISTRY as FORMULAS
 from .formulas import parse_formula
 from .hessians import hessian_field
@@ -109,8 +111,6 @@ def cmd_slope_domain(args) -> int:
 
 
 def _mask_as_field(dom: DomainMask):
-    from .fields import PotentialField
-
     return PotentialField(dom.slope_grid, dom.inside.astype(float),
                           np.ones(dom.slope_grid.shape, dtype=bool))
 
@@ -185,21 +185,17 @@ def cmd_audit(args) -> int:
         elif args.check == "sub":
             report = check_subsolution(field, args.theta, cfg)
         elif args.check == "rotation-super":
-            from .audits import check_rotation_preserves_supersolution
-
             report = check_rotation_preserves_supersolution(
                 field, args.theta, args.alpha, delta=args.delta, cfg=cfg
             )
         elif args.check == "rotation-sub":
-            from .audits import check_rotation_preserves_subsolution
-
             eps = [float(x) * field.grid.spacing
                    for x in (args.eps or "2,4,8").split(",")]
             report = check_rotation_preserves_subsolution(
                 field, args.theta, args.alpha, eps, cfg=cfg
             )
         elif args.check == "hessian-bound":
-            report = hessian_bound_harness(field, args.theta, args.alpha)
+            report = hessian_bound_harness(field, args.theta, args.alpha, cfg)
         elif args.check == "bm":
             params = RotationParams.from_alpha(args.alpha)
             rp = RotatedPotential(

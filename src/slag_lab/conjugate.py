@@ -18,7 +18,11 @@ bound over its half-cell box (node value, a closed-form quadratic term per
 axis and the cubic and quartic terms at their largest on the box; cf.
 Moore, Interval Analysis, 1966) falls below the best value found so far.
 The maximum is unchanged bit for bit; in 3-D about 2 % of the candidates
-are left to polish.
+are left to polish. The third and fourth derivatives are kept packed, one
+column per distinct entry (`hessians.taylor_tensors`), and only the
+polished candidates' rows are expanded to dense tensors. Where the mask has
+no two-cell interior (and on the one-cell rim ring of any mask) the models
+fall back to the plain quadratic ones.
 
 Slope grids are sized automatically from attained first differences plus a
 two-cell margin, with a node pinned at the slope-space origin; node
@@ -43,6 +47,7 @@ from .hessians import (
     gradient_field,
     hessian_matrices,
     semiconvexity_modulus,
+    symmetric_slots,
     taylor_tensors,
 )
 from .reports import AuditReport
@@ -59,9 +64,15 @@ _PSD_FLOOR = 1e-10
 _SNAP_REL = 1e-12
 # relative slack of the box bound that prunes refined_sup's candidates
 _BOUND_SLACK = 1e-12
+# auto_slope_grid: extra slope nodes beyond the attained range on each side
+_SLOPE_MARGIN = 2
+# conjugates and slope domains: tolerated negative directional curvature,
+# and the relative tie that still counts a slope's sup as attained inside
+_CONVEXITY_TOL = 1e-8
+_TIE_TOL = 1e-12
 
 
-def _require_convex(f: PotentialField, tol: float = 1e-8) -> None:
+def _require_convex(f: PotentialField, tol: float = _CONVEXITY_TOL) -> None:
     # directional second differences, not matrix eigenvalues: sampled convex
     # functions with creases have exactly nonnegative directional curvature
     # while their assembled cross-stencil Hessian can be indefinite
@@ -81,12 +92,11 @@ def _snap(q: float) -> float:
     return float(r) if abs(q - r) <= _SNAP_REL * max(1.0, abs(q)) else q
 
 
-def auto_slope_grid(f: PotentialField, margin: int = 2,
-                    spacing: float | None = None) -> GridSpec:
+def auto_slope_grid(f: PotentialField) -> GridSpec:
     """Slope-space grid covering the attained gradient range plus a margin.
 
-    The spacing defaults to h times the largest attained slope-to-coordinate
-    range ratio, and the grid is aligned so that 0 is a node.
+    The spacing is h times the largest attained slope-to-coordinate range
+    ratio, and the grid is aligned so that 0 is a node.
     """
     grads, valid = gradient_field(f)
     if not valid.any():
@@ -97,18 +107,16 @@ def auto_slope_grid(f: PotentialField, margin: int = 2,
     scale = float(np.abs(g).max())
     if float((hi - lo).max()) <= 1e-12 * (1.0 + scale):
         raise SlopeGridError("attained slope range is degenerate")
-    if spacing is None:
-        coords = f.grid.coords()[valid]
-        span = coords.max(axis=0) - coords.min(axis=0)
-        ratio = (hi - lo) / span
-        spacing = float(ratio.max()) * f.grid.spacing
+    coords = f.grid.coords()[valid]
+    span = coords.max(axis=0) - coords.min(axis=0)
+    spacing = float(((hi - lo) / span).max()) * f.grid.spacing
     if not spacing > 0:
         raise SlopeGridError(f"slope spacing must be positive, got {spacing}")
     shape = []
     origin = []
     for k in range(f.grid.dim):
-        lo_node = int(np.floor(_snap(lo[k] / spacing))) - margin
-        hi_node = int(np.ceil(_snap(hi[k] / spacing))) + margin
+        lo_node = int(np.floor(_snap(lo[k] / spacing))) - _SLOPE_MARGIN
+        hi_node = int(np.ceil(_snap(hi[k] / spacing))) + _SLOPE_MARGIN
         while hi_node - lo_node + 1 < 5:
             lo_node -= 1
             hi_node += 1
@@ -238,7 +246,7 @@ def _sup_brute(f: PotentialField, slopes: GridSpec, interior_cells: int = 1):
 
 
 def conjugate_brute(f: PotentialField, slopes: GridSpec | None = None,
-                    convexity_tol: float = 1e-8) -> PotentialField:
+                    convexity_tol: float = _CONVEXITY_TOL) -> PotentialField:
     """Reference O(N^2) transform; raises on nonconvex input."""
     _require_convex(f, convexity_tol)
     if slopes is None:
@@ -248,7 +256,7 @@ def conjugate_brute(f: PotentialField, slopes: GridSpec | None = None,
 
 
 def conjugate_fast(f: PotentialField, slopes: GridSpec | None = None,
-                   convexity_tol: float = 1e-8) -> PotentialField:
+                   convexity_tol: float = _CONVEXITY_TOL) -> PotentialField:
     """Separable transform; values match `conjugate_brute` to 1e-12."""
     _require_convex(f, convexity_tol)
     if slopes is None:
@@ -265,8 +273,8 @@ class _Jets(NamedTuple):
     grads: np.ndarray       # gradients g_c
     mats: np.ndarray        # Hessians H_c
     inv: np.ndarray         # H_c^-1 where usable, else 0
-    tens3: np.ndarray       # third-derivative tensors
-    tens4: np.ndarray       # fourth-derivative tensors
+    tens3: np.ndarray       # packed third-derivative tensors
+    tens4: np.ndarray       # packed fourth-derivative tensors
     lam_min: np.ndarray     # smallest eigenvalue of H_c, -inf where invalid
     usable: np.ndarray      # valid jets with lam_min > _PSD_FLOOR
     tail: np.ndarray        # (h/2)^3 sum|t3| / 6 + (h/2)^4 sum|t4| / 24
@@ -275,22 +283,29 @@ class _Jets(NamedTuple):
 
 def _model_jets(coords, values, grads, mats, tens3, tens4, valid,
                 half: float) -> _Jets:
-    """Screen raw jets by `_PSD_FLOOR` and add inverses and the tail bound."""
+    """Screen raw jets by `_PSD_FLOOR` and add inverses and the tail bound.
+
+    `tens3` and `tens4` are packed (`hessians.symmetric_slots`); each
+    column's absolute value counts once per dense slot it fills.
+    """
+    d = coords.shape[-1]
     lam_min = np.full(valid.shape, -np.inf)
     lam_min[valid] = eigvals_sym(mats[valid])[..., -1]
     usable = valid & (lam_min > _PSD_FLOOR)
     inv = np.zeros_like(mats)
     inv[usable] = np.linalg.inv(mats[usable])
-    flat = valid.shape + (-1,)
-    tail = (half**3 * np.abs(tens3).reshape(flat).sum(axis=-1) / 6.0
-            + half**4 * np.abs(tens4).reshape(flat).sum(axis=-1) / 24.0)
+    mult3, mult4 = (np.bincount(symmetric_slots(d, k).ravel()).astype(float)
+                    for k in (3, 4))
+    tail = (half**3 * (np.abs(tens3) @ mult3) / 6.0
+            + half**4 * (np.abs(tens4) @ mult4) / 24.0)
     return _Jets(coords, values, grads, mats, inv, tens3, tens4, lam_min,
                  usable, tail, half)
 
 
 def _field_jets(f: PotentialField) -> _Jets:
     """Jets of `f`: degree-4-exact where the two-cell stencils fit, and the
-    plain quadratic model (zero t3, t4) on the one-cell rim ring."""
+    plain quadratic model (zero t3, t4) elsewhere on the one-cell interior,
+    which is all of it when the mask has no two-cell interior."""
     grads, gvalid = gradient_field(f)
     mats, hvalid = hessian_matrices(f, stride=1)
     tens3, tens4, _ = taylor_tensors(f)
@@ -350,8 +365,11 @@ def _polish(jets: _Jets, ys: np.ndarray, cidx) -> np.ndarray:
     dy = ys - g0
     step = np.einsum("nij,nj->ni", inv, dy)
     np.clip(step, -half, half, out=step)
-    t3 = jets.tens3[cidx]
-    t4 = jets.tens4[cidx]
+    # np.take keeps the expanded rows C-ordered, the layout of the dense
+    # tensors the einsums were written for (a[:, slots] is not)
+    d = ys.shape[1]
+    t3 = np.take(jets.tens3[cidx], symmetric_slots(d, 3), axis=1)
+    t4 = np.take(jets.tens4[cidx], symmetric_slots(d, 4), axis=1)
     for _ in range(3):
         grad_tail = (
             0.5 * np.einsum("nabc,nb,nc->na", t3, step, step)
@@ -490,7 +508,7 @@ def _fenchel_gap(f: PotentialField, star: PotentialField, a):
 
 def subdifferential(f: PotentialField, a, tol: float | None = None,
                     slopes: GridSpec | None = None,
-                    convexity_tol: float = 1e-8) -> SlopeSet:
+                    convexity_tol: float = _CONVEXITY_TOL) -> SlopeSet:
     """Slope nodes y with f(a) + f*(y) - y.a <= tol.
 
     The default tol = 2h(1 + local Lipschitz estimate) guarantees a nonempty
@@ -508,7 +526,7 @@ def subdifferential(f: PotentialField, a, tol: float | None = None,
 def tight_subdifferential(f: PotentialField, a,
                           slopes: GridSpec | None = None,
                           slack: float | None = None,
-                          convexity_tol: float = 1e-8) -> SlopeSet:
+                          convexity_tol: float = _CONVEXITY_TOL) -> SlopeSet:
     """Argmin-localized subdifferential: gap <= min gap + O(h^2) slack.
 
     The fixed default tolerance makes member sets curvature-dependent
@@ -534,15 +552,12 @@ def _tight_members(f: PotentialField, star: PotentialField, a,
     return SlopeSet(anchor=anchor, members=members, tolerance=float(cut))
 
 
-def slope_domain(f: PotentialField, slopes: GridSpec | None = None,
-                 convexity_tol: float = 1e-8,
-                 tie_tol: float = 1e-12) -> DomainMask:
+def slope_domain(f: PotentialField) -> DomainMask:
     """Slope nodes whose sup is attained at an interior node of the mask."""
-    _require_convex(f, convexity_tol)
-    if slopes is None:
-        slopes = auto_slope_grid(f)
+    _require_convex(f)
+    slopes = auto_slope_grid(f)
     vals, _, vals_in = sup_with_argmax(f, slopes)
-    inside = vals_in >= vals - tie_tol * (1.0 + np.abs(vals))
+    inside = vals_in >= vals - _TIE_TOL * (1.0 + np.abs(vals))
     return DomainMask(slopes, inside.reshape(slopes.shape))
 
 

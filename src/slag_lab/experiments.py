@@ -12,11 +12,13 @@ import csv
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from .audits import (
     JetCheckConfig,
@@ -26,7 +28,14 @@ from .audits import (
     hessian_bound_harness,
     subharmonicity_trial,
 )
-from .conjugate import auto_slope_grid, check_sum_rule, conjugate_brute, conjugate_fast
+from .conjugate import (
+    DomainMask,
+    auto_slope_grid,
+    check_sum_rule,
+    conjugate_brute,
+    conjugate_fast,
+    refined_sup,
+)
 from .eigen import eigvals_sym
 from .fields import GridSpec, PotentialField, erode_mask, sample_potential
 from .fileio import save_field
@@ -42,7 +51,7 @@ from .formulas import (
 from .hessians import hessian_field
 from .operators import ProblemSpec
 from .reports import AuditReport
-from .rotation import RotationParams, rotate
+from .rotation import RotatedPotential, RotationParams, rotate
 from .solver import solve_dirichlet
 
 DEFAULT_SEED = 20240817
@@ -197,8 +206,6 @@ def exp_legendre_laws(cfg: ExperimentConfig) -> ExperimentResult:
     reports = []
 
     # involution on quadratics through the quartic-exact evaluator
-    from .conjugate import refined_sup
-
     worst_inv = 0.0
     for a in (np.eye(2), np.array([[2.2, 0.5], [0.5, 1.1]])):
         u = sample_potential(quad_form(a), grid)
@@ -294,8 +301,6 @@ def exp_sum_rule(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _smooth_anchors(grid, slopes, offsets, rng, count, margin_cells=3):
-    from scipy import ndimage
-
     coords = grid.coords()
     vals = np.tensordot(coords, np.asarray(slopes), axes=([-1], [1])) + offsets
     active = vals.argmax(axis=-1)
@@ -529,9 +534,6 @@ def exp_subharmonicity(cfg: ExperimentConfig) -> ExperimentResult:
 
     grid = GridSpec.ball_box(2, 65)
     u = sample_potential(quad_form([[0.8, 0.0], [0.0, 0.2]]), grid)
-    from .conjugate import DomainMask
-    from .rotation import RotatedPotential
-
     flat = RotatedPotential(u, DomainMask(grid, u.mask.copy()), params)
     trial = subharmonicity_trial(flat, m=1, gap_tol=0.1)
     exact_zero = abs(trial.min_margin) <= 1e-9
@@ -692,8 +694,6 @@ def run_all(outdir: Path | None = None, names=None, parallel: int = 1,
     if workers <= 1:
         results = [run_experiment(c) for c in configs]
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_experiment, configs))
     if outdir is not None:

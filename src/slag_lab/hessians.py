@@ -5,11 +5,20 @@ Diagonal entries use the centered second difference, off-diagonals the
 nodes whose full 3^dim stencil lies in the mask (no one-sided fallbacks).
 The same stencil table gives the sparse operators D_ij and boundary lifts
 over the interior unknowns that the Dirichlet solver linearizes with.
+
+The third and fourth derivatives of the quartic Taylor models come packed,
+one column per distinct entry of the symmetric tensor, from one table of
+1-D pure-derivative stencils (`taylor_tensors`); `symmetric_slots` expands
+them. These and the fourth-order jet need two cells of mask around a node,
+and return an all-false validity mask, not an error, where none has them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import scipy.sparse as sparse
@@ -66,20 +75,48 @@ def _unit(d: int, i: int, s: int = 1) -> tuple[int, ...]:
     return tuple(s if k == i else 0 for k in range(d))
 
 
+def _combine(values: np.ndarray, terms) -> np.ndarray:
+    """Sum of w * values[x + offset] over (offset, w) in `terms`, in order."""
+    acc = None
+    for off, w in terms:
+        t = w * _shift(values, off)
+        acc = t if acc is None else acc + t
+    return acc
+
+
+# 1-D stencils of the pure derivatives, keyed by order: offsets, +-integer
+# weights and divisor in units of h^order. Summing the terms in this order
+# reproduces the plain difference formulas bit for bit.
+_PURE_STENCILS = {
+    2: ((1, 0, -1), (1.0, -2.0, 1.0), 1.0),
+    3: ((2, 1, -1, -2), (1.0, -2.0, 2.0, -1.0), 2.0),
+    4: ((2, 1, 0, -1, -2), (1.0, -4.0, 6.0, -4.0, 1.0), 1.0),
+}
+
+
+def _line(d: int, i: int, offsets, weights) -> list:
+    """Terms of a 1-D stencil along axis i."""
+    return [(_unit(d, i, o), w) for o, w in zip(offsets, weights)]
+
+
+def _corners(d: int, axes) -> list:
+    """Terms of the signed corner sum over `axes` (divisor (2h)^len(axes)):
+    the centered first difference for one axis, the cross stencil for two."""
+    e = np.eye(d, dtype=int)[list(axes)]
+    return [(tuple(int(c) for c in e.T @ s), float(math.prod(s)))
+            for s in product((1, -1), repeat=len(axes))]
+
+
 def _stencil(d: int, i: int, j: int) -> tuple[list, float]:
     """Offsets and weights of the (i, j) entry, and its divisor in units of h^2.
 
     The diagonal is the centered second difference, the off-diagonal the
-    4-point cross stencil. The weights are +-1 and -2, so summing the terms
-    in this order reproduces the plain difference formulas bit for bit.
+    4-point cross stencil.
     """
-    e = np.eye(d, dtype=int)
     if i == j:
-        offs, weights, div = [e[i], 0 * e[i], -e[i]], (1.0, -2.0, 1.0), 1.0
-    else:
-        offs = [e[i] + e[j], e[i] - e[j], e[j] - e[i], -e[i] - e[j]]
-        weights, div = (1.0, -1.0, -1.0, 1.0), 4.0
-    return [(tuple(int(c) for c in o), w) for o, w in zip(offs, weights)], div
+        offsets, weights, div = _PURE_STENCILS[2]
+        return _line(d, i, offsets, weights), div
+    return _corners(d, (i, j)), 4.0
 
 
 def hessian_matrices(u: PotentialField, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +136,8 @@ def hessian_matrices(u: PotentialField, stride: int = 1) -> tuple[np.ndarray, np
     for i in range(d):
         for j in range(i, d):
             terms, div = _stencil(d, i, j)
-            acc = None
-            for off, w in terms:
-                t = w * _shift(v, tuple(stride * o for o in off))
-                acc = t if acc is None else acc + t
-            mats[..., i, j] = mats[..., j, i] = acc / (div * h**2)
+            scaled = [(tuple(stride * o for o in off), w) for off, w in terms]
+            mats[..., i, j] = mats[..., j, i] = _combine(v, scaled) / (div * h**2)
     mats[~valid] = 0.0
     return mats, valid
 
@@ -154,86 +188,59 @@ def hessian_field(u: PotentialField) -> HessianField:
     return HessianField(u.grid, mats, valid)
 
 
-def taylor_tensors(u: PotentialField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Third and fourth FD derivative tensors on the two-cell interior.
+@lru_cache(maxsize=None)
+def symmetric_slots(d: int, k: int) -> np.ndarray:
+    """Packed column of every slot of a symmetric d^k tensor (read-only).
 
-    All stencils are exact on polynomials of total degree four, so the
-    quartic Taylor models built from them reproduce such fields globally.
-    Returns (T (*shape, d, d, d), F (*shape, d, d, d, d), validity mask).
+    Packed tensors keep one column per sorted multi-index, in the order of
+    `combinations_with_replacement(range(d), k)`; `packed[..., slots]`
+    expands them to the dense form.
+    """
+    column = {m: c for c, m in
+              enumerate(combinations_with_replacement(range(d), k))}
+    slots = np.empty((d,) * k, dtype=np.intp)
+    for slot in np.ndindex(slots.shape):
+        slots[slot] = column[tuple(sorted(slot))]
+    slots.flags.writeable = False
+    return slots
+
+
+def taylor_tensors(u: PotentialField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed third and fourth FD derivative tensors on the two-cell interior.
+
+    Each column (one per sorted multi-index, see `symmetric_slots`) applies
+    the pure-derivative stencil of the axis of highest multiplicity (>= 2,
+    the lower axis on a tie), then that of the other axis of multiplicity
+    >= 2, then one signed corner sum over the axes of multiplicity 1. All
+    stencils are exact on polynomials of total degree four, so the quartic
+    Taylor models built from them reproduce such fields globally. Returns
+    (T (*shape, C(d+2, 3)), F (*shape, C(d+3, 4)), validity mask); the mask
+    is all false, and T and F zero, when no node has a two-cell stencil.
     """
     grid = u.grid
     d = grid.dim
     h = grid.spacing
-    v = u.values
     valid = erode_mask(u.mask, 2)
-    if not valid.any():
-        raise GridError("domain too small for two-cell Taylor stencils")
-
-    second = []
-    for i in range(d):
-        second.append((_shift(v, _unit(d, i)) - 2.0 * v
-                       + _shift(v, _unit(d, i, -1))) / h**2)
-
-    t = np.zeros(grid.shape + (d, d, d))
-    f = np.zeros(grid.shape + (d, d, d, d))
-
-    for i in range(d):
-        e2p, e1p = _unit(d, i, 2), _unit(d, i, 1)
-        e1m, e2m = _unit(d, i, -1), _unit(d, i, -2)
-        t_iii = (_shift(v, e2p) - 2 * _shift(v, e1p) + 2 * _shift(v, e1m)
-                 - _shift(v, e2m)) / (2 * h**3)
-        t[..., i, i, i] = t_iii
-        f[..., i, i, i, i] = (
-            _shift(v, e2p) - 4 * _shift(v, e1p) + 6 * v
-            - 4 * _shift(v, e1m) + _shift(v, e2m)
-        ) / h**4
-        for j in range(d):
-            if j == i:
-                continue
-            ejp, ejm = _unit(d, j, 1), _unit(d, j, -1)
-            t_iij = (_shift(second[i], ejp) - _shift(second[i], ejm)) / (2 * h)
-            for perm in ((i, i, j), (i, j, i), (j, i, i)):
-                t[(..., *perm)] = t_iij
-            f_iiij = (_shift(t_iii, ejp) - _shift(t_iii, ejm)) / (2 * h)
-            for perm in ((i, i, i, j), (i, i, j, i), (i, j, i, i), (j, i, i, i)):
-                f[(..., *perm)] = f_iiij
-        for j in range(i + 1, d):
-            ejp, ejm = _unit(d, j, 1), _unit(d, j, -1)
-            f_iijj = (_shift(second[i], ejp) - 2 * second[i]
-                      + _shift(second[i], ejm)) / h**2
-            for perm in {(i, i, j, j), (i, j, i, j), (i, j, j, i),
-                         (j, i, i, j), (j, i, j, i), (j, j, i, i)}:
-                f[(..., *perm)] = f_iijj
-    if d == 3:
-        signs = [(si, sj, sk) for si in (1, -1) for sj in (1, -1)
-                 for sk in (1, -1)]
-        t_123 = np.zeros(grid.shape)
-        for si, sj, sk in signs:
-            t_123 += si * sj * sk * _shift(v, (si, sj, sk))
-        t_123 /= 8 * h**3
-        from itertools import permutations
-
-        for perm in set(permutations((0, 1, 2))):
-            t[(..., *perm)] = t_123
-        for i in range(3):
-            j, k = [a for a in range(3) if a != i]
-            ej, ek = [0, 0, 0], [0, 0, 0]
-            ej[j] = 1
-            ek[k] = 1
-            f_iijk = (
-                _shift(second[i], tuple(np.add(ej, ek)))
-                - _shift(second[i], tuple(np.subtract(ej, ek)))
-                - _shift(second[i], tuple(np.subtract(ek, ej)))
-                + _shift(second[i], tuple(np.negative(np.add(ej, ek))))
-            ) / (4 * h**2)
-            base = (i, i, j, k)
-            for perm in set(permutations(base)):
-                f[(..., *perm)] = f_iijk
-    t[~valid] = 0.0
-    f[~valid] = 0.0
-    t[~np.isfinite(t).all(axis=(-3, -2, -1))] = 0.0
-    f[~np.isfinite(f).all(axis=(-4, -3, -2, -1))] = 0.0
-    return t, f, valid
+    packed = []
+    for k in (3, 4):
+        columns = []
+        for multi in combinations_with_replacement(range(d), k):
+            counts = [multi.count(a) for a in range(d)]
+            acc = u.values
+            for a in sorted(range(d), key=lambda a: -counts[a]):
+                if counts[a] >= 2:
+                    offsets, weights, div = _PURE_STENCILS[counts[a]]
+                    acc = (_combine(acc, _line(d, a, offsets, weights))
+                           / (div * h ** counts[a]))
+            ones = [a for a in range(d) if counts[a] == 1]
+            if ones:
+                acc = _combine(acc, _corners(d, ones)) / (2 ** len(ones) * h ** len(ones))
+            columns.append(acc)
+        tens = np.stack(columns, axis=-1)
+        tens[~valid] = 0.0
+        tens[~np.isfinite(tens).all(axis=-1)] = 0.0
+        packed.append(tens)
+    return packed[0], packed[1], valid
 
 
 def fourth_order_jet(u: PotentialField):
@@ -242,38 +249,27 @@ def fourth_order_jet(u: PotentialField):
     Exact on polynomials of total degree four (the plain centered stencils
     are not: e.g. the centered first difference of x^4 is 4x^3 + 4xh^2),
     which the quartic local models of the refined transform rely on.
-    Returns (gradients, hessians, validity mask).
+    Returns (gradients, hessians, validity mask); the mask is all false when
+    no node has a two-cell stencil.
     """
     grid = u.grid
     d = grid.dim
     h = grid.spacing
     v = u.values
     valid = erode_mask(u.mask, 2)
-    if not valid.any():
-        raise GridError("domain too small for two-cell jet stencils")
 
     def d4_first(arr, i):
-        return (
-            -_shift(arr, _unit(d, i, 2)) + 8 * _shift(arr, _unit(d, i, 1))
-            - 8 * _shift(arr, _unit(d, i, -1)) + _shift(arr, _unit(d, i, -2))
-        ) / (12 * h)
+        return _combine(arr, _line(d, i, (2, 1, -1, -2), (-1, 8, -8, 1))) / (12 * h)
 
     grads = np.zeros(grid.shape + (d,))
     hess = np.zeros(grid.shape + (d, d))
-    firsts = []
     for i in range(d):
-        gi = d4_first(v, i)
-        firsts.append(gi)
-        grads[..., i] = gi
-        hess[..., i, i] = (
-            -_shift(v, _unit(d, i, 2)) + 16 * _shift(v, _unit(d, i, 1)) - 30 * v
-            + 16 * _shift(v, _unit(d, i, -1)) - _shift(v, _unit(d, i, -2))
-        ) / (12 * h * h)
+        grads[..., i] = d4_first(v, i)
+        hess[..., i, i] = _combine(v, _line(d, i, (2, 1, 0, -1, -2),
+                                            (-1, 16, -30, 16, -1))) / (12 * h * h)
     for i in range(d):
         for j in range(i + 1, d):
-            cross = d4_first(firsts[j], i)
-            hess[..., i, j] = cross
-            hess[..., j, i] = cross
+            hess[..., i, j] = hess[..., j, i] = d4_first(grads[..., j], i)
     grads[~valid] = 0.0
     hess[~valid] = 0.0
     bad = ~np.isfinite(grads).all(axis=-1) | ~np.isfinite(hess).all(axis=(-2, -1))
@@ -291,8 +287,7 @@ def gradient_field(u: PotentialField) -> tuple[np.ndarray, np.ndarray]:
     grads = np.zeros(grid.shape + (d,))
     valid = erode_mask(u.mask, 1)
     for i in range(d):
-        grads[..., i] = (_shift(u.values, _unit(d, i))
-                         - _shift(u.values, _unit(d, i, -1))) / (2.0 * h)
+        grads[..., i] = _combine(u.values, _corners(d, (i,))) / (2.0 * h)
     grads[~valid] = 0.0
     return grads, valid
 

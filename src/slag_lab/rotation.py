@@ -17,8 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .conjugate import DomainMask, auto_slope_grid, refined_sup
+from .eigen import Spectrum
 from .errors import RotationError
 from .fields import GridSpec, PotentialField
 from .hessians import gradient_field, semiconvexity_modulus
@@ -59,7 +61,6 @@ class RotatedPotential:
     field: PotentialField
     domain: DomainMask
     params: RotationParams
-    source_id: str | None = None
 
 
 def _tilde_field(u: PotentialField, params: RotationParams) -> PotentialField:
@@ -71,8 +72,6 @@ def _tilde_field(u: PotentialField, params: RotationParams) -> PotentialField:
 def _main_component(mask: np.ndarray) -> np.ndarray:
     """Largest face-connected component; attainment ties near the slope-box
     rim can leave isolated specks that the connected continuum domain lacks."""
-    from scipy import ndimage
-
     labels, count = ndimage.label(
         mask, structure=ndimage.generate_binary_structure(mask.ndim, 1)
     )
@@ -84,8 +83,7 @@ def _main_component(mask: np.ndarray) -> np.ndarray:
 
 def rotate(u: PotentialField, params: RotationParams,
            delta: float | None = None,
-           slopes: GridSpec | None = None,
-           source_id: str | None = None) -> RotatedPotential:
+           slopes: GridSpec | None = None) -> RotatedPotential:
     """Rotate `u` by angle alpha; requires (cot(a) - delta)-semiconvexity.
 
     delta defaults to cot(a), the right margin for convex input. The
@@ -112,8 +110,7 @@ def rotate(u: PotentialField, params: RotationParams,
     ubar = (0.5 * params.c / params.s) * r2 - vals.reshape(slopes.shape) / params.s
     domain = DomainMask(slopes, inside)
     field = PotentialField(slopes, ubar, inside)
-    return RotatedPotential(field=field, domain=domain, params=params,
-                            source_id=source_id)
+    return RotatedPotential(field=field, domain=domain, params=params)
 
 
 def gradient_map(u: PotentialField, params: RotationParams):
@@ -131,8 +128,6 @@ def rotate_spectrum(spec, params: RotationParams):
     """Eigenvalues after rotation: tan(arctan(lambda) - alpha), re-sorted.
 
     Accepts a Spectrum or a plain array; returns the matching type."""
-    from .eigen import Spectrum
-
     lam = spec.as_array() if isinstance(spec, Spectrum) else np.asarray(spec, float)
     pole = -params.cot
     if np.any(lam <= pole + 1e-12):
@@ -161,7 +156,6 @@ def unrotate(v: RotatedPotential, slopes: GridSpec | None = None) -> PotentialFi
             modulus=modulus,
         )
     delta = params.cot + modulus
-    back = rotate(neg, params, delta=delta, slopes=slopes,
-                  source_id=v.source_id)
+    back = rotate(neg, params, delta=delta, slopes=slopes)
     return PotentialField(back.field.grid, -back.field.values,
                           back.domain.inside.copy())

@@ -27,11 +27,13 @@ from .conjugate import _CHUNK_FLOATS
 from .eigen import eigvals_sym
 from .errors import ConvexityError, GridError
 from .fields import GridSpec, PotentialField, erode_mask, evaluate_formula
-from .hessians import hessian_matrices, second_difference_operators
+from .hessians import gradient_field, hessian_matrices, second_difference_operators
 from .operators import ProblemSpec, slag_linearization_batch
 from .reports import AuditReport, SolveReport
 
 logger = logging.getLogger("slag_lab.solver")
+# extend_convex: relative overshoot above u that still keeps a plane
+_SUPPORT_TOL = 1e-9
 
 
 @dataclass
@@ -137,7 +139,6 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
 
     for it in range(cfg.max_iters):
         if norm <= cfg.residual_tol:
-            report.converged = True
             break
         coeff = slag_linearization_batch(mats[interior])  # (n_interior, d, d)
         # trace(A dM) with A = (I + M^2)^{-1}: off-diagonal pairs count twice
@@ -172,11 +173,7 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
         if min_eig < cfg.convexity_floor:
             report.convexity_breached = True
         report.iterations = it + 1
-    else:
-        report.converged = norm <= cfg.residual_tol
-
-    if norm <= cfg.residual_tol:
-        report.converged = True
+    report.converged = norm <= cfg.residual_tol
     report.final_residual = norm
     field = PotentialField(grid, np.where(mask, values, np.nan), mask)
     return field, report
@@ -217,21 +214,18 @@ def dilate_grid(grid: GridSpec, pad_cells: int) -> GridSpec:
     return GridSpec(grid.dim, shape, grid.spacing, origin, None)
 
 
-def extend_convex(u: PotentialField, target: GridSpec,
-                  support_tol: float = 1e-9) -> PotentialField:
+def extend_convex(u: PotentialField, target: GridSpec) -> PotentialField:
     """Supporting-plane envelope of a convex field on a larger grid.
 
     Interior nodes contribute the plane through their value with the
     centered-difference slope (a global subgradient up to O(h^2)); planes
-    exceeding u on the mask beyond `support_tol` are dropped. The envelope
-    is a max of affine functions, hence exactly convex; it matches u at
-    interior nodes up to the filter tolerance and undershoots by O(h^2)
-    on the one-node rim ring. Rim-anchored planes are excluded on purpose:
-    boundary subdifferentials of a restricted function are steeper than the
-    global slopes and would overshoot beyond the mask.
+    exceeding u on the mask by more than `_SUPPORT_TOL` (relative) are
+    dropped. The envelope is a max of affine functions, hence exactly
+    convex; it matches u at interior nodes up to the filter tolerance and
+    undershoots by O(h^2) on the one-node rim ring. Rim-anchored planes are
+    excluded on purpose: boundary subdifferentials of a restricted function
+    are steeper than the global slopes and would overshoot beyond the mask.
     """
-    from .hessians import gradient_field
-
     slopes, ok = gradient_field(u)
     if not ok.any():
         raise GridError("no interior nodes to anchor supporting planes")
@@ -247,7 +241,7 @@ def extend_convex(u: PotentialField, target: GridSpec,
         c = min(a + chunk, len(p))
         vals = p[a:c] @ xs.T + b[a:c, None] - us[None, :]
         overshoot[a:c] = vals.max(axis=1)
-    keep = overshoot <= support_tol * scale
+    keep = overshoot <= _SUPPORT_TOL * scale
     if not keep.any():
         raise ConvexityError("no supporting planes survive the filter")
     p, b = p[keep], b[keep]

@@ -107,11 +107,11 @@ class TestJetChecks:
 
         u = sample_potential(f, GridSpec.ball_box(dim, nodes))
         cfg = JetCheckConfig()
-        lam_h, lam_2h, checked = _jet_data(u, cfg)
+        lam_h, lam_2h, checked = _jet_data(u)
         k = -1 if side == "super" else 0
         skip = np.zeros(u.grid.shape, dtype=bool)
         skip[checked] = _diverging(lam_h[..., k][checked], lam_2h[..., k][checked],
-                                   u.grid.spacing, cfg)
+                                   u.grid.spacing)
         theta = dim * np.pi / 4
         resid = np.arctan(lam_h).sum(axis=-1) - theta
         margins = -resid if side == "super" else resid

@@ -119,6 +119,17 @@ class TestSubcommands:
         assert run_cli("audit", "--check", "rotation-super", "--in", str(u),
                        "--alpha", alpha) == 2
 
+    def test_hessian_bound_audit_takes_the_tolerance(self, tmp_path):
+        # a phase 1e-6 above that of |x|^2/2 makes the harness's
+        # subsolution precondition fail at the default 1e-8 tolerance
+        u = tmp_path / "u.pf1"
+        run_cli("sample", "--formula", "iso-quad:1", "--grid", "33",
+                "--out", str(u))
+        audit = ("audit", "--check", "hessian-bound", "--in", str(u),
+                 "--theta", str(np.pi / 2 + 1e-6))
+        assert run_cli(*audit) == 1
+        assert run_cli(*audit, "--tol", "1e-5") == 0
+
     def test_rotation_preservation_audits(self, tmp_path):
         u = tmp_path / "u.pf1"
         run_cli("sample", "--formula", "iso-quad:1", "--grid", "33",

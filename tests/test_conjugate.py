@@ -1,7 +1,7 @@
 """Legendre-Fenchel transforms, subdifferentials, slope domains, sum rule."""
 
 import math
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -290,9 +290,10 @@ class TestRefinedSupPruning:
            n=st.integers(1, 12), reach=st.floats(0.0, 20.0))
     def test_bound_is_never_below_the_polished_model(self, seed, dim, n,
                                                      reach):
-        # random SPD Hessians and symmetric t3, t4 at n unrelated nodes;
-        # `reach` scales y - g in units of lambda_max h/2, so that above
-        # about 1 the quadratic step leaves the box and is clamped
+        # random SPD Hessians and symmetric t3, t4 (passed packed) at n
+        # unrelated nodes; `reach` scales y - g in units of lambda_max h/2,
+        # so that above about 1 the quadratic step leaves the box and is
+        # clamped
         rng = np.random.default_rng(seed)
         half = float(rng.uniform(0.005, 0.5))
         mats = np.stack([random_spd_matrix(rng, dim, (1e-3, 5.0))
@@ -300,9 +301,12 @@ class TestRefinedSupPruning:
         tens = []
         for order in (3, 4):
             t = rng.normal(size=(n,) + (dim,) * order) * rng.uniform(0.0, 20.0)
-            tens.append(sum(np.transpose(t, (0,) + tuple(1 + np.array(p)))
-                            for p in permutations(range(order)))
-                        / math.factorial(order))
+            sym = (sum(np.transpose(t, (0,) + tuple(1 + np.array(p)))
+                       for p in permutations(range(order)))
+                   / math.factorial(order))
+            multi = np.array(list(combinations_with_replacement(range(dim),
+                                                                order)))
+            tens.append(sym[(slice(None), *multi.T)])
         coords = rng.uniform(-3.0, 3.0, size=(n, dim))
         grads = rng.normal(size=(n, dim)) * 3.0
         values = rng.normal(size=n) * 10.0

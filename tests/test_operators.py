@@ -1,4 +1,6 @@
-"""Residual evaluators, linearization, phase classification."""
+"""Residual evaluators, linearization, phase classification, FD jets."""
+
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -18,7 +20,12 @@ from slag_lab import (
 )
 from slag_lab.fields import PotentialField, erode_mask
 from slag_lab.formulas import iso_quad, quad_form
-from slag_lab.hessians import hessian_matrices, second_difference_operators
+from slag_lab.hessians import (
+    hessian_matrices,
+    second_difference_operators,
+    symmetric_slots,
+    taylor_tensors,
+)
 from slag_lab.rotation import RotationParams
 
 
@@ -103,6 +110,68 @@ def test_second_difference_operators_match_hessian(dim, nodes, shape):
     counts = np.diff(lap.indptr)
     assert np.all(counts[full_rows] == 2 * dim + 1)
     assert np.all(counts[~full_rows] < 2 * dim + 1)
+
+
+def _random_quartic(rng, dim):
+    """Coefficients and exponents of a random polynomial of degree <= 4."""
+    exps = [e for e in product(range(5), repeat=dim) if sum(e) <= 4]
+    return rng.normal(size=len(exps)), np.array(exps)
+
+
+def _poly_derivative(coeffs, exps, x, axes):
+    """The derivative along `axes` of sum_e c_e x^e, at the points x."""
+    out = np.zeros(x.shape[:-1])
+    for c, e in zip(coeffs, exps):
+        e = e.copy()
+        for a in axes:
+            c *= e[a]
+            e[a] -= 1
+        if c != 0.0:
+            out += c * np.prod(x ** np.maximum(e, 0), axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("dim,nodes", [(2, 25), (3, 13)])
+@pytest.mark.parametrize("shape", ["ball", "cut"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_packed_taylor_tensors_match_analytic_derivatives(dim, nodes, shape,
+                                                         seed):
+    rng = np.random.default_rng(seed)
+    grid = GridSpec.ball_box(dim, nodes, float(rng.uniform(0.5, 2.0)))
+    x = grid.coords()
+    mask = grid.ball_mask()
+    if shape == "cut":
+        normal = rng.normal(size=dim)
+        mask &= x @ (normal / np.linalg.norm(normal)) <= 0.3 * grid.ball_radius
+    coeffs, exps = _random_quartic(rng, dim)
+    values = _poly_derivative(coeffs, exps, x, ())
+    u = PotentialField(grid, np.where(mask, values, np.nan), mask)
+    t3, t4, valid = taylor_tensors(u)
+    assert np.array_equal(valid, erode_mask(mask, 2)) and valid.any()
+    h = grid.spacing
+    scale = 1.0 + np.abs(values[mask]).max()
+    for k, packed in ((3, t3), (4, t4)):
+        multis = list(combinations_with_replacement(range(dim), k))
+        assert packed.shape == grid.shape + (len(multis),)
+        assert np.all(packed[~valid] == 0.0)
+        dense = packed[..., symmetric_slots(dim, k)]
+        for slot in np.ndindex((dim,) * k):
+            want = _poly_derivative(coeffs, exps, x[valid], slot)
+            got = dense[(..., *slot)][valid]
+            # stencils of k-th derivatives divide sums of O(scale) values
+            # by about h^k: round-off only, since all are exact at degree 4
+            assert np.abs(got - want).max() <= 1e-13 * scale / h**k
+            for perm in permutations(slot):
+                assert np.array_equal(dense[(..., *perm)], dense[(..., *slot)])
+
+
+def test_taylor_tensors_on_a_mask_without_two_cell_interior():
+    grid = GridSpec.ball_box(3, 7)
+    u = sample_potential(iso_quad(1.0), grid)
+    t3, t4, valid = taylor_tensors(u)
+    assert not valid.any()
+    assert t3.shape == grid.shape + (10,) and t4.shape == grid.shape + (15,)
+    assert not t3.any() and not t4.any()
 
 
 class TestMaResidual:

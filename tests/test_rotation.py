@@ -132,6 +132,20 @@ class TestRotateQuadratics:
             rotate(u, ALPHA4)  # default delta = cot(alpha) demands convexity
         assert err.value.modulus == pytest.approx(-0.9, abs=1e-8)
 
+    def test_mask_without_two_cell_interior_uses_quadratic_models(self):
+        # 19 one-cell interior nodes and none two cells in: the quartic
+        # jets do not fit anywhere, and the quadratic ones are exact here
+        grid = GridSpec.ball_box(3, 7)
+        u = sample_potential(iso_quad(1.0), grid)
+        params = RotationParams.from_alpha(0.7)
+        rp = rotate(u, params)
+        inside = rp.domain.inside
+        assert inside.sum() == 19
+        ys = rp.field.grid.coords()[inside]
+        want = (params.c - params.s) / (2 * (params.c + params.s)) * np.sum(
+            ys * ys, axis=-1)
+        assert np.abs(rp.field.values[inside] - want).max() <= 1e-10
+
     def test_semiconvex_input_with_explicit_delta(self):
         grid = GridSpec.ball_box(2, 65)
         u = sample_potential(quad_form([[1.0, 0.0], [0.0, -0.5]]), grid)

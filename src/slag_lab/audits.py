@@ -23,12 +23,12 @@ from .hessians import (
     HessianField,
     _shift,
     _unit,
-    gradient_field,
     hessian_field,
     hessian_matrices,
 )
 from .reports import AuditReport
-from .rotation import RotatedPotential, RotationParams, _main_component, rotate
+from .rotation import (RotatedPotential, RotationParams, _main_component,
+                       gradient_map, rotate)
 from .solver import mollify
 
 DEFAULT_GAP_FACTOR = 10.0
@@ -45,6 +45,10 @@ _SUBHARMONIC_RIM = 3
 # hessian_bound_harness: required gap below 1, and the touching-bound slack
 _GAP_FLOOR = 1e-3
 _TOUCH_TOL = 1e-6
+# coefficient_sweep: dimensions, low-eigenvalue floor, least gap below the top
+_SWEEP_DIMS = (2, 3)
+_SWEEP_BOTTOM = -1.0
+_SWEEP_GAP = 1e-3
 
 
 @dataclass
@@ -139,9 +143,8 @@ def _image_region(u: PotentialField, params: RotationParams,
     the staircase rim whose image carries unreliable jet data, so checks
     restrict to the image of well-interior nodes (dilated one cell).
     """
-    grads, valid = gradient_field(u)
-    deep = valid & erode_mask(u.mask, _SOURCE_MARGIN)
-    pts = params.c * u.grid.coords()[deep] + params.s * grads[deep]
+    image, valid = gradient_map(u, params)
+    pts = image[valid & erode_mask(u.mask, _SOURCE_MARGIN)]
     marked = np.zeros(slopes.shape, dtype=bool)
     idx = np.round(
         (pts - np.array(slopes.origin)) / slopes.spacing
@@ -445,24 +448,24 @@ def coefficient_audit(lambdas: Spectrum | np.ndarray, m: int,
 
 
 def coefficient_sweep(n_samples: int, rng: np.random.Generator,
-                      dims=(2, 3), top_range=(0.8, 1.0),
-                      bottom_min: float = -1.0, min_gap: float = 1e-3):
+                      top_range=(0.8, 1.0)):
     """Randomized nonnegativity sweep over hypothesis-satisfying spectra.
 
     Top-m eigenvalues are drawn from `top_range` (the clustering regime of
-    the identity), the rest from [bottom_min, top_min - min_gap). Returns
-    (min coefficient, negative count, tuples tested).
+    the identity), the rest from [`_SWEEP_BOTTOM`, top_min - `_SWEEP_GAP`),
+    for n in `_SWEEP_DIMS` and 1 <= m < n. Returns (min coefficient,
+    negative count, tuples tested).
     """
     min_coeff = math.inf
     negatives = 0
     tested = 0
-    per_call = max(1, n_samples // (sum(d - 1 for d in dims)))
-    for n in dims:
+    per_call = max(1, n_samples // (sum(d - 1 for d in _SWEEP_DIMS)))
+    for n in _SWEEP_DIMS:
         for m in range(1, n):
             for _ in range(per_call):
                 top = np.sort(rng.uniform(*top_range, size=m))[::-1]
-                lo_hi = top[-1] - min_gap
-                low = np.sort(rng.uniform(bottom_min, lo_hi, size=n - m))[::-1]
+                lo_hi = top[-1] - _SWEEP_GAP
+                low = np.sort(rng.uniform(_SWEEP_BOTTOM, lo_hi, size=n - m))[::-1]
                 lam = np.concatenate([top, low])
                 vals = [v for _, v in coefficient_values(lam, m)]
                 tested += 1

@@ -43,7 +43,7 @@ from .experiments import (
     run_all,
     run_experiment,
 )
-from .fields import GridSpec, PotentialField, sample_potential
+from .fields import GridSpec, sample_potential
 from .formulas import REGISTRY as FORMULAS
 from .formulas import parse_formula
 from .hessians import hessian_field
@@ -104,15 +104,9 @@ def cmd_subdiff(args) -> int:
 def cmd_slope_domain(args) -> int:
     field = fileio.load_field(args.infile)
     dom = slope_domain(field)
-    mask_field = _mask_as_field(dom)
-    fileio.save_field(args.out, mask_field, value_kind="mask")
+    fileio.write_pf1(args.out, dom.slope_grid, dom.inside.astype(float), "mask")
     print(f"wrote {args.out} ({int(dom.inside.sum())} inside nodes)")
     return 0
-
-
-def _mask_as_field(dom: DomainMask):
-    return PotentialField(dom.slope_grid, dom.inside.astype(float),
-                          np.ones(dom.slope_grid.shape, dtype=bool))
 
 
 def cmd_rotate(args) -> int:
@@ -170,15 +164,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = JetCheckConfig(tolerance=args.tol) if args.tol else JetCheckConfig()
     if args.check == "coeffs":
         if not args.spectrum:
             raise SlagLabError("--check coeffs needs --spectrum")
         lam = np.array([float(x) for x in args.spectrum.split(",")])
-        report = coefficient_audit(lam, args.m)
+        tol = 0.0 if args.tol is None else args.tol
+        report = coefficient_audit(lam, args.m, tol)
     else:
         if not args.infile:
             raise SlagLabError(f"--check {args.check} needs --in")
+        cfg = (JetCheckConfig() if args.tol is None
+               else JetCheckConfig(tolerance=args.tol))
         field = fileio.load_field(args.infile)
         if args.check == "super":
             report = check_supersolution(field, args.theta, cfg)

@@ -70,6 +70,9 @@ _SLOPE_MARGIN = 2
 # and the relative tie that still counts a slope's sup as attained inside
 _CONVEXITY_TOL = 1e-8
 _TIE_TOL = 1e-12
+# slack of check_sum_rule's distance and check_slope_increase's modulus
+_SUM_RULE_TOL = 1e-9
+_MODULUS_TOL = 1e-8
 
 
 def _require_convex(f: PotentialField, tol: float = _CONVEXITY_TOL) -> None:
@@ -471,9 +474,6 @@ class DomainMask:
         if not self.inside.any():
             raise SlopeGridError("slope domain is empty")
 
-    def interior(self, cells: int = 1) -> np.ndarray:
-        return erode_mask(self.inside, cells)
-
 
 def _locate_node(f: PotentialField, point) -> tuple[int, ...]:
     idx = f.grid.nearest_node(point)
@@ -506,17 +506,14 @@ def _fenchel_gap(f: PotentialField, star: PotentialField, a):
     return idx, anchor, ys, gap
 
 
-def subdifferential(f: PotentialField, a, tol: float | None = None,
-                    slopes: GridSpec | None = None,
-                    convexity_tol: float = _CONVEXITY_TOL) -> SlopeSet:
+def subdifferential(f: PotentialField, a, tol: float | None = None) -> SlopeSet:
     """Slope nodes y with f(a) + f*(y) - y.a <= tol.
 
     The default tol = 2h(1 + local Lipschitz estimate) guarantees a nonempty
     result on any auto-sized slope grid; pass a tighter tolerance to localize
     smooth-point gradients.
     """
-    star = conjugate_fast(f, slopes, convexity_tol)
-    idx, anchor, ys, gap = _fenchel_gap(f, star, a)
+    idx, anchor, ys, gap = _fenchel_gap(f, conjugate_fast(f), a)
     if tol is None:
         tol = 2.0 * f.grid.spacing * (1.0 + _lipschitz_at(f, idx))
     members = ys[gap <= tol]
@@ -524,9 +521,7 @@ def subdifferential(f: PotentialField, a, tol: float | None = None,
 
 
 def tight_subdifferential(f: PotentialField, a,
-                          slopes: GridSpec | None = None,
-                          slack: float | None = None,
-                          convexity_tol: float = _CONVEXITY_TOL) -> SlopeSet:
+                          slopes: GridSpec | None = None) -> SlopeSet:
     """Argmin-localized subdifferential: gap <= min gap + O(h^2) slack.
 
     The fixed default tolerance makes member sets curvature-dependent
@@ -534,22 +529,25 @@ def tight_subdifferential(f: PotentialField, a,
     inclusions) need the gap minimizer neighborhood instead. Exact kinks
     (gap identically zero on the subdifferential) are unaffected.
     """
-    return _tight_members(f, conjugate_fast(f, slopes, convexity_tol), a, slack)
+    return _tight_members(f, conjugate_fast(f, slopes), a)
 
 
-def _tight_members(f: PotentialField, star: PotentialField, a,
-                   slack: float | None) -> SlopeSet:
+def _tight_members(f: PotentialField, star: PotentialField, a) -> SlopeSet:
     """`tight_subdifferential` at `a` from a precomputed transform `star`."""
     idx, anchor, ys, gap = _fenchel_gap(f, star, a)
-    if slack is None:
-        # a quarter of the one-cell gap increment keeps smooth-point sets at
-        # the argmin node; exact kink plateaus (gap == 0) are kept whole
-        h = f.grid.spacing
-        scale = 1.0 + abs(float(f.values[idx]))
-        slack = 0.25 * (1.0 + _lipschitz_at(f, idx)) * h * h + 1e-12 * scale
+    # a quarter of the one-cell gap increment keeps smooth-point sets at the
+    # argmin node; exact kink plateaus (gap == 0) are kept whole
+    h = f.grid.spacing
+    scale = 1.0 + abs(float(f.values[idx]))
+    slack = 0.25 * (1.0 + _lipschitz_at(f, idx)) * h * h + 1e-12 * scale
     cut = float(gap.min()) + slack
     members = ys[gap <= cut]
     return SlopeSet(anchor=anchor, members=members, tolerance=float(cut))
+
+
+def _attained_inside(node_vals: np.ndarray, vals_in: np.ndarray) -> np.ndarray:
+    """Where interior values reach node suprema up to the `_TIE_TOL` tie."""
+    return vals_in >= node_vals - _TIE_TOL * (1.0 + np.abs(node_vals))
 
 
 def slope_domain(f: PotentialField) -> DomainMask:
@@ -557,8 +555,7 @@ def slope_domain(f: PotentialField) -> DomainMask:
     _require_convex(f)
     slopes = auto_slope_grid(f)
     vals, _, vals_in = sup_with_argmax(f, slopes)
-    inside = vals_in >= vals - _TIE_TOL * (1.0 + np.abs(vals))
-    return DomainMask(slopes, inside.reshape(slopes.shape))
+    return DomainMask(slopes, _attained_inside(vals, vals_in).reshape(slopes.shape))
 
 
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
@@ -568,15 +565,13 @@ def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(forward, backward))
 
 
-def check_sum_rule(v: PotentialField, kappa: float, samples,
-                   tol: float = 1e-9,
-                   subdiff_tol: float | None = None) -> AuditReport:
+def check_sum_rule(v: PotentialField, kappa: float, samples) -> AuditReport:
     """Subdifferential sum rule against the quadratic Q = kappa/2 |x|^2.
 
     At each sample point a, the Hausdorff distance between the (tight)
     subdifferential of v + Q and the kappa*a translate of the tight
-    subdifferential of v must be at most two slope cells plus `tol`;
-    `subdiff_tol` overrides the gap slack of the tight sets.
+    subdifferential of v must be at most two slope cells plus
+    `_SUM_RULE_TOL`.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -585,14 +580,15 @@ def check_sum_rule(v: PotentialField, kappa: float, samples,
     vq = v.with_values(v.values + q)
     star_sum = conjugate_fast(vq, auto_slope_grid(vq))
     star_v = conjugate_fast(v, auto_slope_grid(v))
-    allowance = 2.0 * max(star_sum.grid.spacing, star_v.grid.spacing) + tol
+    allowance = (2.0 * max(star_sum.grid.spacing, star_v.grid.spacing)
+                 + _SUM_RULE_TOL)
     samples = list(samples)
     violations = []
     min_margin = np.inf
     worst = (None, -np.inf)
     for a in samples:
-        s_sum = _tight_members(vq, star_sum, a, subdiff_tol)
-        s_v = _tight_members(v, star_v, a, subdiff_tol)
+        s_sum = _tight_members(vq, star_sum, a)
+        s_v = _tight_members(v, star_v, a)
         dist = _hausdorff(s_sum.members, s_v.members + kappa * s_sum.anchor)
         margin = allowance - dist
         min_margin = min(min_margin, margin)
@@ -612,8 +608,7 @@ def check_sum_rule(v: PotentialField, kappa: float, samples,
     )
 
 
-def check_slope_increase(f: PotentialField, s_delta: float, samples,
-                         modulus_tol: float = 1e-8) -> AuditReport:
+def check_slope_increase(f: PotentialField, s_delta: float, samples) -> AuditReport:
     """Ball inclusion of the slope domain around sampled subdifferentials.
 
     For each sample a, the slope-domain mask must contain the ball of radius
@@ -623,7 +618,7 @@ def check_slope_increase(f: PotentialField, s_delta: float, samples,
     the smallest verified ball radius.
     """
     mod = semiconvexity_modulus(f)
-    if mod < s_delta - modulus_tol:
+    if mod < s_delta - _MODULUS_TOL:
         raise ConvexityError(
             f"field is not {s_delta:.3g}-uniformly convex", modulus=mod
         )
@@ -649,7 +644,7 @@ def check_slope_increase(f: PotentialField, s_delta: float, samples,
         if r <= 0:
             continue
         min_margin = min(min_margin, r)
-        sd = _tight_members(f, star, a, None)
+        sd = _tight_members(f, star, a)
         for member in sd.members:
             dist = np.linalg.norm(ys - member, axis=1)
             required = dist <= r

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from .audits import (
+    _RIM_EXCLUSION,
     JetCheckConfig,
     check_rotation_preserves_subsolution,
     check_rotation_preserves_supersolution,
@@ -109,9 +110,9 @@ def parse_config(text: str) -> ExperimentConfig:
                             overrides=overrides)
 
 
-def _box_grid(nodes: int, half: float = 1.0) -> GridSpec:
-    h = 2.0 * half / (nodes - 1)
-    return GridSpec(2, (nodes, nodes), h, (-half, -half), None)
+def _box_grid(nodes: int) -> GridSpec:
+    """The box [-1, 1]^2 with `nodes` nodes per axis and no ball mask."""
+    return GridSpec(2, (nodes, nodes), 2.0 / (nodes - 1), (-1.0, -1.0), None)
 
 
 def _margin_report(name, checked, worst, allowance, quantity,
@@ -128,9 +129,9 @@ def _margin_report(name, checked, worst, allowance, quantity,
     )
 
 
-def _rotated_interior_eigs(rp, rim=2):
+def _rotated_interior_eigs(rp):
     hf = hessian_field(rp.field)
-    inner = hf.interior_mask & erode_mask(rp.domain.inside, rim)
+    inner = hf.interior_mask & erode_mask(rp.domain.inside, _RIM_EXCLUSION)
     return eigvals_sym(hf.matrices[inner]), int(inner.sum())
 
 

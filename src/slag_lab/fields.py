@@ -162,10 +162,6 @@ class PotentialField:
     def spacing(self) -> float:
         return self.grid.spacing
 
-    def interior_mask(self, cells: int = 1) -> np.ndarray:
-        """Nodes whose full second-difference stencil lies in the mask."""
-        return erode_mask(self.mask, cells)
-
     def masked_points(self) -> tuple[np.ndarray, np.ndarray]:
         """(coords (N, dim), values (N,)) over masked nodes, row-major order."""
         coords = self.grid.coords()[self.mask]

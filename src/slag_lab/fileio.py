@@ -2,10 +2,11 @@
 
 A PF1 file is one JSON header line (dim, shape, spacing, origin, ball_radius,
 value_kind) followed by the raw 64-bit little-endian float payload in
-row-major order. Masks travel either implicitly (ball grids) or as companion
-files with value_kind "mask". CSV rows carry index tuple, coordinates, value
-and mask flag at 17 significant digits, so PF1 -> CSV -> PF1 round-trips are
-bit-exact.
+row-major order. Masks travel either implicitly (ball grids) or as a
+companion file `<stem>.mask.pf1` with value_kind "mask", which
+`load_field` reads whenever it exists. CSV rows carry index tuple,
+coordinates, value and mask flag at 17 significant digits, so PF1 -> CSV ->
+PF1 round-trips are bit-exact. Malformed input raises FileFormatError.
 """
 
 from __future__ import annotations
@@ -42,29 +43,33 @@ def write_pf1(path, grid: GridSpec, values: np.ndarray, value_kind: str = "poten
         fh.write(payload)
 
 
-def read_pf1(path) -> tuple[GridSpec, np.ndarray, str]:
-    raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise FileFormatError("no header line terminator found", offset=len(raw))
+def _parse_header(line, offset: int) -> tuple[GridSpec, dict]:
+    """Grid and raw dict of a JSON header line (PF1, or a CSV after '# PF1 ')."""
     try:
-        header = json.loads(raw[:nl].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        offset = getattr(exc, "pos", 0)
-        raise FileFormatError(f"malformed PF1 header: {exc}", offset=offset) from exc
-    try:
+        header = json.loads(line)
+        radius = header["ball_radius"]
         grid = GridSpec(
             dim=int(header["dim"]),
             shape=tuple(header["shape"]),
             spacing=float(header["spacing"]),
             origin=tuple(header["origin"]),
-            ball_radius=(
-                None if header["ball_radius"] is None else float(header["ball_radius"])
-            ),
+            ball_radius=None if radius is None else float(radius),
         )
-        value_kind = header["value_kind"]
     except KeyError as exc:
-        raise FileFormatError(f"PF1 header missing key {exc}", offset=nl) from exc
+        raise FileFormatError(f"header missing key {exc}", offset=offset) from exc
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed header: {exc}",
+                              offset=getattr(exc, "pos", offset)) from exc
+    return grid, header
+
+
+def read_pf1(path) -> tuple[GridSpec, np.ndarray, str]:
+    raw = Path(path).read_bytes()
+    nl = raw.find(b"\n")
+    if nl < 0:
+        raise FileFormatError("no header line terminator found", offset=len(raw))
+    grid, header = _parse_header(raw[:nl], nl)
+    value_kind = header.get("value_kind")
     if value_kind not in VALUE_KINDS:
         raise FileFormatError(f"unknown value_kind {value_kind!r}", offset=nl)
     expected = grid.n_nodes() * 8
@@ -77,27 +82,39 @@ def read_pf1(path) -> tuple[GridSpec, np.ndarray, str]:
     return grid, values, value_kind
 
 
-def save_field(path, field: PotentialField, value_kind: str = "potential",
-               mask_path=None):
-    """Write a field; an explicit (non-ball) mask goes to a companion file."""
+def save_field(path, field: PotentialField, value_kind: str = "potential"):
+    """Write a field; an explicit (non-ball) mask goes to `<stem>.mask.pf1`.
+
+    Mask files carry the mask in their values. Otherwise an implicit mask
+    removes a companion that an earlier save left at the same path.
+    """
     write_pf1(path, field.grid, field.values, value_kind)
-    implicit = np.array_equal(field.mask, field.grid.ball_mask())
-    if mask_path is None and not implicit:
-        mask_path = Path(path).with_suffix(".mask.pf1")
-    if mask_path is not None:
-        write_pf1(mask_path, field.grid, field.mask.astype(float), "mask")
+    companion = Path(path).with_suffix(".mask.pf1")
+    if value_kind == "mask" or np.array_equal(field.mask, field.grid.ball_mask()):
+        companion.unlink(missing_ok=True)
+    else:
+        write_pf1(companion, field.grid, field.mask.astype(float), "mask")
 
 
-def load_field(path, mask_path=None) -> PotentialField:
+def _read_field(path) -> tuple[PotentialField, str]:
+    """`load_field` plus the file's value_kind."""
     grid, values, kind = read_pf1(path)
     if kind == "mask":
-        return PotentialField(grid, values, values > 0.5)
-    if mask_path is not None:
-        mgrid, mvals, mkind = read_pf1(mask_path)
-        if mkind != "mask" or mgrid.shape != grid.shape:
-            raise FileFormatError("companion mask file does not match the field")
-        return PotentialField(grid, values, mvals > 0.5)
-    return PotentialField(grid, values)
+        return PotentialField(grid, values, values > 0.5), kind
+    companion = Path(path).with_suffix(".mask.pf1")
+    if not companion.exists():
+        return PotentialField(grid, values), kind
+    mgrid, mvals, mkind = read_pf1(companion)
+    if mkind != "mask" or mgrid.shape != grid.shape:
+        raise FileFormatError(
+            f"companion mask file {companion} does not match the field")
+    return PotentialField(grid, values, mvals > 0.5), kind
+
+
+def load_field(path) -> PotentialField:
+    """Read a field and its mask: the values of a mask file, the companion
+    `<stem>.mask.pf1` when it exists, else the grid's ball mask."""
+    return _read_field(path)[0]
 
 
 def write_csv(path, field: PotentialField):
@@ -122,25 +139,19 @@ def read_csv(path) -> PotentialField:
         first = fh.readline()
         if not first.startswith("# PF1 "):
             raise FileFormatError("CSV missing '# PF1' grid header", offset=0)
-        header = json.loads(first[len("# PF1 ") :])
-        grid = GridSpec(
-            dim=int(header["dim"]),
-            shape=tuple(header["shape"]),
-            spacing=float(header["spacing"]),
-            origin=tuple(header["origin"]),
-            ball_radius=(
-                None if header["ball_radius"] is None else float(header["ball_radius"])
-            ),
-        )
+        grid, _ = _parse_header(first[len("# PF1 ") :], 0)
         fh.readline()  # column names
         values = np.empty(grid.shape)
         mask = np.zeros(grid.shape, dtype=bool)
         d = grid.dim
-        for line in fh:
+        for lineno, line in enumerate(fh, start=3):
             parts = line.strip().split(",")
-            idx = tuple(int(p) for p in parts[:d])
-            values[idx] = float(parts[2 * d])
-            mask[idx] = parts[2 * d + 1] == "1"
+            try:
+                idx = tuple(int(p) for p in parts[:d])
+                values[idx] = float(parts[2 * d])
+                mask[idx] = parts[2 * d + 1] == "1"
+            except (IndexError, ValueError) as exc:
+                raise FileFormatError(f"CSV line {lineno}: {exc}") from exc
     return PotentialField(grid, values, mask)
 
 
@@ -153,8 +164,7 @@ def convert(in_path, out_path):
     elif src.suffix == ".csv" and dst.suffix == ".pf1":
         save_field(dst, read_csv(src))
     elif src.suffix == dst.suffix == ".pf1":
-        grid, values, kind = read_pf1(src)
-        write_pf1(dst, grid, values, kind)
+        save_field(dst, *_read_field(src))
     else:
         raise FileFormatError(
             f"unsupported conversion {src.suffix!r} -> {dst.suffix!r}"

@@ -72,9 +72,8 @@ def max_affine(slopes, offsets):
     return f
 
 
-def random_max_affine(rng: np.random.Generator, dim: int, pieces: int = 5,
-                      slope_scale: float = 1.0):
-    slopes = rng.uniform(-slope_scale, slope_scale, size=(pieces, dim))
+def random_max_affine(rng: np.random.Generator, dim: int, pieces: int = 5):
+    slopes = rng.uniform(-1.0, 1.0, size=(pieces, dim))
     offsets = rng.uniform(-0.3, 0.3, size=pieces)
     return max_affine(slopes, offsets)
 

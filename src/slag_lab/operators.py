@@ -15,22 +15,19 @@ import numpy as np
 from .errors import PhaseError
 from .hessians import HessianField
 
-VARIANTS = ("SLAG", "MA", "MAR")
+# phase_classify: distance to the threshold phase that still counts as on it
+_CRITICAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Equation selector: phase theta for SLAG, level phi for MA/MAR."""
+    """Dirichlet problem sum(arctan(lambda)) = theta in `dim` dimensions."""
 
     dim: int
     theta: float = 0.0
-    variant: str = "SLAG"
-    phi: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.variant == "SLAG" and abs(self.theta) >= self.dim * np.pi / 2:
+        if abs(self.theta) >= self.dim * np.pi / 2:
             raise PhaseError(
                 f"|theta| = {abs(self.theta):.6g} >= dim*pi/2 is infeasible"
             )
@@ -108,12 +105,12 @@ def slag_linearization_batch(ms: np.ndarray) -> np.ndarray:
     return np.linalg.inv(eye + np.einsum("...ij,...jk->...ik", ms, ms))
 
 
-def phase_classify(theta: float, dim: int, tol: float = 1e-12) -> str:
+def phase_classify(theta: float, dim: int) -> str:
     """Classify a phase against the threshold (dim - 2) * pi / 2."""
     if abs(theta) >= dim * np.pi / 2:
         raise PhaseError("|theta| >= dim*pi/2: no admissible spectrum")
     threshold = (dim - 2) * np.pi / 2
-    if abs(abs(theta) - threshold) <= tol:
+    if abs(abs(theta) - threshold) <= _CRITICAL_TOL:
         return "critical"
     if abs(theta) > threshold:
         return "supercritical"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .conjugate import DomainMask, auto_slope_grid, refined_sup
+from .conjugate import DomainMask, _attained_inside, auto_slope_grid, refined_sup
 from .eigen import Spectrum
 from .errors import RotationError
 from .fields import GridSpec, PotentialField
@@ -103,8 +103,8 @@ def rotate(u: PotentialField, params: RotationParams,
         slopes = auto_slope_grid(tilde)
     vals, _, vals_in, node_vals = refined_sup(tilde, slopes)
     # attainment is a node-sup notion; refined values exceed node suprema
-    inside = vals_in >= node_vals - 1e-12 * (1.0 + np.abs(node_vals))
-    inside = _main_component(inside.reshape(slopes.shape))
+    inside = _main_component(
+        _attained_inside(node_vals, vals_in).reshape(slopes.shape))
     ys = slopes.coords()
     r2 = np.sum(ys * ys, axis=-1)
     ubar = (0.5 * params.c / params.s) * r2 - vals.reshape(slopes.shape) / params.s
@@ -141,7 +141,7 @@ def rotate_spectrum(spec, params: RotationParams):
     return rotated
 
 
-def unrotate(v: RotatedPotential, slopes: GridSpec | None = None) -> PotentialField:
+def unrotate(v: RotatedPotential) -> PotentialField:
     """Reverse rotation via rot_{-a}(v) = -rot_a(-v).
 
     Requires the rotated Hessian to stay strictly below cot(a) I, otherwise
@@ -156,6 +156,6 @@ def unrotate(v: RotatedPotential, slopes: GridSpec | None = None) -> PotentialFi
             modulus=modulus,
         )
     delta = params.cot + modulus
-    back = rotate(neg, params, delta=delta, slopes=slopes)
+    back = rotate(neg, params, delta=delta)
     return PotentialField(back.field.grid, -back.field.values,
                           back.domain.inside.copy())

@@ -104,8 +104,6 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
     `g` is a formula (callable on coordinates) or a full value array; it is
     read on the mask rim. Returns (PotentialField, SolveReport).
     """
-    if spec.variant != "SLAG":
-        raise ValueError("only the arctangent-operator variant is solvable")
     cfg = cfg or SolverConfig()
     d = grid.dim
     theta = spec.theta
@@ -280,7 +278,7 @@ def scale_potential(u: PotentialField, ratio: float = 1.2) -> PotentialField:
 
 
 def subsolution_preservation_trial(u: PotentialField, theta: float,
-                                   eps_list, cfg=None) -> AuditReport:
+                                   eps_list) -> AuditReport:
     """Mollify at each epsilon and re-check the subsolution property.
 
     The input must itself pass the subsolution check; the convex average of
@@ -289,10 +287,9 @@ def subsolution_preservation_trial(u: PotentialField, theta: float,
     masked data, so the valid region shrinks with epsilon (the shrinking-ball
     chain of the smooth-approximation device).
     """
-    from .audits import JetCheckConfig, check_subsolution
+    from .audits import check_subsolution
 
-    cfg = cfg or JetCheckConfig()
-    base = check_subsolution(u, theta, cfg)
+    base = check_subsolution(u, theta)
     if not base.passed:
         raise ConvexityError("input field is not a subsolution")
     violations = []
@@ -301,7 +298,7 @@ def subsolution_preservation_trial(u: PotentialField, theta: float,
     per_eps = {}
     for eps in eps_list:
         smooth = mollify(u, eps)
-        rep = check_subsolution(smooth, theta, cfg)
+        rep = check_subsolution(smooth, theta)
         checked += rep.checked_nodes
         min_margin = min(min_margin, rep.min_margin)
         violations.extend(rep.violations)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from slag_lab.audits import check_supersolution
 from slag_lab.cli import main
 from slag_lab.experiments import (
     REGISTRY,
@@ -15,6 +16,7 @@ from slag_lab.experiments import (
     run_experiment,
 )
 from slag_lab.fileio import load_field, read_pf1
+from slag_lab.rotation import RotationParams, rotate
 
 
 def run_cli(*argv):
@@ -130,6 +132,47 @@ class TestSubcommands:
         assert run_cli(*audit) == 1
         assert run_cli(*audit, "--tol", "1e-5") == 0
 
+    def test_audit_rejects_a_zero_tolerance(self, tmp_path):
+        u = tmp_path / "u.pf1"
+        run_cli("sample", "--formula", "iso-quad:1", "--grid", "17",
+                "--out", str(u))
+        assert run_cli("audit", "--check", "super", "--in", str(u),
+                       "--theta", str(np.pi / 2), "--tol", "0") == 2
+
+    def test_coefficient_audit_takes_the_tolerance(self):
+        # lambda = (1.5, -0.9), m = 1: the top_low coefficient is -0.4375
+        audit = ("audit", "--check", "coeffs", "--spectrum", "1.5,-0.9")
+        assert run_cli(*audit) == 1
+        assert run_cli(*audit, "--tol", "0.5") == 0
+
+    def test_rotate_then_audit_reads_the_domain_mask(self, tmp_path):
+        u = tmp_path / "q.pf1"
+        out = tmp_path / "rq.pf1"
+        rep = tmp_path / "rep.json"
+        run_cli("sample", "--formula", "quartic:1", "--grid", "33",
+                "--out", str(u))
+        assert run_cli("rotate", "--alpha", str(np.pi / 4), "--in", str(u),
+                       "--out", str(out)) == 0
+        run_cli("audit", "--check", "super", "--in", str(out),
+                "--json", str(rep))
+        rp = rotate(load_field(u), RotationParams.from_alpha(np.pi / 4))
+        assert int(rp.domain.inside.sum()) == 673
+        assert np.array_equal(load_field(out).mask, rp.domain.inside)
+        want = check_supersolution(rp.field, 0.0).to_json()
+        assert json.loads(rep.read_text()) == json.loads(json.dumps(want))
+
+    def test_convert_bad_csv_exits_2(self, tmp_path, capsys):
+        u = tmp_path / "u.pf1"
+        c = tmp_path / "u.csv"
+        run_cli("sample", "--formula", "iso-quad:1", "--grid", "9",
+                "--out", str(u))
+        run_cli("convert", "--in", str(u), "--out", str(c))
+        lines = c.read_text().splitlines()
+        c.write_text("\n".join(lines[:-1] + [lines[-1][:3]]) + "\n")
+        assert run_cli("convert", "--in", str(c),
+                       "--out", str(tmp_path / "v.pf1")) == 2
+        assert "CSV line" in capsys.readouterr().err
+
     def test_rotation_preservation_audits(self, tmp_path):
         u = tmp_path / "u.pf1"
         run_cli("sample", "--formula", "iso-quad:1", "--grid", "33",
@@ -173,8 +216,7 @@ class TestExperimentRunner:
             data.pop("timestamp")
             payloads.append(json.dumps(data, sort_keys=True))
         assert payloads[0] == payloads[1]
-        field = load_field(out1 / "rotated_zero.pf1",
-                           out1 / "rotated_zero.mask.pf1")
+        field = load_field(out1 / "rotated_zero.pf1")
         assert field.grid.dim == 2
 
     def test_report_json_schema(self, tmp_path):

@@ -8,9 +8,11 @@ from slag_lab import (
     GridSpec,
     convert,
     load_field,
+    read_csv,
     read_pf1,
     sample_potential,
     save_field,
+    write_csv,
     write_pf1,
 )
 from slag_lab.fields import PotentialField
@@ -54,8 +56,6 @@ def test_mask_only_export(tmp_path):
     grid = GridSpec.ball_box(2, 17)
     field = sample_potential(iso_quad(1.0), grid)
     path = tmp_path / "m.csv"
-    from slag_lab.fileio import write_csv
-
     write_csv(path, field)
     rows = path.read_text().splitlines()[2:]
     flags = {row.rsplit(",", 1)[1] for row in rows}
@@ -69,7 +69,7 @@ def test_explicit_mask_companion(tmp_path):
     field = PotentialField(grid, np.ones(grid.shape), mask)
     path = tmp_path / "f.pf1"
     save_field(path, field)
-    loaded = load_field(path, tmp_path / "f.mask.pf1")
+    loaded = load_field(path)
     assert np.array_equal(loaded.mask, mask)
 
 
@@ -105,3 +105,63 @@ def test_checksum_round_trip_random_field(tmp_path, rng):
     convert(b, c)
     digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
     assert digest(a) == digest(c)
+
+
+def _boxed_field():
+    grid = GridSpec(2, (9, 9), 0.25, (-1.0, -1.0), None)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[2:7, 2:7] = True
+    return PotentialField(grid, np.ones(grid.shape), mask)
+
+
+def test_implicit_mask_removes_a_stale_companion(tmp_path):
+    field = _boxed_field()
+    path = tmp_path / "f.pf1"
+    save_field(path, field)
+    assert (tmp_path / "f.mask.pf1").exists()
+    full = PotentialField(field.grid, field.values)
+    save_field(path, full)
+    assert not (tmp_path / "f.mask.pf1").exists()
+    assert load_field(path).mask.all()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".pf1"])
+def test_convert_keeps_the_companion_mask(tmp_path, suffix):
+    field = _boxed_field()
+    src = tmp_path / "a.pf1"
+    dst = tmp_path / f"b{suffix}"
+    save_field(src, field)
+    convert(src, dst)
+    back = read_csv(dst) if suffix == ".csv" else load_field(dst)
+    assert np.array_equal(back.mask, field.mask)
+
+
+def test_convert_copies_a_mask_file_without_a_companion(tmp_path):
+    field = _boxed_field()
+    src = tmp_path / "d.pf1"
+    write_pf1(src, field.grid, field.mask.astype(float), "mask")
+    convert(src, tmp_path / "e.pf1")
+    assert (tmp_path / "e.pf1").read_bytes() == src.read_bytes()
+    assert not (tmp_path / "e.mask.pf1").exists()
+
+
+def _csv_lines(tmp_path):
+    path = tmp_path / "f.csv"
+    write_csv(path, sample_potential(iso_quad(1.0), GridSpec.ball_box(2, 5)))
+    return path, path.read_text().splitlines()
+
+
+def test_csv_header_missing_key_is_a_format_error(tmp_path):
+    path, lines = _csv_lines(tmp_path)
+    lines[0] = lines[0].replace('"spacing"', '"step"')
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="spacing"):
+        read_csv(path)
+
+
+def test_csv_short_row_is_a_format_error(tmp_path):
+    path, lines = _csv_lines(tmp_path)
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="line 6"):
+        read_csv(path)

@@ -279,6 +279,5 @@ class TestPhaseClassify:
 
     def test_problem_spec_guards(self):
         with pytest.raises(PhaseError):
-            ProblemSpec(dim=2, theta=3.2, variant="SLAG")
-        spec = ProblemSpec(dim=2, theta=np.pi / 2)
-        assert spec.variant == "SLAG"
+            ProblemSpec(dim=2, theta=3.2)
+        ProblemSpec(dim=2, theta=np.pi / 2)

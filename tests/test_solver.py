@@ -190,14 +190,6 @@ class TestSolveDirichlet:
         u, rep = solve_dirichlet(boundary_from(iso_quad(1.0)), spec, grid)
         assert rep.converged and rep.final_residual <= 1e-10
 
-    def test_rejects_ma_variant(self):
-        grid = GridSpec.ball_box(2, 17)
-        with pytest.raises(ValueError):
-            solve_dirichlet(
-                boundary_from(iso_quad(1.0)),
-                ProblemSpec(dim=2, variant="MA", phi=0.0),
-                grid,
-            )
 
 
 class TestMollify:

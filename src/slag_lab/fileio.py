@@ -4,9 +4,11 @@ A PF1 file is one JSON header line (dim, shape, spacing, origin, ball_radius,
 value_kind) followed by the raw 64-bit little-endian float payload in
 row-major order. Masks travel either implicitly (ball grids) or as a
 companion file `<stem>.mask.pf1` with value_kind "mask", which
-`load_field` reads whenever it exists. CSV rows carry index tuple,
-coordinates, value and mask flag at 17 significant digits, so PF1 -> CSV ->
-PF1 round-trips are bit-exact. Malformed input raises FileFormatError.
+`load_field` reads whenever it exists. A CSV carries the same header after
+'# PF1 ', then one row per node: index tuple, coordinates, value and mask
+flag at 17 significant digits, so PF1 -> CSV -> PF1 round-trips are
+bit-exact, value_kind included. Malformed input, a missing node or a
+duplicate node raises FileFormatError.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ VALUE_KINDS = ("potential", "conjugate", "mask")
 
 
 def _header_dict(grid: GridSpec, value_kind: str) -> dict:
+    if value_kind not in VALUE_KINDS:
+        raise FileFormatError(f"unknown value_kind {value_kind!r}")
     return {
         "dim": grid.dim,
         "shape": list(grid.shape),
@@ -34,8 +38,6 @@ def _header_dict(grid: GridSpec, value_kind: str) -> dict:
 
 
 def write_pf1(path, grid: GridSpec, values: np.ndarray, value_kind: str = "potential"):
-    if value_kind not in VALUE_KINDS:
-        raise FileFormatError(f"unknown value_kind {value_kind!r}")
     header = json.dumps(_header_dict(grid, value_kind)) + "\n"
     payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
@@ -63,15 +65,20 @@ def _parse_header(line, offset: int) -> tuple[GridSpec, dict]:
     return grid, header
 
 
+def _value_kind(header: dict, offset: int) -> str:
+    value_kind = header.get("value_kind")
+    if value_kind not in VALUE_KINDS:
+        raise FileFormatError(f"unknown value_kind {value_kind!r}", offset=offset)
+    return value_kind
+
+
 def read_pf1(path) -> tuple[GridSpec, np.ndarray, str]:
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
     if nl < 0:
         raise FileFormatError("no header line terminator found", offset=len(raw))
     grid, header = _parse_header(raw[:nl], nl)
-    value_kind = header.get("value_kind")
-    if value_kind not in VALUE_KINDS:
-        raise FileFormatError(f"unknown value_kind {value_kind!r}", offset=nl)
+    value_kind = _value_kind(header, nl)
     expected = grid.n_nodes() * 8
     payload = raw[nl + 1 :]
     if len(payload) != expected:
@@ -117,14 +124,15 @@ def load_field(path) -> PotentialField:
     return _read_field(path)[0]
 
 
-def write_csv(path, field: PotentialField):
+def write_csv(path, field: PotentialField, value_kind: str = "potential"):
     grid = field.grid
     d = grid.dim
     idx_cols = [f"i{k}" for k in range(d)]
     coord_cols = [f"x{k}" for k in range(d)]
     coords = grid.coords()
+    header = "# PF1 " + json.dumps(_header_dict(grid, value_kind)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("# PF1 " + json.dumps(_header_dict(grid, "potential")) + "\n")
+        fh.write(header)
         fh.write(",".join(idx_cols + coord_cols + ["value", "mask"]) + "\n")
         for idx in np.ndindex(grid.shape):
             row = [str(i) for i in idx]
@@ -134,25 +142,41 @@ def write_csv(path, field: PotentialField):
             fh.write(",".join(row) + "\n")
 
 
-def read_csv(path) -> PotentialField:
+def _read_csv(path) -> tuple[PotentialField, str]:
+    """`read_csv` plus the header's value_kind."""
     with open(path, "r", encoding="ascii") as fh:
         first = fh.readline()
         if not first.startswith("# PF1 "):
             raise FileFormatError("CSV missing '# PF1' grid header", offset=0)
-        grid, _ = _parse_header(first[len("# PF1 ") :], 0)
+        grid, header = _parse_header(first[len("# PF1 ") :], 0)
+        value_kind = _value_kind(header, 0)
         fh.readline()  # column names
         values = np.empty(grid.shape)
         mask = np.zeros(grid.shape, dtype=bool)
+        seen = np.zeros(grid.shape, dtype=bool)
         d = grid.dim
         for lineno, line in enumerate(fh, start=3):
             parts = line.strip().split(",")
             try:
                 idx = tuple(int(p) for p in parts[:d])
+                if len(idx) < d or min(idx) < 0:
+                    raise ValueError(f"node index {idx} out of range")
+                if seen[idx]:
+                    raise ValueError(f"duplicate node {idx}")
+                seen[idx] = True
                 values[idx] = float(parts[2 * d])
                 mask[idx] = parts[2 * d + 1] == "1"
             except (IndexError, ValueError) as exc:
                 raise FileFormatError(f"CSV line {lineno}: {exc}") from exc
-    return PotentialField(grid, values, mask)
+    if not seen.all():
+        missing = tuple(int(i) for i in np.argwhere(~seen)[0])
+        raise FileFormatError(f"CSV has no row for node {missing}")
+    return PotentialField(grid, values, mask), value_kind
+
+
+def read_csv(path) -> PotentialField:
+    """Read a CSV export; every grid node must appear exactly once."""
+    return _read_csv(path)[0]
 
 
 def convert(in_path, out_path):
@@ -160,9 +184,9 @@ def convert(in_path, out_path):
     src = Path(in_path)
     dst = Path(out_path)
     if src.suffix == ".pf1" and dst.suffix == ".csv":
-        write_csv(dst, load_field(src))
+        write_csv(dst, *_read_field(src))
     elif src.suffix == ".csv" and dst.suffix == ".pf1":
-        save_field(dst, read_csv(src))
+        save_field(dst, *_read_csv(src))
     elif src.suffix == dst.suffix == ".pf1":
         save_field(dst, *_read_field(src))
     else:

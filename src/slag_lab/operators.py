@@ -93,16 +93,37 @@ def slag_linearization(m: np.ndarray) -> np.ndarray:
     The directional derivative of sum(arctan(lambda_i)) at M in direction E
     is trace((I + M^2)^{-1} E); I + M^2 is always positive definite.
     """
-    m = np.asarray(m, dtype=float)
-    eye = np.eye(m.shape[-1])
-    return np.linalg.inv(eye + m @ m)
+    return slag_linearization_batch(m)
 
 
 def slag_linearization_batch(ms: np.ndarray) -> np.ndarray:
-    """(I + M^2)^{-1} for a batch (..., d, d)."""
+    """(I + M^2)^{-1} for a batch (..., d, d), d = 2 or 3, as adj(S) / det(S).
+
+    For symmetric M, S = I + M^2 is SPD with every eigenvalue >= 1, so
+    det(S) >= 1. The adjugate of a 3x3 matrix has the columns r1 x r2,
+    r2 x r0 and r0 x r1 of its rows r0, r1, r2.
+    """
     ms = np.asarray(ms, dtype=float)
-    eye = np.eye(ms.shape[-1])
-    return np.linalg.inv(eye + np.einsum("...ij,...jk->...ik", ms, ms))
+    d = ms.shape[-1]
+    s = ms @ ms + np.eye(d)
+    if d == 2:
+        adj = np.empty_like(s)
+        adj[..., 0, 0] = s[..., 1, 1]
+        adj[..., 0, 1] = -s[..., 0, 1]
+        adj[..., 1, 0] = -s[..., 1, 0]
+        adj[..., 1, 1] = s[..., 0, 0]
+        det = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
+    elif d == 3:
+        adj = np.empty_like(s)
+        for col, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+            for row in range(3):
+                p, q = (row + 1) % 3, (row + 2) % 3
+                adj[..., row, col] = (s[..., a, p] * s[..., b, q]
+                                      - s[..., a, q] * s[..., b, p])
+        det = np.einsum("...i,...i->...", s[..., 0, :], adj[..., :, 0])
+    else:
+        raise ValueError(f"closed-form linearization needs d = 2 or 3, got {d}")
+    return adj / det[..., None, None]
 
 
 def phase_classify(theta: float, dim: int) -> str:

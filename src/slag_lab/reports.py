@@ -55,12 +55,16 @@ class SolveReport:
     min_eigen_history: list = field(default_factory=list)
     converged: bool = False
     convexity_breached: bool = False
+    stop_reason: str = ""  # converged, max_iters, step_underflow, non_finite_step
 
     def to_json(self) -> dict:
         return {
+            "schema_version": 2,
             "iterations": self.iterations,
             "final_residual": self.final_residual,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
+            "convexity_breached": self.convexity_breached,
             "step_history": list(self.step_history),
             "min_eigen_history": list(self.min_eigen_history),
         }

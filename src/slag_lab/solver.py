@@ -6,10 +6,12 @@ sparse second-difference operators D_ij with boundary lifts, built once per
 solve by `hessians.second_difference_operators`, serves both linear systems:
 the initial guess solves sum_i D_ii u = n tan(theta/n) - sum_i lift_ii, and
 the exact Jacobian trace((I + M^2)^{-1} dM/du) is sum_ij A_ij D_ij with
-A = (I + M^2)^{-1}. A non-finite Newton step (singular Jacobian) stops the
-iteration unconverged. Mollification and the supporting-plane convex
-extension implement the smooth-approximation devices used by the rotation
-audits.
+A = (I + M^2)^{-1}. Both systems are structurally symmetric, so SuperLU
+orders them by minimum degree on A + A^T. The report
+names why the iteration stopped: convergence, the iteration cap, a line
+search that fell below `min_step`, or a non-finite Newton step (singular
+Jacobian). Mollification and the supporting-plane convex extension
+implement the smooth-approximation devices used by the rotation audits.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .reports import AuditReport, SolveReport
 logger = logging.getLogger("slag_lab.solver")
 # extend_convex: relative overshoot above u that still keeps a plane
 _SUPPORT_TOL = 1e-9
+# SuperLU column ordering of both solve_dirichlet systems
+_ORDERING = "MMD_AT_PLUS_A"
 
 
 @dataclass
@@ -115,7 +119,7 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
     ops, lifts = second_difference_operators(PotentialField(grid, values, mask))
     laplacian = sum(ops[i, i] for i in range(d))
     rhs = d * math.tan(theta / d) - sum(lifts[i, i] for i in range(d))
-    values[interior] = splinalg.spsolve(laplacian, rhs)
+    values[interior] = splinalg.spsolve(laplacian, rhs, permc_spec=_ORDERING)
     # every Jacobian keeps the union stencil pattern, explicit zeros included:
     # pruning the zeros of A_ij changes SuperLU's ordering and adds fill
     stack = [(i, j, op.tocoo()) for (i, j), op in ops.items()]
@@ -137,16 +141,18 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
 
     for it in range(cfg.max_iters):
         if norm <= cfg.residual_tol:
+            stop = "converged"
             break
         coeff = slag_linearization_batch(mats[interior])  # (n_interior, d, d)
         # trace(A dM) with A = (I + M^2)^{-1}: off-diagonal pairs count twice
         data = np.concatenate([(1.0 if i == j else 2.0) * coeff[c.row, i, j] * c.data
                                for i, j, c in stack])
         jac = sparse.csr_matrix((data, (rows, cols)), shape=laplacian.shape)
-        step = splinalg.spsolve(jac, -res)
+        step = splinalg.spsolve(jac, -res, permc_spec=_ORDERING)
         if not np.isfinite(step).all():
             logger.warning("non-finite Newton step at iteration %d (residual %.3e)",
                            it, norm)
+            stop = "non_finite_step"
             break
         t_step = cfg.damping
         accepted = False
@@ -161,6 +167,7 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
         if not accepted:
             logger.warning("step underflow at iteration %d (residual %.3e)",
                            it, norm)
+            stop = "step_underflow"
             break
         values = trial
         res, mats, lam = new_res, new_mats, new_lam
@@ -171,7 +178,10 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
         if min_eig < cfg.convexity_floor:
             report.convexity_breached = True
         report.iterations = it + 1
-    report.converged = norm <= cfg.residual_tol
+    else:
+        stop = "converged" if norm <= cfg.residual_tol else "max_iters"
+    report.stop_reason = stop
+    report.converged = stop == "converged"
     report.final_residual = norm
     field = PotentialField(grid, np.where(mask, values, np.nan), mask)
     return field, report

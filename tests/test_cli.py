@@ -35,8 +35,12 @@ class TestSubcommands:
                        "--report", str(rep)) == 0
         payload = json.loads(rep.read_text())
         assert payload["converged"] is True
-        assert set(payload) == {"iterations", "final_residual", "converged",
-                                "step_history", "min_eigen_history"}
+        assert payload["stop_reason"] == "converged"
+        assert payload["schema_version"] == 2
+        assert set(payload) == {"schema_version", "iterations",
+                                "final_residual", "converged", "stop_reason",
+                                "convexity_breached", "step_history",
+                                "min_eigen_history"}
         assert run_cli("audit", "--check", "super", "--in", str(sol),
                        "--theta", str(np.pi / 2)) == 0
 
@@ -172,6 +176,33 @@ class TestSubcommands:
         assert run_cli("convert", "--in", str(c),
                        "--out", str(tmp_path / "v.pf1")) == 2
         assert "CSV line" in capsys.readouterr().err
+
+    def test_convert_csv_with_missing_rows_exits_2(self, tmp_path, capsys):
+        u = tmp_path / "u.pf1"
+        c = tmp_path / "u.csv"
+        run_cli("sample", "--formula", "quartic:1", "--grid", "17",
+                "--out", str(u))
+        run_cli("convert", "--in", str(u), "--out", str(c))
+        lines = c.read_text().splitlines()
+        c.write_text("\n".join(lines[:-40]) + "\n")
+        assert run_cli("convert", "--in", str(c),
+                       "--out", str(tmp_path / "v.pf1")) == 2
+        assert "no row for node (14, 11)" in capsys.readouterr().err
+
+    def test_conjugate_kind_survives_a_csv_round_trip(self, tmp_path):
+        u = tmp_path / "u.pf1"
+        star = tmp_path / "star.pf1"
+        c = tmp_path / "star.csv"
+        back = tmp_path / "back.pf1"
+        run_cli("sample", "--formula", "quartic:1", "--grid", "17",
+                "--out", str(u))
+        assert run_cli("conjugate", "--in", str(u), "--out", str(star)) == 0
+        assert run_cli("convert", "--in", str(star), "--out", str(c)) == 0
+        assert run_cli("convert", "--in", str(c), "--out", str(back)) == 0
+        _, v1, kind1 = read_pf1(star)
+        _, v2, kind2 = read_pf1(back)
+        assert kind1 == kind2 == "conjugate"
+        assert v1.tobytes() == v2.tobytes()
 
     def test_rotation_preservation_audits(self, tmp_path):
         u = tmp_path / "u.pf1"

@@ -165,3 +165,19 @@ def test_csv_short_row_is_a_format_error(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match="line 6"):
         read_csv(path)
+
+
+def test_csv_duplicate_node_is_a_format_error(tmp_path):
+    path, lines = _csv_lines(tmp_path)
+    lines[3] = lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="line 4: duplicate node"):
+        read_csv(path)
+
+
+def test_csv_negative_node_index_is_a_format_error(tmp_path):
+    path, lines = _csv_lines(tmp_path)
+    lines[2] = "-1" + lines[2][1:]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="line 3: node index"):
+        read_csv(path)

@@ -4,6 +4,8 @@ from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slag_lab import (
     GridSpec,
@@ -26,6 +28,7 @@ from slag_lab.hessians import (
     symmetric_slots,
     taylor_tensors,
 )
+from slag_lab.operators import slag_linearization_batch
 from slag_lab.rotation import RotationParams
 
 
@@ -237,6 +240,24 @@ class TestLinearization:
     def test_identity_matrix(self):
         out = slag_linearization(np.eye(2))
         assert np.allclose(out, 0.5 * np.eye(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([2, 3]),
+           entries=st.lists(st.floats(-50.0, 50.0), min_size=6, max_size=6))
+    def test_closed_form_inverse(self, dim, entries):
+        m = np.zeros((dim, dim))
+        m[np.triu_indices(dim)] = entries[: dim * (dim + 1) // 2]
+        m = m + np.triu(m, 1).T
+        s = np.eye(dim) + m @ m
+        tol = 1e-13 * np.linalg.cond(s)
+        out = slag_linearization(m)
+        assert np.abs(s @ out - np.eye(dim)).max() <= tol
+        ref = np.linalg.inv(s)
+        assert np.abs(out - ref).max() <= tol * np.abs(ref).max()
+
+    def test_batch_rejects_other_dimensions(self):
+        with pytest.raises(ValueError, match="d = 2 or 3"):
+            slag_linearization_batch(np.zeros((5, 4, 4)))
 
     def test_matches_finite_differences(self, rng):
         # directional derivative oracle at t = 1e-5

@@ -168,10 +168,12 @@ class TestSolveDirichlet:
         real = solver_module.slag_linearization_batch
         solve = splinalg.spsolve
         nnz = []
+        orderings = []
 
-        def recording(a, b):
+        def recording(a, b, **kw):
             nnz.append(a.nnz)
-            return solve(a, b)
+            orderings.append(kw.get("permc_spec"))
+            return solve(a, b, **kw)
 
         monkeypatch.setattr(solver_module, "slag_linearization_batch",
                             lambda ms: real(ms) * np.eye(ms.shape[-1]))
@@ -183,6 +185,7 @@ class TestSolveDirichlet:
         assert rep.iterations >= 2
         assert nnz[0] == (ops[0, 0] + ops[1, 1]).nnz
         assert nnz[1:] == [nnz[0] + ops[0, 1].nnz] * (len(nnz) - 1)
+        assert orderings == ["MMD_AT_PLUS_A"] * len(nnz)
 
     def test_ball_domain_quadratic(self):
         grid = GridSpec.ball_box(2, 65)
@@ -190,6 +193,54 @@ class TestSolveDirichlet:
         u, rep = solve_dirichlet(boundary_from(iso_quad(1.0)), spec, grid)
         assert rep.converged and rep.final_residual <= 1e-10
 
+
+
+class TestStopReason:
+    """One test per exit of the Newton loop; the JSON report carries it."""
+
+    def solve(self, cfg=None):
+        grid = GridSpec.ball_box(2, 17)
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        return solve_dirichlet(boundary_from(quartic(1.0)), spec, grid, cfg)
+
+    def test_converged(self):
+        u, rep = self.solve()
+        assert rep.converged and rep.stop_reason == "converged"
+        payload = rep.to_json()
+        assert payload["stop_reason"] == "converged"
+        assert payload["schema_version"] == 2
+        assert payload["convexity_breached"] is False
+
+    def test_max_iters(self):
+        u, rep = self.solve(SolverConfig(max_iters=1))
+        assert rep.iterations == 1
+        assert not rep.converged and rep.stop_reason == "max_iters"
+
+    def test_step_underflow(self, monkeypatch):
+        # a negated Jacobian points every step uphill
+        import slag_lab.solver as solver_module
+
+        real = solver_module.slag_linearization_batch
+        monkeypatch.setattr(solver_module, "slag_linearization_batch",
+                            lambda ms: -real(ms))
+        u, rep = self.solve()
+        assert rep.iterations == 0
+        assert not rep.converged and rep.stop_reason == "step_underflow"
+
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_non_finite_step(self, monkeypatch):
+        import slag_lab.solver as solver_module
+
+        monkeypatch.setattr(solver_module, "slag_linearization_batch",
+                            lambda ms: np.zeros_like(ms))
+        u, rep = self.solve()
+        assert not rep.converged and rep.stop_reason == "non_finite_step"
+
+    def test_convexity_breach_reaches_the_json(self):
+        # a floor above every eigenvalue flags each accepted step
+        u, rep = self.solve(SolverConfig(convexity_floor=1e6))
+        assert rep.convexity_breached
+        assert rep.to_json()["convexity_breached"] is True
 
 
 class TestMollify:

@@ -2,15 +2,16 @@
 
 The transform of a masked field is f*(y) = max over masked nodes x of
 y.x - f(x), i.e. the conjugate of the piecewise-linear interpolant. One
-kernel evaluates it: a separable pass of linear-time 1-D lower-hull
-transforms per axis that also returns the maximizing node (Lucet's
-linear-time Legendre transform; Felzenszwalb-Huttenlocher lower envelopes).
-`sup_with_argmax` (values, argmax, interior-only values) and
-`conjugate_fast` (values, finite at every slope node) are its two entry
-points; `refined_sup` polishes its node suprema with local quartic Taylor
-models and the rotation operator builds on that. The chunked O(N^2)
-`_sup_brute` survives only as the oracle behind `conjugate_brute` and the
-tests (contract: equal to 1e-12).
+kernel evaluates it with its maximizing node, an axis at a time as in
+Lucet's linear-time Legendre transform (Numer. Algorithms 1997): a pass
+peels all rows at once to their lower hulls, in rounds of simultaneous
+monotone-chain tests, and merges the hull breakpoints with the slope axis
+in one `searchsorted`; exact ties take the smallest index, and empty rows
+give -inf and index 0. `sup_with_argmax` (both masks in one call per pass)
+and `conjugate_fast` are its entry points; `refined_sup` polishes its node
+suprema with local quartic Taylor models and the rotation operator builds
+on that. The chunked O(N^2) `_sup_brute` survives only as the oracle behind
+`conjugate_brute` and the tests (contract: equal to 1e-12).
 
 The polish visits the candidate nodes around each node argmax ring by ring
 (offset infinity norm 0, 1, 2) and skips every candidate whose upper
@@ -31,6 +32,7 @@ quotients within round-off of an integer are snapped to it first.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -51,6 +53,8 @@ from .hessians import (
     taylor_tensors,
 )
 from .reports import AuditReport
+
+logger = logging.getLogger("slag_lab.conjugate")
 
 # floats per block of the chunked O(N*M) loops (brute sup, plane envelope)
 _CHUNK_FLOATS = 8_000_000
@@ -128,79 +132,73 @@ def auto_slope_grid(f: PotentialField) -> GridSpec:
     return GridSpec(f.grid.dim, tuple(shape), spacing, tuple(origin), None)
 
 
-def _hull_transform_1d(xs, vs, ys):
-    """max_i (y * xs[i] - vs[i]) and its maximizer i, for ascending xs and ys.
+def _hull_transform(xs: np.ndarray, v: np.ndarray, ys: np.ndarray):
+    """max_i (y * xs[i] - v[r, i]) and its maximizer i for every row r of v.
 
-    Linear in len(xs) + len(ys): a monotone-chain lower hull followed by a
-    searchsorted merge against the hull's breakpoint slopes. Grid abscissae
-    are strictly increasing, so no duplicate handling is needed. Collinear
-    points leave the hull and a slope equal to a breakpoint takes the left
-    vertex, so an exact tie resolves to the smallest i.
+    xs and ys ascend; non-finite entries are missing. Each peel round drops
+    at once every entry j whose surviving row neighbours p < j < q pass the
+    monotone chain's test (v_j - v_p)(x_q - x_j) >= (v_q - v_j)(x_j - x_p),
+    until none does (at most one round per entry): what survives are the
+    lower hulls without collinear points. A slope equal to a breakpoint
+    takes the left vertex, so an exact tie resolves to the smallest i; rows
+    with no entry give -inf and index 0. Returns (values, picks, rounds).
     """
-    x = xs.tolist()
-    v = vs.tolist()
-    hull: list[int] = []
-    for i in range(len(x)):
-        while len(hull) >= 2 and (
-            (v[hull[-1]] - v[hull[-2]]) * (x[i] - x[hull[-1]])
-            >= (v[i] - v[hull[-1]]) * (x[hull[-1]] - x[hull[-2]])
-        ):
-            hull.pop()
-        hull.append(i)
-    k = np.array(hull)
-    if len(k) == 1:
-        pick = np.full(ys.size, k[0])
-    else:
-        breaks = np.diff(vs[k]) / np.diff(xs[k])
-        pick = k[np.searchsorted(breaks, ys, side="left")]
-    return ys * xs[pick] - vs[pick], pick
+    r, c = np.nonzero(np.isfinite(v))
+    vs = v[r, c]
+    rounds = 0
+    while True:
+        rounds += 1
+        x = xs[c]
+        drop = (r[:-2] == r[2:]) & (
+            (vs[1:-1] - vs[:-2]) * (x[2:] - x[1:-1])
+            >= (vs[2:] - vs[1:-1]) * (x[1:-1] - x[:-2]))
+        if not drop.any():
+            break
+        keep = np.concatenate(([True], ~drop, [True]))
+        r, c, vs = r[keep], c[keep], vs[keep]
+    # slope y takes the hull vertex numbered #(breaks of its row below y)
+    m = np.flatnonzero(r[1:] == r[:-1])
+    breaks = (vs[m + 1] - vs[m]) / (x[m + 1] - x[m])
+    rows, ny = v.shape[0], ys.size
+    hits = np.bincount(r[m] * (ny + 1) + np.searchsorted(ys, breaks, "right"),
+                       minlength=rows * (ny + 1)).reshape(rows, ny + 1)
+    count = np.bincount(r, minlength=rows)
+    k = (np.cumsum(count) - count)[:, None] + np.cumsum(hits[:, :ny], axis=1)
+    # rows with no entry read a sentinel vertex at +inf: -inf, index 0
+    k = np.where(count[:, None] > 0, k, r.size)
+    x, vs, c = np.append(x, 0.0), np.append(vs, np.inf), np.append(c, 0)
+    return ys * x[k] - vs[k], c[k], rounds
 
 
-def _transform_axis(work: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                    axis: int):
-    """Apply the 1-D transform along one axis; non-finite entries are missing.
-
-    Returns (values, index along `axis` of each value's maximizer); rows
-    with no entry give -inf and index 0.
-    """
-    moved = np.moveaxis(work, axis, -1)
-    shape = moved.shape[:-1] + (ys.size,)
-    flat = moved.reshape(-1, moved.shape[-1])
-    out = np.full((flat.shape[0], ys.size), -np.inf)
-    pick = np.zeros((flat.shape[0], ys.size), dtype=np.intp)
-    for r, row in enumerate(flat):
-        ok = np.flatnonzero(np.isfinite(row))
-        if ok.size:
-            out[r], j = _hull_transform_1d(xs[ok], row[ok], ys)
-            pick[r] = ok[j]
-    return (np.moveaxis(out.reshape(shape), -1, axis),
-            np.moveaxis(pick.reshape(shape), -1, axis))
-
-
-def _separable_sup(f: PotentialField, slopes: GridSpec, mask: np.ndarray):
-    """Node suprema of y.x - f over `mask` at every slope node, one axis at a time.
+def _separable_sup(f: PotentialField, slopes: GridSpec, masks: np.ndarray):
+    """Node suprema of y.x - f over each of the k stacked `masks`.
 
     max_x (y.x - f(x)) splits into nested 1-D maxima, innermost over the
-    last axis; each pass is a 1-D hull transform of the previous pass's
-    negated output. Returns (values of slopes.shape, the maximizing node as
-    a tuple of index arrays). The node is read back through the passes:
-    the last pass (axis 0) picks x_0, then each earlier pass's pick is
-    looked up at the coordinates already found. Values are -inf where the
-    mask is empty.
+    last axis; each pass is one `_hull_transform` call over every row of
+    the previous pass's negated output, all k masks included. Returns
+    (values of shape (k,) + slopes.shape, the maximizing node over the
+    first mask as a tuple of index arrays of slopes.shape), read back
+    through the passes: the last pass (axis 0) picks x_0, then each earlier
+    pass's pick is looked up at the coordinates already found. Values are
+    -inf where a mask is empty.
     """
     d = f.grid.dim
-    xaxes = f.grid.axes()
-    yaxes = slopes.axes()
-    work = np.where(mask, f.values, np.inf)
+    work = np.where(masks, f.values, np.inf)
     picks = [None] * d
     for axis in range(d - 1, -1, -1):
-        work, picks[axis] = _transform_axis(
-            work if axis == d - 1 else -work, xaxes[axis], yaxes[axis], axis
-        )
+        rows = np.moveaxis(work if axis == d - 1 else -work, axis + 1, -1)
+        flat = rows.reshape(-1, rows.shape[-1])
+        out, pick, rounds = _hull_transform(f.grid.axes()[axis], flat,
+                                            slopes.axes()[axis])
+        logger.debug("hull pass, axis %d: %d rows of %d nodes, %d rounds",
+                     axis, *flat.shape, rounds)
+        shape = (*rows.shape[:-1], -1)
+        work = np.moveaxis(out.reshape(shape), -1, axis + 1)
+        picks[axis] = np.moveaxis(pick.reshape(shape), -1, axis + 1)
     ys = np.indices(slopes.shape)
-    node = [picks[0]]
+    node = [picks[0][0]]
     for axis in range(1, d):
-        node.append(picks[axis][tuple(node) + tuple(ys[axis:])])
+        node.append(picks[axis][(0, *node, *ys[axis:])])
     return work, tuple(node)
 
 
@@ -212,15 +210,16 @@ def sup_with_argmax(f: PotentialField, slopes: GridSpec,
     interior values) where the interior values max only over the mask
     eroded by `interior_cells` (-inf where that leaves no node); their gap
     to `values` tells whether the sup is forced to the mask boundary.
-    Linear in the number of grid plus slope nodes per pass. On an exact tie
+    Each pass costs a sweep over the grid nodes per peel round plus one
+    over the slope nodes. On an exact tie
     the argmax is the first maximizer in row-major order, the node
     `_sup_brute` picks; ties within round-off may resolve to either node.
     """
-    vals, node = _separable_sup(f, slopes, f.mask)
+    masks = np.stack([f.mask, erode_mask(f.mask, interior_cells)])
+    vals, node = _separable_sup(f, slopes, masks)
     rank = np.cumsum(f.mask.reshape(-1)) - 1
     arg = rank[np.ravel_multi_index(node, f.grid.shape)]
-    vals_in, _ = _separable_sup(f, slopes, erode_mask(f.mask, interior_cells))
-    return vals.reshape(-1), arg.reshape(-1), vals_in.reshape(-1)
+    return vals[0].reshape(-1), arg.reshape(-1), vals[1].reshape(-1)
 
 
 def _sup_brute(f: PotentialField, slopes: GridSpec, interior_cells: int = 1):
@@ -264,8 +263,8 @@ def conjugate_fast(f: PotentialField, slopes: GridSpec | None = None,
     _require_convex(f, convexity_tol)
     if slopes is None:
         slopes = auto_slope_grid(f)
-    vals, _ = _separable_sup(f, slopes, f.mask)
-    return PotentialField(slopes, vals)
+    vals, _ = _separable_sup(f, slopes, f.mask[None])
+    return PotentialField(slopes, vals[0])
 
 
 class _Jets(NamedTuple):

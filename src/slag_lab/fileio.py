@@ -155,7 +155,8 @@ def _read_csv(path) -> tuple[PotentialField, str]:
         mask = np.zeros(grid.shape, dtype=bool)
         seen = np.zeros(grid.shape, dtype=bool)
         d = grid.dim
-        for lineno, line in enumerate(fh, start=3):
+        # blank lines end the file; one followed by a row fails to parse
+        for lineno, line in enumerate(fh.read().rstrip().splitlines(), 3):
             parts = line.strip().split(",")
             try:
                 idx = tuple(int(p) for p in parts[:d])

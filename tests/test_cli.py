@@ -189,6 +189,17 @@ class TestSubcommands:
                        "--out", str(tmp_path / "v.pf1")) == 2
         assert "no row for node (14, 11)" in capsys.readouterr().err
 
+    def test_convert_csv_with_trailing_blank_lines_exits_0(self, tmp_path):
+        u = tmp_path / "u.pf1"
+        c = tmp_path / "u.csv"
+        back = tmp_path / "v.pf1"
+        run_cli("sample", "--formula", "iso-quad:1", "--grid", "5",
+                "--out", str(u))
+        run_cli("convert", "--in", str(u), "--out", str(c))
+        c.write_text(c.read_text() + "\n\n")
+        assert run_cli("convert", "--in", str(c), "--out", str(back)) == 0
+        assert read_pf1(back)[1].tobytes() == read_pf1(u)[1].tobytes()
+
     def test_conjugate_kind_survives_a_csv_round_trip(self, tmp_path):
         u = tmp_path / "u.pf1"
         star = tmp_path / "star.pf1"

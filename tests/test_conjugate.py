@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations_with_replacement, permutations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from slag_lab.conjugate import (
     _box_bound,
     _candidates,
     _field_jets,
+    _hull_transform,
     _model_jets,
     _polish,
     _sup_brute,
@@ -203,6 +205,127 @@ class TestSupKernelOracle:
         xs, fs = f.masked_points()
         assert np.all(xs @ p - fs == vals[centre])
         assert arg[centre] == 0
+
+
+def _hull_transform_1d(xs, vs, ys):
+    """max_i (y * xs[i] - vs[i]) and its maximizer i, for ascending xs and ys.
+
+    The per-row reference for the batched kernel: a monotone-chain lower
+    hull followed by a searchsorted merge against the hull's breakpoint
+    slopes. Collinear points leave the hull and a slope equal to a
+    breakpoint takes the left vertex, so an exact tie resolves to the
+    smallest i.
+    """
+    x = xs.tolist()
+    v = vs.tolist()
+    hull: list[int] = []
+    for i in range(len(x)):
+        while len(hull) >= 2 and (
+            (v[hull[-1]] - v[hull[-2]]) * (x[i] - x[hull[-1]])
+            >= (v[i] - v[hull[-1]]) * (x[hull[-1]] - x[hull[-2]])
+        ):
+            hull.pop()
+        hull.append(i)
+    k = np.array(hull)
+    if len(k) == 1:
+        pick = np.full(ys.size, k[0])
+    else:
+        breaks = np.diff(vs[k]) / np.diff(xs[k])
+        pick = k[np.searchsorted(breaks, ys, side="left")]
+    return ys * xs[pick] - vs[pick], pick
+
+
+def _reference_rows(xs, rows, ys):
+    """`_hull_transform_1d` row by row over the finite entries of `rows`."""
+    out = np.full((rows.shape[0], ys.size), -np.inf)
+    pick = np.zeros((rows.shape[0], ys.size), dtype=np.intp)
+    for r, row in enumerate(rows):
+        ok = np.flatnonzero(np.isfinite(row))
+        if ok.size:
+            out[r], j = _hull_transform_1d(xs[ok], row[ok], ys)
+            pick[r] = ok[j]
+    return out, pick
+
+
+def _assert_matches_reference(xs, rows, ys):
+    """The batched kernel equals the per-row reference bit for bit."""
+    out, pick, rounds = _hull_transform(xs, rows, ys)
+    ref, ref_pick = _reference_rows(xs, rows, ys)
+    assert np.array_equal(out, ref)
+    assert pick.dtype == ref_pick.dtype
+    assert np.array_equal(pick, ref_pick)
+    assert 1 <= rounds <= rows.shape[1]
+    return out, pick, rounds
+
+
+class TestBatchedHullKernel:
+    """The row-batched peel against the per-row monotone chain it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           one_node=st.booleans(), cells=st.integers(1, 2))
+    def test_every_pass_equals_the_row_loop(self, seed, dim, one_node, cells):
+        f, slopes = _random_masked_field(seed, dim, one_node)
+        passes = []
+
+        def checked(xs, rows, ys):
+            passes.append(rows.shape)
+            return _assert_matches_reference(xs, rows, ys)
+
+        with mock.patch.object(conjugate, "_hull_transform", checked):
+            sup_with_argmax(f, slopes, cells)
+        # one call per axis, both masks stacked in its rows
+        assert len(passes) == dim
+        assert passes[0][0] == 2 * math.prod(f.grid.shape[:-1])
+
+    def test_empty_and_one_entry_rows(self):
+        xs = np.linspace(-1.0, 1.0, 7)
+        ys = np.linspace(-3.0, 3.0, 9)
+        rows = np.full((9, 7), np.inf)
+        rows[1, :] = np.nan
+        for j in range(7):
+            rows[2 + j, j] = 0.1 * j - 0.3
+        out, pick, _ = _assert_matches_reference(xs, rows, ys)
+        assert np.all(np.isneginf(out[:2])) and not pick[:2].any()
+        assert np.all(pick[2:] == np.arange(7)[:, None])
+        _assert_matches_reference(xs, np.full((3, 7), np.inf), ys)
+
+    def test_dyadic_collinear_runs_tie_exactly(self):
+        # exact arithmetic throughout: interior points of each run are
+        # collinear and leave the hull, and slopes at a breakpoint tie
+        xs = np.arange(-8, 9) * 0.125
+        ys = np.arange(-8, 9) * 0.25
+        kinked = np.maximum(0.5 * xs + 0.25, -0.75 * xs)
+        rows = np.stack([0.5 * xs + 0.25, kinked, np.abs(xs),
+                         np.where(np.arange(17) % 3 == 1, np.inf, kinked)])
+        out, pick, _ = _assert_matches_reference(xs, rows, ys)
+        # y = 0.5 ties along the whole first row: the smallest i wins
+        assert np.all(pick[0, ys <= 0.5] == 0)
+        assert np.all(pick[0, ys > 0.5] == 16)
+
+    def test_nonconvex_rows_of_a_second_pass(self, rng):
+        # the second pass transforms negated first-pass output across rows,
+        # which is neither convex nor complete
+        xs = np.linspace(-1.0, 1.0, 13)
+        ys = np.linspace(-2.0, 2.0, 11)
+        first = rng.uniform(-1.0, 1.0, size=(13, 13))
+        first[rng.random(first.shape) < 0.3] = np.inf
+        first[4] = np.inf
+        a, _ = _reference_rows(xs, first, ys)
+        rows = -a.T
+        assert np.isinf(rows).any()
+        _assert_matches_reference(xs, rows, ys)
+        _assert_matches_reference(xs, np.stack([-xs**2, np.sin(9 * xs)]), ys)
+
+    def test_a_peel_of_many_rounds(self):
+        # each round drops only the last parabola point before the low end
+        n = 40
+        xs = np.arange(n, dtype=float)
+        row = xs**2
+        row[-1] = -1000.0
+        ys = np.linspace(-50.0, 80.0, 27)
+        _, _, rounds = _assert_matches_reference(xs, row[None], ys)
+        assert rounds == n - 1
 
 
 def _unpruned_refined_values(f, slopes):

@@ -181,3 +181,21 @@ def test_csv_negative_node_index_is_a_format_error(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match="line 3: node index"):
         read_csv(path)
+
+
+@pytest.mark.parametrize("blank", ["\n", "\n\n"])
+def test_csv_trailing_blank_lines_are_accepted(tmp_path, blank):
+    path, lines = _csv_lines(tmp_path)
+    want = read_csv(path)
+    path.write_text("\n".join(lines) + "\n" + blank)
+    back = read_csv(path)
+    assert np.array_equal(back.values, want.values)
+    assert np.array_equal(back.mask, want.mask)
+
+
+def test_csv_blank_line_before_more_rows_is_a_format_error(tmp_path):
+    path, lines = _csv_lines(tmp_path)
+    lines.insert(6, "")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="line 7"):
+        read_csv(path)

@@ -518,6 +518,16 @@ def subharmonicity_trial(v: RotatedPotential, m: int,
     )
 
 
+def rotated_interior_eigs(rp: RotatedPotential):
+    """Eigenvalues of the rotated Hessian at nodes `_RIM_EXCLUSION` cells
+    inside the slope domain, and how many nodes that is."""
+    hf = hessian_field(rp.field)
+    inner = hf.interior_mask & erode_mask(rp.domain.inside, _RIM_EXCLUSION)
+    if not inner.any():
+        raise GridError("rotated domain interior is empty")
+    return eigvals_sym(hf.matrices[inner]), int(inner.sum())
+
+
 def hessian_bound_harness(u: PotentialField, theta: float,
                           alpha: float = math.pi / 4,
                           cfg: JetCheckConfig | None = None) -> AuditReport:
@@ -533,14 +543,8 @@ def hessian_bound_harness(u: PotentialField, theta: float,
     sub = check_subsolution(u, theta, cfg)
     if not (sup.passed and sub.passed):
         raise ConvexityError("field is not a two-sided viscosity solution")
-    params = RotationParams.from_alpha(alpha)
-    rotated = rotate(u, params)
-    hf = hessian_field(rotated.field)
-    inner = hf.interior_mask & erode_mask(rotated.domain.inside,
-                                          _RIM_EXCLUSION)
-    if not inner.any():
-        raise GridError("rotated domain interior is empty")
-    lam = eigvals_sym(hf.matrices[inner])
+    rotated = rotate(u, RotationParams.from_alpha(alpha))
+    lam, checked = rotated_interior_eigs(rotated)
     lam_max = lam[..., 0]
     osc_val = osc(u)
     dist = u.grid.ball_radius or 1.0
@@ -567,7 +571,7 @@ def hessian_bound_harness(u: PotentialField, theta: float,
         )
     return AuditReport(
         name="hessian-bound",
-        checked_nodes=int(inner.sum()),
+        checked_nodes=checked,
         violations=violations,
         min_margin=float(min(strict_margin, touch_bound + _TOUCH_TOL - min_node_max)),
         details={

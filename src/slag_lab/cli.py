@@ -114,11 +114,9 @@ def cmd_rotate(args) -> int:
     params = RotationParams.from_alpha(args.alpha)
     rp = rotate(field, params, delta=args.delta)
     out = Path(args.out)
+    # the field's mask is the slope domain; save_field writes it alongside
     fileio.save_field(out, rp.field)
-    mask_path = out.with_suffix(".domain.pf1")
-    fileio.write_pf1(mask_path, rp.domain.slope_grid,
-                     rp.domain.inside.astype(float), "mask")
-    print(f"wrote {out} and {mask_path}")
+    print(f"wrote {out} and {out.with_suffix('.mask.pf1')}")
     return 0
 
 
@@ -249,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--verbose", action="store_true",
+                        help="full audit payloads, debug log lines on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_grid_args(p):
@@ -352,6 +351,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.verbose:
+        logging.getLogger("slag_lab").setLevel(logging.DEBUG)
     try:
         return args.func(args)
     except (SlagLabError, ValueError, OSError) as exc:

@@ -19,11 +19,12 @@ bound over its half-cell box (node value, a closed-form quadratic term per
 axis and the cubic and quartic terms at their largest on the box; cf.
 Moore, Interval Analysis, 1966) falls below the best value found so far.
 The maximum is unchanged bit for bit; in 3-D about 2 % of the candidates
-are left to polish. The third and fourth derivatives are kept packed, one
-column per distinct entry (`hessians.taylor_tensors`), and only the
-polished candidates' rows are expanded to dense tensors. Where the mask has
-no two-cell interior (and on the one-cell rim ring of any mask) the models
-fall back to the plain quadratic ones.
+are left to polish. The models are rows of one table, one per one-cell
+interior node, and a padded copy of the grid maps nodes to rows, so each
+offset's candidates are one gather. Third and fourth derivatives are kept
+packed (`hessians.taylor_tensors`) and expanded only for the polished rows.
+Where the mask has no two-cell interior (and on the one-cell rim ring of
+any mask) the models fall back to the plain quadratic ones.
 
 Slope grids are sized automatically from attained first differences plus a
 two-cell margin, with a node pinned at the slope-space origin; node
@@ -268,7 +269,7 @@ def conjugate_fast(f: PotentialField, slopes: GridSpec | None = None,
 
 
 class _Jets(NamedTuple):
-    """Per-node data of the local quartic Taylor models, indexed like the grid."""
+    """Local quartic Taylor models, one row per node."""
 
     coords: np.ndarray      # node positions x_c
     values: np.ndarray      # f_c
@@ -277,23 +278,22 @@ class _Jets(NamedTuple):
     inv: np.ndarray         # H_c^-1 where usable, else 0
     tens3: np.ndarray       # packed third-derivative tensors
     tens4: np.ndarray       # packed fourth-derivative tensors
-    lam_min: np.ndarray     # smallest eigenvalue of H_c, -inf where invalid
-    usable: np.ndarray      # valid jets with lam_min > _PSD_FLOOR
+    lam_min: np.ndarray     # smallest eigenvalue of H_c
+    usable: np.ndarray      # rows with lam_min > _PSD_FLOOR
     tail: np.ndarray        # (h/2)^3 sum|t3| / 6 + (h/2)^4 sum|t4| / 24
     half: float             # h/2, the half-width of each node's box
 
 
-def _model_jets(coords, values, grads, mats, tens3, tens4, valid,
+def _model_jets(coords, values, grads, mats, tens3, tens4,
                 half: float) -> _Jets:
-    """Screen raw jets by `_PSD_FLOOR` and add inverses and the tail bound.
+    """Screen rows of raw jets by `_PSD_FLOOR`; add inverses and the tail bound.
 
     `tens3` and `tens4` are packed (`hessians.symmetric_slots`); each
     column's absolute value counts once per dense slot it fills.
     """
     d = coords.shape[-1]
-    lam_min = np.full(valid.shape, -np.inf)
-    lam_min[valid] = eigvals_sym(mats[valid])[..., -1]
-    usable = valid & (lam_min > _PSD_FLOOR)
+    lam_min = eigvals_sym(mats)[:, -1]
+    usable = lam_min > _PSD_FLOOR
     inv = np.zeros_like(mats)
     inv[usable] = np.linalg.inv(mats[usable])
     mult3, mult4 = (np.bincount(symmetric_slots(d, k).ravel()).astype(float)
@@ -304,30 +304,26 @@ def _model_jets(coords, values, grads, mats, tens3, tens4, valid,
                  usable, tail, half)
 
 
-def _field_jets(f: PotentialField) -> _Jets:
-    """Jets of `f`: degree-4-exact where the two-cell stencils fit, and the
-    plain quadratic model (zero t3, t4) elsewhere on the one-cell interior,
-    which is all of it when the mask has no two-cell interior."""
-    grads, gvalid = gradient_field(f)
-    mats, hvalid = hessian_matrices(f, stride=1)
+def _field_jets(f: PotentialField) -> tuple[_Jets, np.ndarray]:
+    """Jet rows of `f`, one per one-cell-interior node in row-major order,
+    and the grid padded by `_REFINE_WINDOW` cells holding each usable
+    node's row (-1 elsewhere). Rows are degree-4-exact where the two-cell
+    stencils fit and plain quadratic models (zero t3, t4) elsewhere."""
+    grads, valid = gradient_field(f)
+    mats, _ = hessian_matrices(f, stride=1)
     tens3, tens4, _ = taylor_tensors(f)
     g4, h4, valid2 = fourth_order_jet(f)
     grads = np.where(valid2[..., None], g4, grads)
     mats = np.where(valid2[..., None, None], h4, mats)
-    return _model_jets(f.grid.coords(), f.values, grads, mats, tens3, tens4,
-                       hvalid & gvalid, f.grid.spacing / 2.0)
+    jets = _model_jets(f.grid.coords()[valid], f.values[valid], grads[valid],
+                       mats[valid], tens3[valid], tens4[valid],
+                       f.grid.spacing / 2.0)
+    rows = np.full(f.grid.shape, -1)
+    rows[valid] = np.where(jets.usable, np.arange(jets.usable.size), -1)
+    return jets, np.pad(rows, _REFINE_WINDOW, constant_values=-1)
 
 
-def _candidates(jets: _Jets, anchors: np.ndarray, offset):
-    """Slope rows whose anchor + offset is a usable node, and those nodes."""
-    cand = anchors + np.array(offset)
-    ok = np.all((cand >= 0) & (cand < jets.usable.shape), axis=1)
-    sel = np.flatnonzero(ok)
-    sel = sel[jets.usable[tuple(cand[sel].T)]]
-    return sel, tuple(cand[sel].T)
-
-
-def _box_bound(jets: _Jets, ys: np.ndarray, cidx) -> np.ndarray:
+def _box_bound(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Upper bound of the quartic model of y.x - f over each candidate's box.
 
     With s the step from x_c, |s_k| <= h/2 and H_c >= lam_min I, the model
@@ -338,71 +334,62 @@ def _box_bound(jets: _Jets, ys: np.ndarray, cidx) -> np.ndarray:
     relative slack of `_BOUND_SLACK` on the magnitude of the model's terms
     keeps round-off in either value from dropping a winner.
     """
-    x0 = jets.coords[cidx]
-    f0 = jets.values[cidx]
-    g0 = jets.grads[cidx]
-    lam = jets.lam_min[cidx][:, None]
+    x0 = jets.coords[rows]
+    f0 = jets.values[rows]
+    g0 = jets.grads[rows]
+    lam = jets.lam_min[rows][:, None]
     half = jets.half
     a = np.abs(ys - g0)
     phi = np.where(a <= lam * half, 0.5 * a * a / lam,
                    half * (a - 0.5 * lam * half))
-    bound = (ys * x0).sum(axis=1) - f0 + phi.sum(axis=1) + jets.tail[cidx]
+    bound = (ys * x0).sum(axis=1) - f0 + phi.sum(axis=1) + jets.tail[rows]
     scale = (1.0 + np.abs(f0) + (np.abs(ys) * (np.abs(x0) + half)).sum(axis=1)
              + half * np.abs(g0).sum(axis=1))
     return bound + _BOUND_SLACK * scale
 
 
-def _polish(jets: _Jets, ys: np.ndarray, cidx) -> np.ndarray:
+def _dot(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row-wise contraction of the last axis of t (n, ..., d) with s (n, d)."""
+    return (t.reshape(len(s), -1, s.shape[1]) @ s[:, :, None]).reshape(
+        t.shape[:-1])
+
+
+def _polish(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Maximum of each candidate's quartic model of y.x - f over its box.
 
     A quadratic-model step clamped to the half-cell box, then three Newton
     steps with the cubic and quartic terms, each clamped again; exact
-    polynomial inputs converge to round-off.
+    polynomial inputs converge to round-off. With t3s = t3.s and t4ss =
+    t4.s.s, the gradient is dy - (H + t3s/2 + t4ss/6) s and the Jacobian
+    H + t3s + t4ss/2.
     """
     half = jets.half
-    x0 = jets.coords[cidx]
-    g0 = jets.grads[cidx]
-    h0 = jets.mats[cidx]
-    inv = jets.inv[cidx]
+    g0 = jets.grads[rows]
+    h0 = jets.mats[rows]
+    inv = jets.inv[rows]
     dy = ys - g0
-    step = np.einsum("nij,nj->ni", inv, dy)
-    np.clip(step, -half, half, out=step)
-    # np.take keeps the expanded rows C-ordered, the layout of the dense
-    # tensors the einsums were written for (a[:, slots] is not)
+    step = np.clip(_dot(inv, dy), -half, half)
+    # np.take keeps the expanded rows C-ordered (a[:, slots] is not)
     d = ys.shape[1]
-    t3 = np.take(jets.tens3[cidx], symmetric_slots(d, 3), axis=1)
-    t4 = np.take(jets.tens4[cidx], symmetric_slots(d, 4), axis=1)
+    t3 = np.take(jets.tens3[rows], symmetric_slots(d, 3), axis=1)
+    t4 = np.take(jets.tens4[rows], symmetric_slots(d, 4), axis=1)
     for _ in range(3):
-        grad_tail = (
-            0.5 * np.einsum("nabc,nb,nc->na", t3, step, step)
-            + np.einsum("nabcd,nb,nc,nd->na", t4, step, step, step)
-            / 6.0
-        )
-        resid = dy - np.einsum("nij,nj->ni", h0, step) - grad_tail
-        jac = (
-            h0
-            + np.einsum("nabc,nc->nab", t3, step)
-            + 0.5 * np.einsum("nabcd,nc,nd->nab", t4, step, step)
-        )
+        t3s = _dot(t3, step)
+        t4ss = _dot(_dot(t4, step), step)
+        resid = dy - _dot(h0 + t3s / 2.0 + t4ss / 6.0, step)
+        jac = h0 + t3s + t4ss / 2.0
         good = np.linalg.det(jac) > 1e-14
-        delta = np.einsum("nij,nj->ni", inv, resid)
+        delta = _dot(inv, resid)
         if good.any():
             delta[good] = np.linalg.solve(
                 jac[good], resid[good][..., None]
             )[..., 0]
-        step = step + delta
-        np.clip(step, -half, half, out=step)
-    model = (
-        np.einsum("ni,ni->n", ys, x0 + step)
-        - jets.values[cidx]
-        - np.einsum("ni,ni->n", g0, step)
-        - 0.5 * np.einsum("ni,nij,nj->n", step, h0, step)
-    )
-    model -= np.einsum("nabc,na,nb,nc->n", t3, step, step, step) / 6.0
-    model -= np.einsum(
-        "nabcd,na,nb,nc,nd->n", t4, step, step, step, step
-    ) / 24.0
-    return model
+        step = np.clip(step + delta, -half, half)
+    t3s = _dot(t3, step)
+    t4ss = _dot(_dot(t4, step), step)
+    quad = _dot(h0 / 2.0 + t3s / 6.0 + t4ss / 24.0, step)
+    return ((ys * (jets.coords[rows] + step) - (g0 + quad) * step).sum(axis=1)
+            - jets.values[rows])
 
 
 def refined_sup(f: PotentialField, slopes: GridSpec):
@@ -424,21 +411,23 @@ def refined_sup(f: PotentialField, slopes: GridSpec):
     the lattice).
     """
     vals, arg, vals_in = sup_with_argmax(f, slopes)
-    jets = _field_jets(f)
-    anchors = np.argwhere(f.mask)[arg]      # (M, dim)
+    jets, lookup = _field_jets(f)
+    # flat index of each slope row's anchor in the padded lookup
+    anchors = np.flatnonzero(np.pad(f.mask, _REFINE_WINDOW))[arg]
+    strides = np.array(lookup.strides) // lookup.itemsize
     ys = slopes.coords().reshape(-1, f.grid.dim)
     best = vals.copy()
     window = range(-_REFINE_WINDOW, _REFINE_WINDOW + 1)
     rings = sorted(product(window, repeat=f.grid.dim),
                    key=lambda o: max(map(abs, o)))
     for offset in rings:
-        sel, cidx = _candidates(jets, anchors, offset)
-        live = _box_bound(jets, ys[sel], cidx) >= best[sel]
+        rows = lookup.ravel()[anchors + strides @ offset]
+        sel = np.flatnonzero(rows >= 0)
+        live = _box_bound(jets, ys[sel], rows[sel]) >= best[sel]
         sel = sel[live]
-        if sel.size == 0:
-            continue
-        cidx = tuple(c[live] for c in cidx)
-        best[sel] = np.maximum(best[sel], _polish(jets, ys[sel], cidx))
+        if sel.size:
+            best[sel] = np.maximum(best[sel],
+                                   _polish(jets, ys[sel], rows[sel]))
     return best, arg, vals_in, vals
 
 

@@ -21,12 +21,12 @@ import numpy as np
 from scipy import ndimage
 
 from .audits import (
-    _RIM_EXCLUSION,
     JetCheckConfig,
     check_rotation_preserves_subsolution,
     check_rotation_preserves_supersolution,
     coefficient_sweep,
     hessian_bound_harness,
+    rotated_interior_eigs,
     subharmonicity_trial,
 )
 from .conjugate import (
@@ -129,12 +129,6 @@ def _margin_report(name, checked, worst, allowance, quantity,
     )
 
 
-def _rotated_interior_eigs(rp):
-    hf = hessian_field(rp.field)
-    inner = hf.interior_mask & erode_mask(rp.domain.inside, _RIM_EXCLUSION)
-    return eigvals_sym(hf.matrices[inner]), int(inner.sum())
-
-
 def exp_quadratic_rotation(cfg: ExperimentConfig) -> ExperimentResult:
     """Criterion 1: rotating K/2 |x|^2 at pi/4 gives Hessian (K-1)/(K+1)."""
     params = RotationParams.from_alpha(math.pi / 4)
@@ -145,7 +139,7 @@ def exp_quadratic_rotation(cfg: ExperimentConfig) -> ExperimentResult:
         grid = GridSpec.ball_box(2, nodes)
         u = sample_potential(iso_quad(k), grid)
         rp = rotate(u, params)
-        lam, checked = _rotated_interior_eigs(rp)
+        lam, checked = rotated_interior_eigs(rp)
         expected = (k - 1.0) / (k + 1.0)
         worst = float(np.abs(lam - expected).max())
         reports.append(
@@ -164,7 +158,7 @@ def exp_zero_potential(cfg: ExperimentConfig) -> ExperimentResult:
     grid = GridSpec.ball_box(2, int(cfg.overrides.get("grid", 65)))
     u = sample_potential(zero, grid)
     rp = rotate(u, params)
-    lam, checked = _rotated_interior_eigs(rp)
+    lam, checked = rotated_interior_eigs(rp)
     worst = float(np.abs(lam + 1.0).max())
     phase = float(np.abs(np.arctan(lam).sum(-1) + math.pi / 2).max())
     reports = [
@@ -186,7 +180,7 @@ def exp_phase_shift(cfg: ExperimentConfig) -> ExperimentResult:
         theta = dim * math.atan(k)
         for alpha in (math.pi / 8, math.pi / 4, 3 * math.pi / 8):
             rp = rotate(u, RotationParams.from_alpha(alpha))
-            lam, checked = _rotated_interior_eigs(rp)
+            lam, checked = rotated_interior_eigs(rp)
             phases = np.arctan(lam).sum(axis=-1)
             worst = float(np.abs(phases - (theta - dim * alpha)).max())
             reports.append(
@@ -331,7 +325,7 @@ def exp_rotation_window(cfg: ExperimentConfig) -> ExperimentResult:
         else:
             u = sample_potential(quartic(payload), grid)
         rp = rotate(u, params)
-        lam, checked = _rotated_interior_eigs(rp)
+        lam, checked = rotated_interior_eigs(rp)
         worst = float(max(lam.max() - 1.0, -1.0 - lam.min()))
         reports.append(
             _margin_report(

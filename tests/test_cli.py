@@ -1,10 +1,15 @@
 """CLI flows: subcommands, experiment runner, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slag_lab
 from slag_lab.audits import check_supersolution
 from slag_lab.cli import main
 from slag_lab.experiments import (
@@ -59,9 +64,29 @@ class TestSubcommands:
                 "--out", str(u))
         assert run_cli("rotate", "--alpha", str(np.pi / 4), "--in", str(u),
                        "--out", str(out)) == 0
-        _, mask_vals, kind = read_pf1(tmp_path / "ubar.domain.pf1")
+        _, mask_vals, kind = read_pf1(tmp_path / "ubar.mask.pf1")
         assert kind == "mask"
-        assert set(np.unique(mask_vals)) <= {0.0, 1.0}
+        rp = rotate(load_field(u), RotationParams.from_alpha(np.pi / 4))
+        assert np.array_equal(mask_vals, rp.domain.inside.astype(float))
+        assert not (tmp_path / "ubar.domain.pf1").exists()
+
+    def test_verbose_shows_the_log_lines_on_stderr(self, tmp_path):
+        u = tmp_path / "u.pf1"
+        run_cli("sample", "--formula", "quartic:1", "--grid", "17",
+                "--out", str(u))
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(slag_lab.__file__).resolve().parents[1])}
+        script = "import sys; from slag_lab.cli import main; sys.exit(main())"
+        runs = [subprocess.run(
+            [sys.executable, "-c", script, *flags, "conjugate", "--in", str(u),
+             "--out", str(tmp_path / "star.pf1")],
+            capture_output=True, text=True, env=env, check=True)
+            for flags in ((), ("--verbose",))]
+        quiet, loud = runs
+        assert "hull pass" not in quiet.stderr
+        # one line per pass of the separable transform, one pass per axis
+        assert loud.stderr.count("hull pass") == 2
+        assert loud.stdout == quiet.stdout
 
     def test_convert_round_trip(self, tmp_path):
         u = tmp_path / "u.pf1"

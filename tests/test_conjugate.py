@@ -25,7 +25,6 @@ from slag_lab import conjugate
 from slag_lab.conjugate import (
     _REFINE_WINDOW,
     _box_bound,
-    _candidates,
     _field_jets,
     _hull_transform,
     _model_jets,
@@ -328,27 +327,46 @@ class TestBatchedHullKernel:
         assert rounds == n - 1
 
 
+def _reference_candidates(f, jets, anchors, offset):
+    """Slope rows whose anchor + offset is a usable node, and its jet row.
+
+    Plain grid indices with explicit bounds checks, independent of the
+    padded lookup of `refined_sup`: jet rows number the one-cell interior
+    in row-major order."""
+    inner = erode_mask(f.mask, 1)
+    row_of = np.full(f.grid.shape, -1)
+    row_of[inner] = np.arange(int(inner.sum()))
+    cand = anchors + np.array(offset)
+    sel = np.flatnonzero(np.all((cand >= 0) & (cand < f.grid.shape), axis=1))
+    rows = row_of[tuple(cand[sel].T)]
+    sel, rows = sel[rows >= 0], rows[rows >= 0]
+    keep = jets.usable[rows]
+    return sel[keep], rows[keep]
+
+
 def _unpruned_refined_values(f, slopes):
     """`refined_sup` values with every offset polished and no bound."""
     vals, arg, _ = sup_with_argmax(f, slopes)
-    jets = _field_jets(f)
+    jets, _ = _field_jets(f)
     anchors = np.argwhere(f.mask)[arg]
     ys = slopes.coords().reshape(-1, f.grid.dim)
     best = vals.copy()
     window = range(-_REFINE_WINDOW, _REFINE_WINDOW + 1)
     for offset in product(window, repeat=f.grid.dim):
-        sel, cidx = _candidates(jets, anchors, offset)
+        sel, rows = _reference_candidates(f, jets, anchors, offset)
         if sel.size:
-            best[sel] = np.maximum(best[sel], _polish(jets, ys[sel], cidx))
+            best[sel] = np.maximum(best[sel], _polish(jets, ys[sel], rows))
     return best
 
 
-def _random_convex_field(seed, dim):
+def _random_convex_field(seed, dim, box=False):
     """Smooth uniformly convex field on a ball cut by a plane and a hole.
 
     A quadratic, a quartic, a softplus ridge and an affine part, so the
     polish is neither exact nor trivial; the cuts give the mask non-convex
-    rims, where candidates fall on the quadratic rim jets."""
+    rims, where candidates fall on the quadratic rim jets. With `box` the
+    mask is the whole grid instead, so anchors lie on its faces and some
+    candidate offsets leave it."""
     rng = np.random.default_rng(seed)
     nodes = int(rng.integers(17, 30) if dim == 2 else rng.integers(15, 18))
     radius = float(rng.uniform(0.5, 2.0))
@@ -360,6 +378,8 @@ def _random_convex_field(seed, dim):
               + rng.uniform(0.0, 2.0) * r2 * r2
               + np.logaddexp(0.0, x @ rng.normal(size=dim))
               + x @ rng.normal(size=dim))
+    if box:
+        return PotentialField(grid, values, np.ones(grid.shape, dtype=bool))
     normal = rng.normal(size=dim)
     centre = rng.uniform(-0.7, 0.7, size=dim) * radius
     mask = (grid.ball_mask()
@@ -378,11 +398,15 @@ class TestRefinedSupPruning:
     """The box bound and ring order of `refined_sup` change no output bit."""
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
-    def test_equals_the_unpruned_maximum(self, seed, dim):
-        f = _random_convex_field(seed, dim)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           box=st.booleans())
+    def test_equals_the_unpruned_maximum(self, seed, dim, box):
+        f = _random_convex_field(seed, dim, box)
         slopes = auto_slope_grid(f)
         best, arg, vals_in, vals = refined_sup(f, slopes)
+        if box:
+            anchors = np.argwhere(f.mask)[arg]
+            assert np.any((anchors == 0) | (anchors == f.grid.shape[0] - 1))
         ref_vals, ref_arg, ref_in = sup_with_argmax(f, slopes)
         assert np.array_equal(best, _unpruned_refined_values(f, slopes))
         assert np.array_equal(arg, ref_arg)
@@ -393,20 +417,20 @@ class TestRefinedSupPruning:
     def test_most_candidates_are_pruned(self, dim, nodes, monkeypatch):
         f = sample_potential(quartic(1.0), GridSpec.ball_box(dim, nodes))
         slopes = auto_slope_grid(f)
-        rows = []
+        polished = []
 
-        def counting(jets, ys, cidx):
-            rows.append(len(ys))
-            return _polish(jets, ys, cidx)
+        def counting(jets, ys, cand):
+            polished.append(len(ys))
+            return _polish(jets, ys, cand)
 
         monkeypatch.setattr(conjugate, "_polish", counting)
         refined_sup(f, slopes)
-        jets = _field_jets(f)
+        jets, _ = _field_jets(f)
         anchors = np.argwhere(f.mask)[sup_with_argmax(f, slopes)[1]]
         window = range(-_REFINE_WINDOW, _REFINE_WINDOW + 1)
-        total = sum(_candidates(jets, anchors, o)[0].size
+        total = sum(_reference_candidates(f, jets, anchors, o)[0].size
                     for o in product(window, repeat=dim))
-        assert 0 < sum(rows) < 0.25 * total
+        assert 0 < sum(polished) < 0.25 * total
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
@@ -434,13 +458,13 @@ class TestRefinedSupPruning:
         grads = rng.normal(size=(n, dim)) * 3.0
         values = rng.normal(size=n) * 10.0
         jets = _model_jets(coords, values, grads, mats, tens[0], tens[1],
-                           np.ones(n, dtype=bool), half)
+                           half)
         assert jets.usable.all()
         lam_max = np.linalg.eigvalsh(mats)[:, -1]
         ys = grads + (reach * lam_max * half)[:, None] * rng.normal(size=(n, dim))
-        cidx = (np.arange(n),)
-        model = _polish(jets, ys, cidx)
-        assert np.all(model <= _box_bound(jets, ys, cidx))
+        rows = np.arange(n)
+        model = _polish(jets, ys, rows)
+        assert np.all(model <= _box_bound(jets, ys, rows))
 
 
 class TestTransformLaws:

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 from scipy import ndimage
 
-from .eigen import Spectrum, eigvals_sym
+from .eigen import Spectrum, adjugate, eigvals_sym
 from .errors import ConvexityError, GridError
 from .fields import GridSpec, PotentialField, erode_mask, osc
 from .hessians import (
@@ -323,13 +323,12 @@ def laplace_beltrami(values: np.ndarray, valid: np.ndarray,
     if not out_valid.any():
         return np.full(grid.shape, np.nan), out_valid
 
-    det = np.linalg.det(metric.matrices[usable])
+    # sqrt(det G) G^-1 = adj(G) / sqrt(det G)
+    adj, det = adjugate(metric.matrices[usable])
     sqrt_det = np.full(grid.shape, np.nan)
     sqrt_det[usable] = np.sqrt(det)
     w = np.zeros(grid.shape + (d, d))
-    w[usable] = sqrt_det[usable][..., None, None] * np.linalg.inv(
-        metric.matrices[usable]
-    )
+    w[usable] = adj / sqrt_det[usable][..., None, None]
     f = np.where(usable, values, np.nan)
 
     acc = np.zeros(grid.shape)

@@ -21,10 +21,16 @@ Moore, Interval Analysis, 1966) falls below the best value found so far.
 The maximum is unchanged bit for bit; in 3-D about 2 % of the candidates
 are left to polish. The models are rows of one table, one per one-cell
 interior node, and a padded copy of the grid maps nodes to rows, so each
-offset's candidates are one gather. Third and fourth derivatives are kept
+offset's candidates are one gather; everything the bound reads of a node
+is one packed row of a second table. Third and fourth derivatives are kept
 packed (`hessians.taylor_tensors`) and expanded only for the polished rows.
 Where the mask has no two-cell interior (and on the one-cell rim ring of
-any mask) the models fall back to the plain quadratic ones.
+any mask) the models fall back to the plain quadratic ones. The d x d
+Newton systems and Hessian inverses are closed-form adjugates over
+determinants (`eigen.adjugate`). Slope rows are independent, so contiguous
+chunks of them run on a thread pool, one per usable core (capped by
+`SLAG_LAB_THREADS`) on grids large enough to pay for a thread; every
+chunk count gives the same bits.
 
 Slope grids are sized automatically from attained first differences plus a
 two-cell margin, with a node pinned at the slope-space origin; node
@@ -34,6 +40,7 @@ quotients within round-off of an integer are snapped to it first.
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -41,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .eigen import eigvals_sym
+from .eigen import adjugate, eigvals_sym
 from .errors import ConvexityError, SlopeGridError
 from .fields import GridSpec, PotentialField, erode_mask
 from .hessians import (
@@ -54,6 +61,7 @@ from .hessians import (
     taylor_tensors,
 )
 from .reports import AuditReport
+from .workers import max_workers, usable_cores
 
 logger = logging.getLogger("slag_lab.conjugate")
 
@@ -63,6 +71,12 @@ _CHUNK_FLOATS = 8_000_000
 # and the smallest Hessian eigenvalue that admits a local model
 _REFINE_WINDOW = 2
 _PSD_FLOOR = 1e-10
+# refined_sup: fewest slope rows per chunk. Two threads beat one from
+# about 7k rows per chunk in 3-D and 3k in 2-D (below that, a chunk's small
+# per-offset arrays make two threads slower). The value follows the 3-D
+# figure, so 2-D slope grids of 6k to 16k rows stay on one core and give
+# up a measured gain
+_CHUNK_ROWS = 8192
 # auto_slope_grid: node quotients this close to an integer (relative) are
 # snapped to it; FD round-off leaves them up to ~50 ulps off, while
 # genuinely fractional quotients lie ~1e13 ulps away
@@ -278,30 +292,41 @@ class _Jets(NamedTuple):
     inv: np.ndarray         # H_c^-1 where usable, else 0
     tens3: np.ndarray       # packed third-derivative tensors
     tens4: np.ndarray       # packed fourth-derivative tensors
-    lam_min: np.ndarray     # smallest eigenvalue of H_c
     usable: np.ndarray      # rows with lam_min > _PSD_FLOOR
-    tail: np.ndarray        # (h/2)^3 sum|t3| / 6 + (h/2)^4 sum|t4| / 24
+    bound: np.ndarray       # `_box_bound`'s table: x_c, g_c, lam_min h/2,
+                            # 1/(2 lam_min), c_c
+    reach: float            # max |x_ck| + h/2
     half: float             # h/2, the half-width of each node's box
 
 
 def _model_jets(coords, values, grads, mats, tens3, tens4,
                 half: float) -> _Jets:
-    """Screen rows of raw jets by `_PSD_FLOOR`; add inverses and the tail bound.
+    """Screen rows of raw jets by `_PSD_FLOOR`; add inverses and the bound table.
 
     `tens3` and `tens4` are packed (`hessians.symmetric_slots`); each
-    column's absolute value counts once per dense slot it fills.
+    column's absolute value counts once per dense slot it fills. The table
+    row of node c holds x_c, g_c, lam_min h/2, 1/(2 lam_min) and
+    c_c = -f_c + tail_c + `_BOUND_SLACK` (1 + |f_c| + (h/2) sum|g_c|), with
+    tail_c = (h/2)^3 sum|t3| / 6 + (h/2)^4 sum|t4| / 24.
     """
     d = coords.shape[-1]
     lam_min = eigvals_sym(mats)[:, -1]
     usable = lam_min > _PSD_FLOOR
+    adj, det = adjugate(mats[usable])
     inv = np.zeros_like(mats)
-    inv[usable] = np.linalg.inv(mats[usable])
+    inv[usable] = adj / det[:, None, None]
     mult3, mult4 = (np.bincount(symmetric_slots(d, k).ravel()).astype(float)
                     for k in (3, 4))
     tail = (half**3 * (np.abs(tens3) @ mult3) / 6.0
             + half**4 * (np.abs(tens4) @ mult4) / 24.0)
-    return _Jets(coords, values, grads, mats, inv, tens3, tens4, lam_min,
-                 usable, tail, half)
+    offset = -values + tail + _BOUND_SLACK * (
+        1.0 + np.abs(values) + half * np.abs(grads).sum(axis=1))
+    inv_2lam = np.divide(0.5, lam_min, out=np.zeros_like(lam_min),
+                         where=usable)
+    bound = np.column_stack([coords, grads, lam_min * half, inv_2lam, offset])
+    reach = float(np.abs(coords).max(initial=0.0)) + half
+    return _Jets(coords, values, grads, mats, inv, tens3, tens4, usable,
+                 bound, reach, half)
 
 
 def _field_jets(f: PotentialField) -> tuple[_Jets, np.ndarray]:
@@ -330,22 +355,21 @@ def _box_bound(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     y.x_c - f_c + dy.s - s.H_c.s/2 - t3[s,s,s]/6 - t4[s,s,s,s]/24 with
     dy = y - g_c is at most its node value plus sum_k phi(|dy_k|) plus the
     precomputed tail, where phi(a) = max over |s| <= h/2 of a s - lam_min
-    s^2/2 (a^2/(2 lam_min) inside the box, else a h/2 - lam_min h^2/8). A
-    relative slack of `_BOUND_SLACK` on the magnitude of the model's terms
-    keeps round-off in either value from dropping a winner.
+    s^2/2 = (a^2 - max(a - lam_min h/2, 0)^2) / (2 lam_min), evaluated as
+    m (2a - m) / (2 lam_min) with m = min(a, lam_min h/2), which cancels
+    nothing. A relative slack of `_BOUND_SLACK` on the magnitude of the
+    model's terms keeps round-off in either value from dropping a winner;
+    its y-dependent part is `_BOUND_SLACK` reach sum|y_k|, never below
+    sum|y_k| (|x_ck| + h/2). One gather of the table serves each call.
     """
-    x0 = jets.coords[rows]
-    f0 = jets.values[rows]
-    g0 = jets.grads[rows]
-    lam = jets.lam_min[rows][:, None]
-    half = jets.half
-    a = np.abs(ys - g0)
-    phi = np.where(a <= lam * half, 0.5 * a * a / lam,
-                   half * (a - 0.5 * lam * half))
-    bound = (ys * x0).sum(axis=1) - f0 + phi.sum(axis=1) + jets.tail[rows]
-    scale = (1.0 + np.abs(f0) + (np.abs(ys) * (np.abs(x0) + half)).sum(axis=1)
-             + half * np.abs(g0).sum(axis=1))
-    return bound + _BOUND_SLACK * scale
+    d = ys.shape[1]
+    t = jets.bound[rows]
+    a = np.abs(ys - t[:, d:2 * d])
+    m = np.minimum(a, t[:, 2 * d, None])
+    return (np.einsum("ij,ij->i", ys, t[:, :d])
+            + t[:, 2 * d + 1] * np.einsum("ij,ij->i", m, 2.0 * a - m)
+            + t[:, 2 * d + 2]
+            + _BOUND_SLACK * jets.reach * np.abs(ys).sum(axis=1))
 
 
 def _dot(t: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -361,7 +385,8 @@ def _polish(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     steps with the cubic and quartic terms, each clamped again; exact
     polynomial inputs converge to round-off. With t3s = t3.s and t4ss =
     t4.s.s, the gradient is dy - (H + t3s/2 + t4ss/6) s and the Jacobian
-    H + t3s + t4ss/2.
+    J = H + t3s + t4ss/2; each step solves J delta = gradient as
+    adj(J) gradient / det(J), or takes H^-1 gradient where det(J) <= 1e-14.
     """
     half = jets.half
     g0 = jets.grads[rows]
@@ -377,19 +402,45 @@ def _polish(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
         t3s = _dot(t3, step)
         t4ss = _dot(_dot(t4, step), step)
         resid = dy - _dot(h0 + t3s / 2.0 + t4ss / 6.0, step)
-        jac = h0 + t3s + t4ss / 2.0
-        good = np.linalg.det(jac) > 1e-14
-        delta = _dot(inv, resid)
-        if good.any():
-            delta[good] = np.linalg.solve(
-                jac[good], resid[good][..., None]
-            )[..., 0]
+        adj, det = adjugate(h0 + t3s + t4ss / 2.0)
+        good = det > 1e-14
+        delta = np.where(good[:, None],
+                         _dot(adj, resid) / np.where(good, det, 1.0)[:, None],
+                         _dot(inv, resid))
         step = np.clip(step + delta, -half, half)
     t3s = _dot(t3, step)
     t4ss = _dot(_dot(t4, step), step)
     quad = _dot(h0 / 2.0 + t3s / 6.0 + t4ss / 24.0, step)
     return ((ys * (jets.coords[rows] + step) - (g0 + quad) * step).sum(axis=1)
             - jets.values[rows])
+
+
+def _row_chunks(rows: int) -> int:
+    """Contiguous slope-row chunks for `refined_sup` to run side by side.
+
+    One per usable core, capped by `SLAG_LAB_THREADS`, and no more than
+    one per `_CHUNK_ROWS` rows.
+    """
+    return max(1, min(max_workers(usable_cores()), rows // _CHUNK_ROWS))
+
+
+def _refine_rows(jets: _Jets, lookup: np.ndarray, steps: np.ndarray,
+                 anchors: np.ndarray, ys: np.ndarray,
+                 best: np.ndarray) -> None:
+    """Raise `best` in place to the polished maxima of its slope rows.
+
+    `anchors` are the rows' node argmaxes as flat indices into the flat
+    padded `lookup`, and `steps` the flat offsets in ring order. Runs
+    only numpy, `_box_bound` and `_polish`, so chunks can share a pool.
+    """
+    for step in steps:
+        rows = lookup[anchors + step]
+        sel = np.flatnonzero(rows >= 0)
+        live = _box_bound(jets, ys[sel], rows[sel]) >= best[sel]
+        sel = sel[live]
+        if sel.size:
+            best[sel] = np.maximum(best[sel],
+                                   _polish(jets, ys[sel], rows[sel]))
 
 
 def refined_sup(f: PotentialField, slopes: GridSpec):
@@ -406,28 +457,37 @@ def refined_sup(f: PotentialField, slopes: GridSpec):
     offset), and one is polished only if the upper bound of its model over
     the box (`_box_bound`) reaches the best value found so far; a maximum
     does not depend on the order of its terms, so the pruning changes no
-    output bit. Returns (values, argmax, interior node values, node values); attainment
-    tests must compare the last two (refined values exceed node suprema off
-    the lattice).
+    output bit. Slope rows are independent, so contiguous chunks of them
+    (`_row_chunks`) run on a thread pool, with the same output bits as one
+    chunk. Returns (values, argmax, interior node values, node values);
+    attainment tests must compare the last two (refined values exceed node
+    suprema off the lattice).
     """
     vals, arg, vals_in = sup_with_argmax(f, slopes)
     jets, lookup = _field_jets(f)
-    # flat index of each slope row's anchor in the padded lookup
+    # flat index of each slope row's anchor in the padded lookup, and the
+    # flat step of each offset
     anchors = np.flatnonzero(np.pad(f.mask, _REFINE_WINDOW))[arg]
-    strides = np.array(lookup.strides) // lookup.itemsize
-    ys = slopes.coords().reshape(-1, f.grid.dim)
-    best = vals.copy()
     window = range(-_REFINE_WINDOW, _REFINE_WINDOW + 1)
     rings = sorted(product(window, repeat=f.grid.dim),
                    key=lambda o: max(map(abs, o)))
-    for offset in rings:
-        rows = lookup.ravel()[anchors + strides @ offset]
-        sel = np.flatnonzero(rows >= 0)
-        live = _box_bound(jets, ys[sel], rows[sel]) >= best[sel]
-        sel = sel[live]
-        if sel.size:
-            best[sel] = np.maximum(best[sel],
-                                   _polish(jets, ys[sel], rows[sel]))
+    steps = np.array(rings) @ (np.array(lookup.strides) // lookup.itemsize)
+    flat = lookup.ravel()
+    ys = slopes.coords().reshape(-1, f.grid.dim)
+    best = vals.copy()
+    n = best.size
+    chunks = _row_chunks(n)
+    ends = [n * i // chunks for i in range(chunks + 1)]
+
+    def refine(lo: int, hi: int) -> None:
+        _refine_rows(jets, flat, steps, anchors[lo:hi], ys[lo:hi],
+                     best[lo:hi])
+
+    if chunks == 1:
+        refine(0, n)
+    else:
+        with ThreadPoolExecutor(chunks) as pool:
+            list(pool.map(refine, ends[:-1], ends[1:]))
     return best, arg, vals_in, vals
 
 

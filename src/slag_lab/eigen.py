@@ -1,8 +1,11 @@
-"""Closed-form eigenvalue solvers for symmetric 2x2 and 3x3 matrices.
+"""Eigenvalues and closed-form adjugates of 2x2 and 3x3 matrices.
 
-Both the single-matrix and batched entry points return eigenvalues sorted in
-descending order. The 3x3 path uses the trigonometric method on the shifted
-and scaled matrix; r is clamped to [-1, 1] against round-off.
+Both the single-matrix and batched eigenvalue entry points return
+eigenvalues sorted in descending order. 2x2 spectra are closed-form; 3x3
+spectra come from LAPACK (`eigvalsh`). The trigonometric closed form
+(Smith, CACM 1961) loses about half the digits near a double eigenvalue,
+where every Hessian of a radial 3-D field lies; sending only those
+matrices to LAPACK was slower on such fields than LAPACK alone.
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
+
+# adjugate, 3x3: (i + 1) % 3 and (i + 2) % 3
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -47,30 +54,37 @@ def _eigvals2(m: np.ndarray) -> np.ndarray:
 
 
 def _eigvals3(m: np.ndarray) -> np.ndarray:
-    # m: (..., 3, 3) symmetric -> (..., 3) descending
-    m = np.asarray(m, dtype=float)
-    p1 = m[..., 0, 1] ** 2 + m[..., 0, 2] ** 2 + m[..., 1, 2] ** 2
-    diag = np.stack([m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]], axis=-1)
-    q = diag.mean(axis=-1)
-    p2 = ((diag - q[..., None]) ** 2).sum(axis=-1) + 2.0 * p1
-    p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
-    safe_p = np.where(p > 0, p, 1.0)
-    b = (m - q[..., None, None] * np.eye(3)) / safe_p[..., None, None]
-    r = (
-        b[..., 0, 0] * (b[..., 1, 1] * b[..., 2, 2] - b[..., 1, 2] ** 2)
-        - b[..., 0, 1] * (b[..., 0, 1] * b[..., 2, 2] - b[..., 1, 2] * b[..., 0, 2])
-        + b[..., 0, 2] * (b[..., 0, 1] * b[..., 1, 2] - b[..., 1, 1] * b[..., 0, 2])
-    ) / 2.0
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    lam1 = q + 2.0 * p * np.cos(phi)
-    lam3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    lam2 = 3.0 * q - lam1 - lam3  # trace identity
-    out = np.stack([lam1, lam2, lam3], axis=-1)
-    # p == 0 means the matrix is a multiple of the identity
-    iso = p2 <= 0
-    if np.any(iso):
-        out = np.where(iso[..., None], q[..., None] * np.ones(3), out)
+    # m: (..., 3, 3) symmetric -> (..., 3) descending; LAPACK raises on
+    # non-finite input, which gives NaN rows here instead
+    out = np.full(m.shape[:-1], np.nan)
+    ok = np.isfinite(m).all(axis=(-2, -1))
+    out[ok] = np.linalg.eigvalsh(m[ok])[..., ::-1]
     return out
+
+
+def adjugate(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(adj(S), det(S)) of a batch (..., d, d), d = 2 or 3, in closed form.
+
+    S^-1 = adj(S) / det(S). In 3x3, adj(S)[i, j] = S[j+1, i+1] S[j+2, i+2]
+    - S[j+1, i+2] S[j+2, i+1] (indices mod 3): the columns of adj(S) are
+    the cross products r1 x r2, r2 x r0 and r0 x r1 of the rows of S.
+    """
+    d = s.shape[-1]
+    if d == 2:
+        adj = np.empty_like(s)
+        adj[..., 0, 0] = s[..., 1, 1]
+        adj[..., 0, 1] = -s[..., 0, 1]
+        adj[..., 1, 0] = -s[..., 1, 0]
+        adj[..., 1, 1] = s[..., 0, 0]
+        det = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
+    elif d == 3:
+        # j + 1, j + 2 vary along the columns of adj, i + 1, i + 2 down them
+        j1, j2, i1, i2 = _NEXT, _PREV, _NEXT[:, None], _PREV[:, None]
+        adj = s[..., j1, i1] * s[..., j2, i2] - s[..., j1, i2] * s[..., j2, i1]
+        det = np.einsum("...i,...i->...", s[..., 0, :], adj[..., :, 0])
+    else:
+        raise GridError(f"closed-form adjugate needs d = 2 or 3, got {d}")
+    return adj, det
 
 
 def eigvals_sym(matrices: np.ndarray) -> np.ndarray:

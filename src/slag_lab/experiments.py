@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from datetime import datetime, timezone
@@ -54,6 +53,7 @@ from .operators import ProblemSpec
 from .reports import AuditReport
 from .rotation import RotatedPotential, RotationParams, rotate
 from .solver import solve_dirichlet
+from .workers import max_workers
 
 DEFAULT_SEED = 20240817
 
@@ -659,21 +659,6 @@ def write_artifacts(results, outdir: Path):
         for result in results:
             for r in result.reports:
                 writer.writerow(r.summary_row())
-
-
-def max_workers(requested: int) -> int:
-    """`requested` capped by the SLAG_LAB_THREADS environment variable."""
-    cap = os.environ.get("SLAG_LAB_THREADS")
-    if not cap:
-        return max(1, requested)
-    try:
-        limit = int(cap)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ValueError(
-            f"SLAG_LAB_THREADS must be a positive integer, got {cap!r}")
-    return max(1, min(requested, limit))
 
 
 def run_all(outdir: Path | None = None, names=None, parallel: int = 1,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigen import adjugate
 from .errors import PhaseError
 from .hessians import HessianField
 
@@ -100,29 +101,10 @@ def slag_linearization_batch(ms: np.ndarray) -> np.ndarray:
     """(I + M^2)^{-1} for a batch (..., d, d), d = 2 or 3, as adj(S) / det(S).
 
     For symmetric M, S = I + M^2 is SPD with every eigenvalue >= 1, so
-    det(S) >= 1. The adjugate of a 3x3 matrix has the columns r1 x r2,
-    r2 x r0 and r0 x r1 of its rows r0, r1, r2.
+    det(S) >= 1 (`eigen.adjugate`).
     """
     ms = np.asarray(ms, dtype=float)
-    d = ms.shape[-1]
-    s = ms @ ms + np.eye(d)
-    if d == 2:
-        adj = np.empty_like(s)
-        adj[..., 0, 0] = s[..., 1, 1]
-        adj[..., 0, 1] = -s[..., 0, 1]
-        adj[..., 1, 0] = -s[..., 1, 0]
-        adj[..., 1, 1] = s[..., 0, 0]
-        det = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
-    elif d == 3:
-        adj = np.empty_like(s)
-        for col, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-            for row in range(3):
-                p, q = (row + 1) % 3, (row + 2) % 3
-                adj[..., row, col] = (s[..., a, p] * s[..., b, q]
-                                      - s[..., a, q] * s[..., b, p])
-        det = np.einsum("...i,...i->...", s[..., 0, :], adj[..., :, 0])
-    else:
-        raise ValueError(f"closed-form linearization needs d = 2 or 3, got {d}")
+    adj, det = adjugate(ms @ ms + np.eye(ms.shape[-1]))
     return adj / det[..., None, None]
 
 

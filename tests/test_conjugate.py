@@ -1,6 +1,7 @@
 """Legendre-Fenchel transforms, subdifferentials, slope domains, sum rule."""
 
 import math
+import sys
 from itertools import combinations_with_replacement, permutations, product
 from unittest import mock
 
@@ -23,12 +24,14 @@ from slag_lab import (
 )
 from slag_lab import conjugate
 from slag_lab.conjugate import (
+    _CHUNK_ROWS,
     _REFINE_WINDOW,
     _box_bound,
     _field_jets,
     _hull_transform,
     _model_jets,
     _polish,
+    _row_chunks,
     _sup_brute,
     _tight_members,
     auto_slope_grid,
@@ -45,6 +48,7 @@ from slag_lab.formulas import (
     random_spd_matrix,
 )
 from slag_lab.hessians import directional_convexity_deficit
+from slag_lab.workers import usable_cores
 
 
 def attained_interior(f, star_grid):
@@ -465,6 +469,93 @@ class TestRefinedSupPruning:
         rows = np.arange(n)
         model = _polish(jets, ys, rows)
         assert np.all(model <= _box_bound(jets, ys, rows))
+
+
+class TestPolish:
+    """`_polish` against models whose maximizer over the box is known."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           n=st.integers(1, 12))
+    def test_reaches_an_interior_maximum_to_round_off(self, seed, dim, n):
+        # random SPD H and symmetric t3, t4 small enough that the model
+        # stays strictly concave on the box; y is chosen so that the
+        # model's gradient vanishes at a known step s inside the box
+        rng = np.random.default_rng(seed)
+        half = float(rng.uniform(0.05, 0.5))
+        mats = np.stack([random_spd_matrix(rng, dim, (1.0, 5.0))
+                         for _ in range(n)])
+        dense, packed = [], []
+        for order, size in ((3, 0.2 / half), (4, 0.2 / half**2)):
+            t = rng.uniform(-1.0, 1.0, size=(n,) + (dim,) * order) * size
+            sym = (sum(np.transpose(t, (0,) + tuple(1 + np.array(p)))
+                       for p in permutations(range(order)))
+                   / math.factorial(order))
+            multi = np.array(list(combinations_with_replacement(range(dim),
+                                                                order)))
+            dense.append(sym)
+            packed.append(sym[(slice(None), *multi.T)])
+        t3, t4 = dense
+        coords = rng.uniform(-3.0, 3.0, size=(n, dim))
+        grads = rng.normal(size=(n, dim)) * 3.0
+        values = rng.normal(size=n) * 10.0
+        s = rng.uniform(-0.5, 0.5, size=(n, dim)) * half
+        ys = (grads + np.einsum("nij,nj->ni", mats, s)
+              + np.einsum("nijk,nj,nk->ni", t3, s, s) / 2.0
+              + np.einsum("nijkl,nj,nk,nl->ni", t4, s, s, s) / 6.0)
+        want = ((ys * (coords + s) - grads * s).sum(axis=1) - values
+                - np.einsum("nij,ni,nj->n", mats, s, s) / 2.0
+                - np.einsum("nijk,ni,nj,nk->n", t3, s, s, s) / 6.0
+                - np.einsum("nijkl,ni,nj,nk,nl->n", t4, s, s, s, s) / 24.0)
+        jets = _model_jets(coords, values, grads, mats, *packed, half)
+        got = _polish(jets, ys, np.arange(n))
+        scale = 1.0 + np.abs(values) + (np.abs(ys) * (np.abs(coords) + half)
+                                        ).sum(axis=1)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+class TestRefinedSupChunks:
+    """Slope-row chunks on a thread pool change no output bit."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           box=st.booleans())
+    def test_one_two_and_three_chunks_agree(self, seed, dim, box):
+        # three chunks on two cores, with a short switch interval so that
+        # the threads interleave often: a lost write to `best` would show
+        f = _random_convex_field(seed, dim, box)
+        slopes = auto_slope_grid(f)
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for chunks in (1, 2, 3):
+                with mock.patch.object(conjugate, "_row_chunks",
+                                       lambda rows: chunks):
+                    outs.append(refined_sup(f, slopes))
+        finally:
+            sys.setswitchinterval(interval)
+        for out in outs[1:]:
+            for got, want in zip(out, outs[0]):
+                assert np.array_equal(got, want)
+
+    def test_a_thread_cap_of_one_changes_no_bit(self, monkeypatch):
+        f = sample_potential(quartic(1.0), GridSpec.ball_box(2, 129))
+        slopes = auto_slope_grid(f)
+        rows = slopes.n_nodes()
+        assert rows >= 2 * _CHUNK_ROWS
+        monkeypatch.delenv("SLAG_LAB_THREADS", raising=False)
+        assert _row_chunks(rows) == min(usable_cores(), rows // _CHUNK_ROWS)
+        default = refined_sup(f, slopes)
+        monkeypatch.setenv("SLAG_LAB_THREADS", "1")
+        assert _row_chunks(rows) == 1
+        for got, want in zip(refined_sup(f, slopes), default):
+            assert np.array_equal(got, want)
+
+    def test_small_grids_run_in_one_chunk(self, monkeypatch):
+        monkeypatch.delenv("SLAG_LAB_THREADS", raising=False)
+        assert _row_chunks(2 * _CHUNK_ROWS - 1) == 1
+        assert _row_chunks(0) == 1
 
 
 class TestTransformLaws:

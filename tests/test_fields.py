@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slag_lab import (
     FieldError,
@@ -14,6 +16,7 @@ from slag_lab import (
     sample_potential,
     semiconvexity_modulus,
 )
+from slag_lab.eigen import adjugate
 from slag_lab.fields import connected_components, erode_mask
 from slag_lab.formulas import bilinear, iso_quad, pure_quartic, quad_form
 
@@ -24,6 +27,29 @@ def quartic_hessian(x):
     """Analytic Hessian of 0.25 |x|^4: |x|^2 I + 2 x x^T (oracle)."""
     r2 = float(np.dot(x, x))
     return r2 * np.eye(len(x)) + 2.0 * np.outer(x, x)
+
+
+def orthogonal_batch(rng, n, dim):
+    """n random orthogonal dim x dim matrices (QR of Gaussian matrices)."""
+    q, r = np.linalg.qr(rng.normal(size=(n, dim, dim)))
+    return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+
+
+def spectra(rng, n, dim, kind):
+    """n spectra of one kind: random, one pair within 1e-12 to 1e-4
+    (relative), all within that (triple), scaled by 1e-3 to 1e3, or
+    isotropic."""
+    lam = rng.normal(size=(n, dim))
+    near = 10.0 ** rng.uniform(-12.0, -4.0, size=(n, 1))
+    if kind == "pair":
+        lam[:, 1] = lam[:, 0] * (1.0 + near[:, 0] * rng.choice([-1, 1], n))
+    elif kind == "triple":
+        lam = lam[:, :1] * (1.0 + near * rng.normal(size=(n, dim)))
+    elif kind == "scaled":
+        lam *= 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    elif kind == "isotropic":
+        lam[:] = lam[:, :1]
+    return lam
 
 
 def charpoly_eigvals(m):
@@ -225,6 +251,103 @@ class TestEigen:
         for k in range(len(ms)):
             assert np.allclose(batch[k], eigen_decompose(ms[k]).as_array(),
                                atol=1e-9)
+
+
+class TestEigenProperties:
+    """Batched eigenvalues against LAPACK `eigvalsh` and against the
+    spectra the matrices were built from."""
+
+    # error bound relative to the spectral norm; the trigonometric 3x3
+    # closed form reached ~6e7 eps near a double eigenvalue
+    TOL = 256 * np.finfo(float).eps
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           kind=st.sampled_from(["random", "pair", "triple", "scaled",
+                                 "isotropic"]))
+    def test_matches_eigvalsh_in_descending_order(self, seed, dim, kind):
+        rng = np.random.default_rng(seed)
+        lam = spectra(rng, 64, dim, kind)
+        q = orthogonal_batch(rng, 64, dim)
+        m = q @ (lam[:, :, None] * np.swapaxes(q, 1, 2))
+        m = 0.5 * (m + np.swapaxes(m, 1, 2))
+        got = eigvals_sym(m)
+        want = np.linalg.eigvalsh(m)[:, ::-1]
+        norm = np.abs(want).max(axis=1)
+        assert np.all(np.abs(got - want).max(axis=1) <= self.TOL * norm)
+        built = np.sort(lam, axis=1)[:, ::-1]
+        assert np.all(np.abs(got - built).max(axis=1) <= self.TOL * norm)
+        assert np.all(np.diff(got, axis=1) <= 0.0)
+
+    def test_non_finite_matrices_give_nan_rows(self):
+        for dim in (2, 3):
+            m = np.repeat(np.eye(dim)[None], 3, axis=0)
+            m[1, 0, 1] = m[1, 1, 0] = np.nan
+            m[2, -1, -1] = np.inf
+            with np.errstate(invalid="ignore"):
+                got = eigvals_sym(m)
+            assert np.array_equal(got[0], np.ones(dim))
+            assert np.isnan(got[1]).all()
+            assert not np.isfinite(got[2]).all()
+
+    def test_exactly_isotropic_is_exact(self):
+        for dim in (2, 3):
+            got = eigvals_sym(np.array([2.5, -1.0, 0.0])[:, None, None]
+                              * np.eye(dim))
+            assert np.array_equal(got, np.repeat([[2.5], [-1.0], [0.0]],
+                                                 dim, axis=1))
+
+
+class TestAdjugate:
+    """`eigen.adjugate` against LAPACK inverses and determinants."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_spd_batches_match_inv_and_det(self, rng, dim):
+        lam = 10.0 ** rng.uniform(-2.0, 2.0, size=(500, dim))
+        q = orthogonal_batch(rng, 500, dim)
+        s = q @ (lam[:, :, None] * np.swapaxes(q, 1, 2))
+        adj, det = adjugate(s)
+        scale = lam.max(axis=1) ** dim
+        assert np.all(np.abs(det - np.linalg.det(s)) <= 1e-14 * scale)
+        inv = np.linalg.inv(s)
+        cond = lam.max(axis=1) / lam.min(axis=1)
+        err = np.abs(adj / det[:, None, None] - inv).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * cond * np.abs(inv).max(axis=(1, 2)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_general_batches_satisfy_the_adjugate_identity(self, rng, dim):
+        s = rng.normal(size=(500, dim, dim))
+        adj, det = adjugate(s)
+        assert np.allclose(det, np.linalg.det(s), rtol=0.0, atol=1e-13)
+        eye = det[:, None, None] * np.eye(dim)
+        assert np.abs(s @ adj - eye).max() <= 1e-13
+        assert np.abs(adj @ s - eye).max() <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_near_singular_batches_keep_the_adjugate_accurate(self, rng,
+                                                              dim):
+        # unit spectra with one eigenvalue 0 or 1e-16 to 1e-6: adj(S) =
+        # Q diag(prod_{j != i} lam_j) Q^T stays well conditioned while
+        # inv(S) does not
+        lam = rng.uniform(0.5, 2.0, size=(500, dim))
+        lam[:, -1] = np.where(rng.random(500) < 0.2, 0.0,
+                              10.0 ** rng.uniform(-16.0, -6.0, size=500))
+        q = orthogonal_batch(rng, 500, dim)
+        s = q @ (lam[:, :, None] * np.swapaxes(q, 1, 2))
+        adj, det = adjugate(s)
+        cof = np.prod(lam, axis=1)[:, None] / np.where(lam > 0, lam, 1.0)
+        cof[lam[:, -1] == 0.0] = 0.0
+        cof[lam[:, -1] == 0.0, -1] = np.prod(lam[lam[:, -1] == 0.0, :-1],
+                                             axis=1)
+        want = q @ (cof[:, :, None] * np.swapaxes(q, 1, 2))
+        assert np.abs(adj - want).max() <= 1e-14 * 4.0 ** (dim - 1)
+        assert np.allclose(det, np.linalg.det(s), rtol=0.0,
+                           atol=1e-14 * 2.0 ** dim)
+        assert np.all(np.abs(det) <= np.prod(lam, axis=1) + 1e-14 * 8.0)
+
+    def test_rejects_other_dimensions(self):
+        with pytest.raises(GridError, match="d = 2 or 3"):
+            adjugate(np.zeros((5, 4, 4)))
 
 
 class TestOscAndModulus:

@@ -56,10 +56,12 @@ class SolveReport:
     converged: bool = False
     convexity_breached: bool = False
     stop_reason: str = ""  # converged, max_iters, step_underflow, non_finite_step
+    linear_solve_s: float = 0.0  # SuperLU factor and solve time, all systems
+    factor_nnz: int = 0  # largest L + U fill of any factorization
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "iterations": self.iterations,
             "final_residual": self.final_residual,
             "converged": self.converged,
@@ -67,4 +69,6 @@ class SolveReport:
             "convexity_breached": self.convexity_breached,
             "step_history": list(self.step_history),
             "min_eigen_history": list(self.min_eigen_history),
+            "linear_solve_s": self.linear_solve_s,
+            "factor_nnz": self.factor_nnz,
         }

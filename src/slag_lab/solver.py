@@ -6,19 +6,26 @@ sparse second-difference operators D_ij with boundary lifts, built once per
 solve by `hessians.second_difference_operators`, serves both linear systems:
 the initial guess solves sum_i D_ii u = n tan(theta/n) - sum_i lift_ii, and
 the exact Jacobian trace((I + M^2)^{-1} dM/du) is sum_ij A_ij D_ij with
-A = (I + M^2)^{-1}. Both systems are structurally symmetric, so SuperLU
-orders them by minimum degree on A + A^T. The report
+A = (I + M^2)^{-1}. Both systems are assembled once as CSC patterns in a
+geometric nested-dissection order of the interior nodes (George, SIAM J.
+Numer. Anal. 1973): each box is split across its widest axis at the middle
+plane, the halves come first and the plane last. Each Newton step only
+scatters its A_ij data into the fixed pattern, and SuperLU factors the
+permuted system with its natural column order in symmetric mode. The report
 names why the iteration stopped: convergence, the iteration cap, a line
 search that fell below `min_step`, or a non-finite Newton step (singular
-Jacobian). Mollification and the supporting-plane convex extension
-implement the smooth-approximation devices used by the rotation audits.
+Jacobian), and records the time and fill of the linear solves.
+Mollification and the supporting-plane convex extension implement the
+smooth-approximation devices used by the rotation audits.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
@@ -36,8 +43,13 @@ from .reports import AuditReport, SolveReport
 logger = logging.getLogger("slag_lab.solver")
 # extend_convex: relative overshoot above u that still keeps a plane
 _SUPPORT_TOL = 1e-9
-# SuperLU column ordering of both solve_dirichlet systems
-_ORDERING = "MMD_AT_PLUS_A"
+# nested dissection: boxes of at most this many nodes keep row-major order
+_DISSECTION_LEAF = 16
+# SuperLU settings of both solve_dirichlet systems, which arrive in
+# dissection order; the natural column order puts SuperLU in symmetric mode
+_PERMC = "NATURAL"
+_DIAG_PIVOT_THRESH = 1e-2
+_SINGULAR = "Factor is exactly singular"
 
 
 @dataclass
@@ -101,6 +113,92 @@ def _boundary_values(g, grid: GridSpec, rim: np.ndarray) -> np.ndarray:
     return vals
 
 
+@lru_cache(maxsize=None)
+def _box_order(shape: tuple) -> np.ndarray:
+    """Row-major flat indices of an index box in nested-dissection order.
+
+    The box splits across its widest axis at the middle plane; the two
+    halves come first (each in its own dissection order), the plane last
+    in row-major order. Read-only, shared between calls.
+    """
+    size = math.prod(shape)
+    if size <= _DISSECTION_LEAF:
+        order = np.arange(size, dtype=np.int32)
+    else:
+        k = int(np.argmax(shape))
+        mid = shape[k] // 2
+        flat = np.arange(size, dtype=np.int32).reshape(shape)
+        lead = (slice(None),) * k
+        parts = []
+        for half in (slice(0, mid), slice(mid + 1, shape[k])):
+            block = flat[lead + (half,)]
+            parts.append(block.ravel()[_box_order(block.shape)])
+        parts.append(flat[lead + (mid,)].ravel())
+        order = np.concatenate(parts)
+    order.flags.writeable = False
+    return order
+
+
+def dissection_order(mask: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of the true nodes of `mask`.
+
+    Entry k is the row-major rank among the masked nodes of the k-th node
+    in the dissection order of the whole index box, filtered to the mask.
+    """
+    flat = mask.ravel()
+    rank = np.cumsum(flat, dtype=np.int32) - 1
+    order = _box_order(mask.shape)
+    return rank[order[flat[order]]]
+
+
+def _dissection_csc(coos, position: np.ndarray):
+    """Zero-valued CSC pattern of the union of `coos`, rows and columns
+    moved to `position`, and the int32 data slot of every stacked entry."""
+    n = len(position)
+    key = np.concatenate([position[c.col].astype(np.int64) * n + position[c.row]
+                          for c in coos])
+    pattern, slot = np.unique(key, return_inverse=True)
+    indptr = np.searchsorted(pattern, np.arange(n + 1, dtype=np.int64) * n)
+    mat = sparse.csc_matrix((np.zeros(len(pattern)), (pattern % n).astype(np.int32),
+                             indptr.astype(np.int32)), shape=(n, n))
+    return mat, slot.astype(np.int32)
+
+
+def _sub_pattern(mat: sparse.csc_matrix, slot: np.ndarray):
+    """Zero-valued CSC pattern of the entries of `mat` that `slot` reaches,
+    and each slot renumbered into it."""
+    reached = np.zeros(mat.nnz, dtype=bool)
+    reached[slot] = True
+    before = np.zeros(mat.nnz + 1, dtype=np.int32)  # reached entries before each
+    np.cumsum(reached, out=before[1:])
+    sub = sparse.csc_matrix((np.zeros(before[-1]), mat.indices[reached],
+                             before[mat.indptr]), shape=mat.shape)
+    return sub, before[slot]
+
+
+def _factor_solve(a: sparse.csc_matrix, rhs: np.ndarray, report: SolveReport):
+    """Solve a x = rhs by SuperLU; None when the factor is exactly singular.
+
+    `a` arrives in dissection order, so SuperLU keeps its columns in place.
+    The time goes to `report.linear_solve_s`; `report.factor_nnz` keeps the
+    largest L + U fill.
+    """
+    start = time.perf_counter()
+    try:
+        lu = splinalg.splu(a, permc_spec=_PERMC, diag_pivot_thresh=_DIAG_PIVOT_THRESH)
+    except RuntimeError as exc:
+        if str(exc) != _SINGULAR:
+            raise
+        return None
+    x = lu.solve(rhs)
+    seconds = time.perf_counter() - start
+    report.linear_solve_s += seconds
+    report.factor_nnz = max(report.factor_nnz, lu.nnz)
+    logger.debug("factored %d unknowns: %d nonzeros in %.3f s",
+                 a.shape[0], lu.nnz, seconds)
+    return x
+
+
 def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
                     cfg: SolverConfig | None = None):
     """Damped-Newton solve of the phase-theta problem with Dirichlet data.
@@ -117,16 +215,24 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
         raise GridError("domain too small: no interior nodes")
     values = np.where(rim, _boundary_values(g, grid, rim), 0.0)
     ops, lifts = second_difference_operators(PotentialField(grid, values, mask))
-    laplacian = sum(ops[i, i] for i in range(d))
-    rhs = d * math.tan(theta / d) - sum(lifts[i, i] for i in range(d))
-    values[interior] = splinalg.spsolve(laplacian, rhs, permc_spec=_ORDERING)
-    # every Jacobian keeps the union stencil pattern, explicit zeros included:
-    # pruning the zeros of A_ij changes SuperLU's ordering and adds fill
-    stack = [(i, j, op.tocoo()) for (i, j), op in ops.items()]
-    rows = np.concatenate([c.row for _, _, c in stack])
-    cols = np.concatenate([c.col for _, _, c in stack])
-
     report = SolveReport()
+    # both systems live in dissection order: unknown k is interior node perm[k]
+    perm = dissection_order(interior)
+    position = np.empty_like(perm)
+    position[perm] = np.arange(len(perm), dtype=perm.dtype)
+    stack = [(i, j, op.tocoo()) for (i, j), op in ops.items()]
+    # every Jacobian keeps the union stencil pattern, built once with its
+    # explicit zeros; a Newton step only scatters its A_ij data into it
+    jac, slot = _dissection_csc([c for _, _, c in stack], position)
+    # the Poisson matrix keeps only the entries of the D_ii
+    diagonal = np.concatenate([np.full(c.nnz, i == j) for i, j, c in stack])
+    laplacian, lap_slot = _sub_pattern(jac, slot[diagonal])
+    laplacian.data = np.bincount(
+        lap_slot, np.concatenate([c.data for i, j, c in stack if i == j]),
+        minlength=laplacian.nnz)
+    rhs = d * math.tan(theta / d) - sum(lifts[i, i] for i in range(d))
+    values[interior] = _factor_solve(laplacian, rhs[perm], report)[position]
+    del laplacian, lap_slot, diagonal  # not held through the Newton factors
 
     def residual_of(vals_py):
         f = PotentialField(grid, np.where(mask, vals_py, 0.0), mask)
@@ -145,11 +251,11 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
             break
         coeff = slag_linearization_batch(mats[interior])  # (n_interior, d, d)
         # trace(A dM) with A = (I + M^2)^{-1}: off-diagonal pairs count twice
-        data = np.concatenate([(1.0 if i == j else 2.0) * coeff[c.row, i, j] * c.data
-                               for i, j, c in stack])
-        jac = sparse.csr_matrix((data, (rows, cols)), shape=laplacian.shape)
-        step = splinalg.spsolve(jac, -res, permc_spec=_ORDERING)
-        if not np.isfinite(step).all():
+        jac.data = np.bincount(slot, np.concatenate([
+            (1.0 if i == j else 2.0) * coeff[c.row, i, j] * c.data
+            for i, j, c in stack]), minlength=jac.nnz)
+        step = _factor_solve(jac, -res[perm], report)
+        if step is None or not np.isfinite(step).all():
             logger.warning("non-finite Newton step at iteration %d (residual %.3e)",
                            it, norm)
             stop = "non_finite_step"
@@ -158,7 +264,7 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
         accepted = False
         while t_step >= cfg.min_step:
             trial = values.copy()
-            trial[interior] += t_step * step
+            trial[interior] += t_step * step[position]
             new_res, new_mats, new_lam = residual_of(trial)
             if float(np.abs(new_res).max()) < norm:
                 accepted = True

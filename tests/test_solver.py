@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
 from slag_lab import (
     GridSpec,
     MollifierSpec,
+    PotentialField,
     ProblemSpec,
     SolverConfig,
     extend_convex,
@@ -21,7 +23,9 @@ from slag_lab.errors import GridError
 from slag_lab.fields import erode_mask
 from slag_lab.hessians import hessian_matrices, second_difference_operators
 from slag_lab.formulas import bilinear, iso_quad, max_affine, quartic
-from slag_lab.solver import dilate_grid
+from slag_lab.operators import slag_linearization_batch
+from slag_lab.reports import SolveReport
+from slag_lab.solver import _factor_solve, dilate_grid, dissection_order
 
 
 def boundary_from(formula):
@@ -166,18 +170,16 @@ class TestSolveDirichlet:
         import slag_lab.solver as solver_module
 
         real = solver_module.slag_linearization_batch
-        solve = splinalg.spsolve
+        factor_solve = solver_module._factor_solve
         nnz = []
-        orderings = []
 
-        def recording(a, b, **kw):
+        def recording(a, rhs, report):
             nnz.append(a.nnz)
-            orderings.append(kw.get("permc_spec"))
-            return solve(a, b, **kw)
+            return factor_solve(a, rhs, report)
 
         monkeypatch.setattr(solver_module, "slag_linearization_batch",
                             lambda ms: real(ms) * np.eye(ms.shape[-1]))
-        monkeypatch.setattr(solver_module.splinalg, "spsolve", recording)
+        monkeypatch.setattr(solver_module, "_factor_solve", recording)
         grid = box_grid(17)
         spec = ProblemSpec(dim=2, theta=np.pi / 2)
         u, rep = solve_dirichlet(boundary_from(quartic(1.0)), spec, grid)
@@ -185,7 +187,6 @@ class TestSolveDirichlet:
         assert rep.iterations >= 2
         assert nnz[0] == (ops[0, 0] + ops[1, 1]).nnz
         assert nnz[1:] == [nnz[0] + ops[0, 1].nnz] * (len(nnz) - 1)
-        assert orderings == ["MMD_AT_PLUS_A"] * len(nnz)
 
     def test_ball_domain_quadratic(self):
         grid = GridSpec.ball_box(2, 65)
@@ -208,7 +209,7 @@ class TestStopReason:
         assert rep.converged and rep.stop_reason == "converged"
         payload = rep.to_json()
         assert payload["stop_reason"] == "converged"
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["convexity_breached"] is False
 
     def test_max_iters(self):
@@ -241,6 +242,91 @@ class TestStopReason:
         u, rep = self.solve(SolverConfig(convexity_floor=1e6))
         assert rep.convexity_breached
         assert rep.to_json()["convexity_breached"] is True
+
+
+def _grid(d, nodes, ball):
+    if ball:
+        return GridSpec.ball_box(d, nodes)
+    return GridSpec(d, (nodes,) * d, 2.0 / (nodes - 1), (-1.0,) * d, None)
+
+
+# 2-D and 3-D, ball and box, odd and even sizes
+DISSECTION_GRIDS = [
+    pytest.param(d, n, ball, id=f"{d}d-{'ball' if ball else 'box'}-{n}")
+    for d, sizes in ((2, (17, 24, 33)), (3, (9, 12, 13)))
+    for n in sizes for ball in (True, False)]
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize("d, nodes, ball", DISSECTION_GRIDS)
+    def test_is_a_permutation(self, d, nodes, ball):
+        interior = erode_mask(_grid(d, nodes, ball).ball_mask(), 1)
+        order = dissection_order(interior)
+        assert np.array_equal(np.sort(order), np.arange(interior.sum()))
+
+    @pytest.mark.parametrize("d, nodes, ball", DISSECTION_GRIDS)
+    def test_every_separator_splits_its_box(self, d, nodes, ball):
+        grid = _grid(d, nodes, ball)
+        mask = grid.ball_mask()
+        interior = erode_mask(mask, 1)
+        ops, _ = second_difference_operators(
+            PotentialField(grid, np.zeros(grid.shape), mask))
+        order = dissection_order(interior)
+        # union of the 3^d stencils, rows and columns in dissection order
+        graph = sum(abs(op) for op in ops.values())[order][:, order].tocsr()
+        coords = np.argwhere(interior)[order]
+
+        def walk(lo, hi, start):
+            """Check the box [lo, hi) whose nodes start at `start`; count them."""
+            box = interior[tuple(slice(a, b) for a, b in zip(lo, hi))]
+            block = coords[start:start + int(box.sum())]
+            assert ((block >= lo) & (block < hi)).all()
+            if np.prod(hi - lo) <= 16:
+                assert np.array_equal(block, np.argwhere(box) + lo)
+                return len(block)
+            k = int(np.argmax(hi - lo))
+            mid = lo[k] + (hi[k] - lo[k]) // 2
+            n1 = walk(lo, np.where(np.arange(d) == k, mid, hi), start)
+            n2 = walk(np.where(np.arange(d) == k, mid + 1, lo), hi, start + n1)
+            plane = np.argwhere(np.take(box, mid - lo[k], axis=k))
+            assert np.array_equal(np.delete(block[n1 + n2:], k, axis=1),
+                                  plane + np.delete(lo, k))
+            assert (block[n1 + n2:, k] == mid).all()
+            # no stencil edge joins the two halves
+            assert graph[start:start + n1, start + n1:start + n1 + n2].nnz == 0
+            return len(block)
+
+        assert walk(np.zeros(d, dtype=int), np.array(grid.shape), 0) == len(coords)
+
+    @pytest.mark.parametrize("d, nodes, ball", [(2, 33, True), (2, 32, False),
+                                                (3, 13, True), (3, 12, False)])
+    def test_factor_solve_matches_spsolve(self, d, nodes, ball):
+        grid = _grid(d, nodes, ball)
+        u = sample_potential(quartic(1.0), grid)
+        ops, _ = second_difference_operators(u)
+        interior = erode_mask(u.mask, 1)
+        mats, _ = hessian_matrices(u)
+        coeff = slag_linearization_batch(mats[interior])
+        jac = sum((1.0 if i == j else 2.0) * sparse.diags(coeff[:, i, j]) @ op
+                  for (i, j), op in ops.items()).tocsc()
+        rhs = np.random.default_rng(d * nodes).standard_normal(jac.shape[0])
+        expected = splinalg.spsolve(jac, rhs)
+        perm = dissection_order(interior)
+        report = SolveReport()
+        got = np.empty_like(rhs)
+        got[perm] = _factor_solve(jac[perm][:, perm].tocsc(), rhs[perm], report)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert report.linear_solve_s > 0 and report.factor_nnz >= jac.nnz
+
+    def test_one_debug_line_per_factorization(self, caplog):
+        caplog.set_level("DEBUG", logger="slag_lab.solver")
+        grid = GridSpec.ball_box(2, 17)
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        u, rep = solve_dirichlet(boundary_from(quartic(1.0)), spec, grid)
+        lines = [r for r in caplog.records if r.message.startswith("factored")]
+        assert len(lines) == rep.iterations + 1
+        assert rep.linear_solve_s > 0 and rep.factor_nnz > 0
+        assert any(f" {rep.factor_nnz} nonzeros" in r.message for r in lines)
 
 
 class TestMollify:

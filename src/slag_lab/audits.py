@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import ndimage
 
 from .eigen import Spectrum, adjugate, eigvals_sym
 from .errors import ConvexityError, GridError
-from .fields import GridSpec, PotentialField, erode_mask, osc
+from .fields import GridSpec, PotentialField, dilate_mask, erode_mask, osc
 from .hessians import (
     HessianField,
     _shift,
@@ -152,8 +151,7 @@ def _image_region(u: PotentialField, params: RotationParams,
     for k in range(slopes.dim):
         idx[:, k] = np.clip(idx[:, k], 0, slopes.shape[k] - 1)
     marked[tuple(idx.T)] = True
-    structure = np.ones((3,) * slopes.dim, dtype=bool)
-    return ndimage.binary_dilation(marked, structure=structure)
+    return dilate_mask(marked)
 
 
 def _restrict_to_image(rotated, u, params) -> PotentialField:

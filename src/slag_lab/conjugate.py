@@ -46,11 +46,10 @@ from itertools import product
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .eigen import adjugate, eigvals_sym
 from .errors import ConvexityError, SlopeGridError
-from .fields import GridSpec, PotentialField, erode_mask
+from .fields import GridSpec, PotentialField, dilate_mask, erode_mask
 from .hessians import (
     directional_convexity_deficit,
     fourth_order_jet,
@@ -677,11 +676,7 @@ def check_slope_increase(f: PotentialField, s_delta: float, samples) -> AuditRep
     star = conjugate_fast(f, slopes)
     ys = slopes.coords().reshape(-1, f.grid.dim)
     inside_flat = dm.inside.reshape(-1)
-    structure = np.ones((3,) * f.grid.dim, dtype=bool)
-    near_rim = (
-        ~dm.inside
-        & ndimage.binary_dilation(dm.inside, structure=structure)
-    ).reshape(-1)
+    near_rim = (~dm.inside & dilate_mask(dm.inside)).reshape(-1)
     violations = []
     rim_flags = 0
     checked = 0

@@ -14,10 +14,10 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from datetime import datetime, timezone
+from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .audits import (
     JetCheckConfig,
@@ -299,12 +299,13 @@ def _smooth_anchors(grid, slopes, offsets, rng, count, margin_cells=3):
     coords = grid.coords()
     vals = np.tensordot(coords, np.asarray(slopes), axes=([-1], [1])) + offsets
     active = vals.argmax(axis=-1)
-    mask = erode_mask(grid.ball_mask(), margin_cells)
-    footprint = np.ones((3,) * grid.dim, dtype=bool)
-    stable = mask & (
-        ndimage.minimum_filter(active, footprint=footprint)
-        == ndimage.maximum_filter(active, footprint=footprint)
-    )
+    # a node is stable when one piece is active on its whole 3^dim box; the
+    # eroded mask keeps every box inside the grid
+    stable = erode_mask(grid.ball_mask(), margin_cells)
+    padded = np.pad(active, 1, mode="edge")
+    for off in product(range(3), repeat=grid.dim):
+        box = tuple(slice(o, o + n) for o, n in zip(off, active.shape))
+        stable &= padded[box] == active
     nodes = np.argwhere(stable)
     picks = nodes[rng.choice(len(nodes), size=count, replace=False)]
     return [grid.node_coords(n) for n in picks]

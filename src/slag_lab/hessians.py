@@ -4,7 +4,9 @@ Diagonal entries use the centered second difference, off-diagonals the
 4-point cross stencil; both are exact on quadratics. Hessians exist only at
 nodes whose full 3^dim stencil lies in the mask (no one-sided fallbacks).
 The same stencil table gives the sparse operators D_ij and boundary lifts
-over the interior unknowns that the Dirichlet solver linearizes with.
+over the interior unknowns that the Dirichlet solver linearizes with; only
+that function imports scipy, when it is called, so that the Hessian and jet
+paths load numpy alone (a first scipy import costs about 0.35 s).
 
 The third and fourth derivatives of the quartic Taylor models come packed,
 one column per distinct entry of the symmetric tensor, from one table of
@@ -21,7 +23,6 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .eigen import eigvals_sym
 from .errors import GridError
@@ -151,6 +152,8 @@ def second_difference_operators(u: PotentialField) -> tuple[dict, dict]:
     lifts[i, j]` equals `hessian_matrices(u)[0][interior][:, i, j]`.
     Interior values of `u` are not read.
     """
+    from scipy import sparse
+
     grid = u.grid
     d = grid.dim
     h = grid.spacing

@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .conjugate import DomainMask, _attained_inside, auto_slope_grid, refined_sup
 from .eigen import Spectrum
 from .errors import RotationError
-from .fields import GridSpec, PotentialField
+from .fields import GridSpec, PotentialField, label_components
 from .hessians import gradient_field, semiconvexity_modulus
 
 _MODULUS_SLACK = 1e-9
@@ -72,12 +71,10 @@ def _tilde_field(u: PotentialField, params: RotationParams) -> PotentialField:
 def _main_component(mask: np.ndarray) -> np.ndarray:
     """Largest face-connected component; attainment ties near the slope-box
     rim can leave isolated specks that the connected continuum domain lacks."""
-    labels, count = ndimage.label(
-        mask, structure=ndimage.generate_binary_structure(mask.ndim, 1)
-    )
+    labels, count = label_components(mask)
     if count <= 1:
         return mask
-    sizes = ndimage.sum_labels(mask, labels, index=np.arange(1, count + 1))
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
     return labels == (1 + int(np.argmax(sizes)))
 
 

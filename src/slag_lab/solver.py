@@ -17,6 +17,13 @@ search that fell below `min_step`, or a non-finite Newton step (singular
 Jacobian), and records the time and fill of the linear solves.
 Mollification and the supporting-plane convex extension implement the
 smooth-approximation devices used by the rotation audits.
+
+scipy is imported inside the functions that need it (the CSC patterns,
+SuperLU, `mollify` and `scale_potential`), not at module level: the
+package imports this module, and a first scipy import costs a process
+about 0.35 s more than numpy alone (scipy's array-API layer copies
+numpy's namespace), which the rotation, conjugate and audit paths do not
+need.
 """
 
 from __future__ import annotations
@@ -28,9 +35,6 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
-from scipy import ndimage
 
 from .conjugate import _CHUNK_FLOATS
 from .eigen import eigvals_sym
@@ -154,6 +158,8 @@ def dissection_order(mask: np.ndarray) -> np.ndarray:
 def _dissection_csc(coos, position: np.ndarray):
     """Zero-valued CSC pattern of the union of `coos`, rows and columns
     moved to `position`, and the int32 data slot of every stacked entry."""
+    from scipy import sparse
+
     n = len(position)
     key = np.concatenate([position[c.col].astype(np.int64) * n + position[c.row]
                           for c in coos])
@@ -164,9 +170,11 @@ def _dissection_csc(coos, position: np.ndarray):
     return mat, slot.astype(np.int32)
 
 
-def _sub_pattern(mat: sparse.csc_matrix, slot: np.ndarray):
-    """Zero-valued CSC pattern of the entries of `mat` that `slot` reaches,
-    and each slot renumbered into it."""
+def _sub_pattern(mat, slot: np.ndarray):
+    """Zero-valued CSC pattern of the entries of the CSC matrix `mat` that
+    `slot` reaches, and each slot renumbered into it."""
+    from scipy import sparse
+
     reached = np.zeros(mat.nnz, dtype=bool)
     reached[slot] = True
     before = np.zeros(mat.nnz + 1, dtype=np.int32)  # reached entries before each
@@ -176,13 +184,15 @@ def _sub_pattern(mat: sparse.csc_matrix, slot: np.ndarray):
     return sub, before[slot]
 
 
-def _factor_solve(a: sparse.csc_matrix, rhs: np.ndarray, report: SolveReport):
+def _factor_solve(a, rhs: np.ndarray, report: SolveReport):
     """Solve a x = rhs by SuperLU; None when the factor is exactly singular.
 
-    `a` arrives in dissection order, so SuperLU keeps its columns in place.
-    The time goes to `report.linear_solve_s`; `report.factor_nnz` keeps the
-    largest L + U fill.
+    `a` is CSC and arrives in dissection order, so SuperLU keeps its columns
+    in place. The time goes to `report.linear_solve_s`; `report.factor_nnz`
+    keeps the largest L + U fill.
     """
+    from scipy.sparse import linalg as splinalg
+
     start = time.perf_counter()
     try:
         lu = splinalg.splu(a, permc_spec=_PERMC, diag_pivot_thresh=_DIAG_PIVOT_THRESH)
@@ -298,6 +308,8 @@ def mollify(u: PotentialField, m: MollifierSpec | float) -> PotentialField:
 
     Affine fields pass through unchanged; quadratics shift by a constant.
     """
+    from scipy import ndimage
+
     if not isinstance(m, MollifierSpec):
         m = MollifierSpec.build(float(m), u.grid)
     reach = int(np.abs(m.offsets).max())
@@ -376,6 +388,8 @@ def scale_potential(u: PotentialField, ratio: float = 1.2) -> PotentialField:
     Intended for convex fields; values are first extended so that the
     multilinear interpolation never reads unmasked data.
     """
+    from scipy import ndimage
+
     if ratio <= 1:
         raise ValueError("ratio must exceed 1")
     grid = u.grid

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from slag_lab import (
     FieldError,
@@ -17,7 +19,7 @@ from slag_lab import (
     semiconvexity_modulus,
 )
 from slag_lab.eigen import adjugate
-from slag_lab.fields import connected_components, erode_mask
+from slag_lab.fields import connected_components, dilate_mask, erode_mask, label_components
 from slag_lab.formulas import bilinear, iso_quad, pure_quartic, quad_form
 
 from conftest import make_iso_quad
@@ -380,6 +382,51 @@ class TestOscAndModulus:
         assert abs(semiconvexity_modulus(u)) <= 4.0 * grid65.spacing**2
 
 
+@st.composite
+def masks(draw):
+    """2-D and 3-D masks: random, touching the box border, one node, empty
+    or full; axes as short as one node."""
+    dim = draw(st.sampled_from((2, 3)))
+    shape = tuple(draw(st.lists(st.integers(1, 9 if dim == 2 else 6),
+                                min_size=dim, max_size=dim)))
+    kind = draw(st.sampled_from(("random", "border", "single", "empty", "full")))
+    if kind == "empty":
+        return np.zeros(shape, dtype=bool)
+    if kind == "full":
+        return np.ones(shape, dtype=bool)
+    if kind == "single":
+        mask = np.zeros(shape, dtype=bool)
+        mask[tuple(draw(st.integers(0, n - 1)) for n in shape)] = True
+        return mask
+    mask = draw(arrays(bool, shape))
+    if kind == "border":
+        axis = draw(st.integers(0, dim - 1))
+        side = draw(st.sampled_from((0, -1)))
+        mask[(slice(None),) * axis + (side,)] = True
+    return mask
+
+
+def serpentine(shape):
+    """Every other line along the last axis full, joined alternately at its
+    two ends: in 2-D one path winding through the box, a run graph whose
+    chain of parents is as long as it can be."""
+    mask = np.zeros(shape, dtype=bool)
+    lines = mask.reshape(-1, shape[-1])
+    lines[::2] = True
+    lines[1::4, -1] = True
+    lines[3::4, 0] = True
+    return mask
+
+
+def comb(shape):
+    """Teeth along the first axis, every other column, joined by the last
+    line only: the first hooking leaves one root per tooth."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[..., ::2] = True
+    mask[-1] = True
+    return mask
+
+
 class TestMaskUtilities:
     def test_erode_is_moore(self):
         mask = np.zeros((5, 5), dtype=bool)
@@ -391,3 +438,32 @@ class TestMaskUtilities:
         mask = np.zeros((5, 5), dtype=bool)
         mask[0, 0] = mask[4, 4] = True
         assert connected_components(mask) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(masks(), st.integers(1, 3))
+    def test_erosion_equals_ndimage(self, mask, cells):
+        box = np.ones((3,) * mask.ndim, dtype=bool)
+        expected = ndimage.binary_erosion(mask, structure=box, iterations=cells,
+                                          border_value=0)
+        assert np.array_equal(erode_mask(mask, cells), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(masks())
+    def test_dilation_equals_ndimage(self, mask):
+        box = np.ones((3,) * mask.ndim, dtype=bool)
+        assert np.array_equal(dilate_mask(mask),
+                              ndimage.binary_dilation(mask, structure=box))
+
+    @settings(max_examples=200, deadline=None)
+    @given(masks())
+    @example(serpentine((31, 31)))
+    @example(serpentine((9, 9, 9)))
+    @example(comb((12, 41)))
+    @example(comb((5, 6, 17)))
+    @example(np.swapaxes(comb((5, 6, 17)), 0, 2))
+    def test_face_labels_equal_ndimage(self, mask):
+        expected, count = ndimage.label(
+            mask, structure=ndimage.generate_binary_structure(mask.ndim, 1))
+        labels, n = label_components(mask)
+        assert n == count == connected_components(mask)
+        assert np.array_equal(labels, expected)

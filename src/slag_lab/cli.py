@@ -28,14 +28,15 @@ from .audits import (
     subharmonicity_trial,
 )
 from .conjugate import (
+    _CONVEXITY_TOL,
     DomainMask,
-    conjugate_brute,
     conjugate_fast,
     slope_domain,
     subdifferential,
 )
 from .errors import ConvexityError, RotationError, SlagLabError, SlopeGridError
 from .experiments import (
+    DEFAULT_SEED,
     REGISTRY,
     ExperimentConfig,
     _key_value_lines,
@@ -83,8 +84,7 @@ def cmd_sample(args) -> int:
 
 def cmd_conjugate(args) -> int:
     field = fileio.load_field(args.infile)
-    transform = conjugate_brute if args.brute else conjugate_fast
-    star = transform(field, convexity_tol=args.tol)
+    star = conjugate_fast(field, convexity_tol=args.tol)
     fileio.save_field(args.out, star, value_kind="conjugate")
     print(f"wrote {args.out} ({star.grid.shape}, h={star.grid.spacing:.6g})")
     return 0
@@ -268,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjugate", help="Legendre-Fenchel transform")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--brute", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=_CONVEXITY_TOL)
     p.set_defaults(func=cmd_conjugate)
 
     p = sub.add_parser("subdiff", help="discrete subdifferential members")
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key=value experiment file")
     p.add_argument("--outdir", default=None)
     p.add_argument("--parallel", type=int, default=1)
-    p.add_argument("--seed", type=int, default=20240817)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("convert", help="PF1 <-> CSV conversion")

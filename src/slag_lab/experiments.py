@@ -614,13 +614,6 @@ REGISTRY = {
     "strict-gap": exp_strict_gap,
 }
 
-CRITERIA = (
-    "quadratic-rotation", "phase-shift", "legendre-laws", "sum-rule",
-    "rotation-window", "preservation", "solver-correctness",
-    "coefficient-audit", "subharmonicity", "strict-gap",
-)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run one experiment and write its artifacts when outdir is set."""
     if cfg.name not in REGISTRY:

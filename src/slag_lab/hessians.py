@@ -3,10 +3,9 @@
 Diagonal entries use the centered second difference, off-diagonals the
 4-point cross stencil; both are exact on quadratics. Hessians exist only at
 nodes whose full 3^dim stencil lies in the mask (no one-sided fallbacks).
-The same stencil table gives the sparse operators D_ij and boundary lifts
-over the interior unknowns that the Dirichlet solver linearizes with; only
-that function imports scipy, when it is called, so that the Hessian and jet
-paths load numpy alone (a first scipy import costs about 0.35 s).
+The same stencil table, stacked term by term over the interior unknowns
+(`stencil_terms`), gives the Dirichlet solver its Poisson and Newton
+systems. The module needs numpy alone.
 
 The third and fourth derivatives of the quartic Taylor models come packed,
 one column per distinct entry of the symmetric tensor, from one table of
@@ -143,46 +142,35 @@ def hessian_matrices(u: PotentialField, stride: int = 1) -> tuple[np.ndarray, np
     return mats, valid
 
 
-def second_difference_operators(u: PotentialField) -> tuple[dict, dict]:
-    """Sparse FD Hessian operators over the one-cell interior, with lifts.
+def stencil_terms(mask: np.ndarray, spacing: float):
+    """The FD Hessian stencil terms that join two one-cell interior nodes.
 
-    Returns `(ops, lifts)` keyed by (i, j), i <= j: `ops[i, j]` is a CSR
-    matrix over the interior nodes in row-major order and `lifts[i, j]` holds
-    the rim contributions, so that `ops[i, j] @ u.values[interior] +
-    lifts[i, j]` equals `hessian_matrices(u)[0][interior][:, i, j]`.
-    Interior values of `u` are not read.
+    Returns `(row, col, pair, weight)`: each term adds `weight` = w / (div h^2)
+    times the value at interior node `col` to entry `pair` = (i, j), i <= j,
+    of the Hessian at interior node `row`; interior nodes are numbered in
+    row-major order. Terms come pair by pair, (0, 0), (0, 1), ..., then in
+    stencil order. Terms that read a rim node are left out: their sums are
+    the `hessian_matrices` of the rim data with the interior set to 0.
     """
-    from scipy import sparse
-
-    grid = u.grid
-    d = grid.dim
-    h = grid.spacing
-    interior = erode_mask(u.mask, 1)
+    d = mask.ndim
+    interior = erode_mask(mask, 1)
     if not interior.any():
         raise GridError("domain too small: no interior node carries a full stencil")
     nodes = np.argwhere(interior)
-    n = len(nodes)
-    index = np.full(grid.shape, -1, dtype=np.int64)
-    index[interior] = np.arange(n)
-    ops, lifts = {}, {}
+    index = np.full(mask.shape, -1, dtype=np.int64)
+    index[interior] = np.arange(len(nodes))
+    rows, cols, pairs, weights = [], [], [], []
     for i in range(d):
         for j in range(i, d):
             terms, div = _stencil(d, i, j)
-            rows, cols, data = [], [], []
-            lift = np.zeros(n)
             for off, w in terms:
-                nb = tuple((nodes + np.array(off)).T)
-                col = index[nb]
-                inner = col >= 0
-                rows.append(np.flatnonzero(inner))
-                cols.append(col[inner])
-                data.append(np.full(int(inner.sum()), w / (div * h**2)))
-                lift[~inner] += w * u.values[nb][~inner]
-            ops[i, j] = sparse.csr_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n, n))
-            lifts[i, j] = lift / (div * h**2)
-    return ops, lifts
+                col = index[tuple((nodes + np.array(off)).T)]
+                row = np.flatnonzero(col >= 0)
+                rows.append(row)
+                cols.append(col[row])
+                pairs.append(np.full((len(row), 2), (i, j)))
+                weights.append(np.full(len(row), w / (div * spacing**2)))
+    return tuple(np.concatenate(a) for a in (rows, cols, pairs, weights))
 
 
 def hessian_field(u: PotentialField) -> HessianField:

@@ -1,14 +1,16 @@
 """Dirichlet solver for the arctangent operator plus smoothing devices.
 
 The solve is a damped Newton iteration on the finite-difference residual
-F_i(u) = sum(arctan(lambda(H_i))) - theta over interior nodes. One set of
-sparse second-difference operators D_ij with boundary lifts, built once per
-solve by `hessians.second_difference_operators`, serves both linear systems:
-the initial guess solves sum_i D_ii u = n tan(theta/n) - sum_i lift_ii, and
-the exact Jacobian trace((I + M^2)^{-1} dM/du) is sum_ij A_ij D_ij with
-A = (I + M^2)^{-1}. Both systems are assembled once as CSC patterns in a
-geometric nested-dissection order of the interior nodes (George, SIAM J.
-Numer. Anal. 1973): each box is split across its widest axis at the middle
+F_i(u) = sum(arctan(lambda(H_i))) - theta over interior nodes. One table of
+the stencil terms that join two interior nodes, built once per solve by
+`hessians.stencil_terms`, serves both linear systems; D_ij below is the
+(i, j) Hessian entry over those terms alone. The initial guess solves
+sum_i D_ii u = n tan(theta/n) - sum_i R_ii, where R is the Hessian of the
+rim data with the interior set to 0, and the exact Jacobian
+trace((I + M^2)^{-1} dM/du) is sum_ij A_ij D_ij with A = (I + M^2)^{-1}.
+Both systems are assembled once as CSC patterns in a geometric
+nested-dissection order of the interior nodes (George, SIAM J. Numer.
+Anal. 1973): each box is split across its widest axis at the middle
 plane, the halves come first and the plane last. Each Newton step only
 scatters its A_ij data into the fixed pattern, and SuperLU factors the
 permuted system with its natural column order in symmetric mode. The report
@@ -40,7 +42,7 @@ from .conjugate import _CHUNK_FLOATS
 from .eigen import eigvals_sym
 from .errors import ConvexityError, GridError
 from .fields import GridSpec, PotentialField, erode_mask, evaluate_formula
-from .hessians import gradient_field, hessian_matrices, second_difference_operators
+from .hessians import gradient_field, hessian_matrices, stencil_terms
 from .operators import ProblemSpec, slag_linearization_batch
 from .reports import AuditReport, SolveReport
 
@@ -155,33 +157,16 @@ def dissection_order(mask: np.ndarray) -> np.ndarray:
     return rank[order[flat[order]]]
 
 
-def _dissection_csc(coos, position: np.ndarray):
-    """Zero-valued CSC pattern of the union of `coos`, rows and columns
-    moved to `position`, and the int32 data slot of every stacked entry."""
+def _csc_pattern(key: np.ndarray, n: int):
+    """Zero-valued n x n CSC pattern of the `col * n + row` keys, and the
+    int32 data slot of every key."""
     from scipy import sparse
 
-    n = len(position)
-    key = np.concatenate([position[c.col].astype(np.int64) * n + position[c.row]
-                          for c in coos])
     pattern, slot = np.unique(key, return_inverse=True)
     indptr = np.searchsorted(pattern, np.arange(n + 1, dtype=np.int64) * n)
     mat = sparse.csc_matrix((np.zeros(len(pattern)), (pattern % n).astype(np.int32),
                              indptr.astype(np.int32)), shape=(n, n))
     return mat, slot.astype(np.int32)
-
-
-def _sub_pattern(mat, slot: np.ndarray):
-    """Zero-valued CSC pattern of the entries of the CSC matrix `mat` that
-    `slot` reaches, and each slot renumbered into it."""
-    from scipy import sparse
-
-    reached = np.zeros(mat.nnz, dtype=bool)
-    reached[slot] = True
-    before = np.zeros(mat.nnz + 1, dtype=np.int32)  # reached entries before each
-    np.cumsum(reached, out=before[1:])
-    sub = sparse.csc_matrix((np.zeros(before[-1]), mat.indices[reached],
-                             before[mat.indptr]), shape=mat.shape)
-    return sub, before[slot]
 
 
 def _factor_solve(a, rhs: np.ndarray, report: SolveReport):
@@ -224,25 +209,30 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
     if not interior.any():
         raise GridError("domain too small: no interior nodes")
     values = np.where(rim, _boundary_values(g, grid, rim), 0.0)
-    ops, lifts = second_difference_operators(PotentialField(grid, values, mask))
+    row, col, pair, weight = stencil_terms(mask, grid.spacing)
     report = SolveReport()
     # both systems live in dissection order: unknown k is interior node perm[k]
     perm = dissection_order(interior)
+    n = len(perm)
     position = np.empty_like(perm)
-    position[perm] = np.arange(len(perm), dtype=perm.dtype)
-    stack = [(i, j, op.tocoo()) for (i, j), op in ops.items()]
-    # every Jacobian keeps the union stencil pattern, built once with its
-    # explicit zeros; a Newton step only scatters its A_ij data into it
-    jac, slot = _dissection_csc([c for _, _, c in stack], position)
-    # the Poisson matrix keeps only the entries of the D_ii
-    diagonal = np.concatenate([np.full(c.nnz, i == j) for i, j, c in stack])
-    laplacian, lap_slot = _sub_pattern(jac, slot[diagonal])
-    laplacian.data = np.bincount(
-        lap_slot, np.concatenate([c.data for i, j, c in stack if i == j]),
-        minlength=laplacian.nnz)
-    rhs = d * math.tan(theta / d) - sum(lifts[i, i] for i in range(d))
+    position[perm] = np.arange(n, dtype=perm.dtype)
+    key = position[col].astype(np.int64) * n + position[row]
+    diagonal = pair[:, 0] == pair[:, 1]
+    # the Poisson matrix sums the D_ii; their rim terms, moved to the
+    # right-hand side, are the Hessian of the rim data with the interior at 0
+    laplacian, lap_slot = _csc_pattern(key[diagonal], n)
+    laplacian.data = np.bincount(lap_slot, weight[diagonal], minlength=laplacian.nnz)
+    rim_hessian = hessian_matrices(PotentialField(grid, values, mask))[0][interior]
+    rhs = d * math.tan(theta / d) - sum(rim_hessian[:, i, i] for i in range(d))
     values[interior] = _factor_solve(laplacian, rhs[perm], report)[position]
-    del laplacian, lap_slot, diagonal  # not held through the Newton factors
+    # every Jacobian keeps the union stencil pattern, built once with its
+    # explicit zeros; a Newton step only scatters weight * A[row, i, j] into
+    # it. trace(A dM) with A = (I + M^2)^{-1}: off-diagonal pairs count twice
+    jac, slot = _csc_pattern(key, n)
+    entry = (row * d + pair[:, 0]) * d + pair[:, 1]  # flat index into A
+    weight = np.where(diagonal, weight, 2.0 * weight)
+    # not held through the Newton factors
+    del row, col, pair, key, diagonal, laplacian, lap_slot, rim_hessian
 
     def residual_of(vals_py):
         f = PotentialField(grid, np.where(mask, vals_py, 0.0), mask)
@@ -260,10 +250,8 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
             stop = "converged"
             break
         coeff = slag_linearization_batch(mats[interior])  # (n_interior, d, d)
-        # trace(A dM) with A = (I + M^2)^{-1}: off-diagonal pairs count twice
-        jac.data = np.bincount(slot, np.concatenate([
-            (1.0 if i == j else 2.0) * coeff[c.row, i, j] * c.data
-            for i, j, c in stack]), minlength=jac.nnz)
+        jac.data = np.bincount(slot, weight * coeff.reshape(-1)[entry],
+                               minlength=jac.nnz)
         step = _factor_solve(jac, -res[perm], report)
         if step is None or not np.isfinite(step).all():
             logger.warning("non-finite Newton step at iteration %d (residual %.3e)",

@@ -24,7 +24,7 @@ from slag_lab.fields import PotentialField, erode_mask
 from slag_lab.formulas import iso_quad, quad_form
 from slag_lab.hessians import (
     hessian_matrices,
-    second_difference_operators,
+    stencil_terms,
     symmetric_slots,
     taylor_tensors,
 )
@@ -94,23 +94,35 @@ def test_second_difference_operators_match_hessian(dim, nodes, shape):
               + 0.1 * x[..., 1] * x[..., -1] ** 3)
     u = PotentialField(grid, np.where(mask, values, np.nan), mask)
     mats, interior = hessian_matrices(u)
-    ops, lifts = second_difference_operators(u)
-    assert sorted(ops) == [(i, j) for i in range(dim) for j in range(i, dim)]
+    # the terms between interior nodes plus the Hessian of the rim data alone
+    rim_mats, _ = hessian_matrices(
+        PotentialField(grid, np.where(interior, 0.0, u.values), mask))
+    row, col, pair, weight = stencil_terms(mask, grid.spacing)
+    n = int(interior.sum())
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    # stacked pair by pair, in this order
+    assert np.all(np.diff(pair[:, 0] * dim + pair[:, 1]) >= 0)
+    assert sorted(set(map(tuple, pair.tolist()))) == pairs
     scale = np.abs(mats[interior]).max()
-    for (i, j), op in ops.items():
-        got = op @ u.values[interior] + lifts[i, j]
+    inner = u.values[interior]
+    for i, j in pairs:
+        sel = (pair[:, 0] == i) & (pair[:, 1] == j)
+        got = (np.bincount(row[sel], weight[sel] * inner[col[sel]], minlength=n)
+               + rim_mats[interior][:, i, j])
         assert np.abs(mats[interior][:, i, j]).max() > 0.1
         assert np.abs(got - mats[interior][:, i, j]).max() <= 1e-12 * scale
 
-    lap = sum(ops[i, i] for i in range(dim)).tocsr()
-    assert np.all(lap.data != 0)
+    # the Laplacian: sum of the (i, i) terms, one entry per distinct node pair
+    diag = pair[:, 0] == pair[:, 1]
+    keys, slot = np.unique(row[diag] * n + col[diag], return_inverse=True)
+    assert np.all(np.bincount(slot, weight[diag]) != 0)
     face = np.ones(grid.shape, dtype=bool)
     for k in range(dim):
         for s in (-1, 1):
             face &= np.roll(interior, s, axis=k)
     full_rows = face[interior]
     assert full_rows.any() and not full_rows.all()
-    counts = np.diff(lap.indptr)
+    counts = np.bincount(keys // n, minlength=n)
     assert np.all(counts[full_rows] == 2 * dim + 1)
     assert np.all(counts[~full_rows] < 2 * dim + 1)
 

@@ -41,6 +41,7 @@ from .errors import (
     FieldError,
     FileFormatError,
     GridError,
+    LinearSolveError,
     PhaseError,
     RotationError,
     SlagLabError,

@@ -57,3 +57,7 @@ class FileFormatError(SlagLabError, ValueError):
             message += f" (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+class LinearSolveError(SlagLabError, ArithmeticError):
+    """A sparse linear system of the Dirichlet solver has no computed solution."""

@@ -9,7 +9,7 @@ The mask morphology (box erosion and dilation, face-connected labelling)
 is plain numpy on purpose: the first scipy import costs a process about
 0.35 s more than numpy alone (scipy's array-API layer copies numpy's
 namespace), and the rotation, conjugate and audit paths need nothing else
-from scipy. scipy loads only where a sparse system is built or factored.
+from scipy. scipy loads only where a sparse system is built or solved.
 """
 
 from __future__ import annotations

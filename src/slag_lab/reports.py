@@ -56,12 +56,12 @@ class SolveReport:
     converged: bool = False
     convexity_breached: bool = False
     stop_reason: str = ""  # converged, max_iters, step_underflow, non_finite_step
-    linear_solve_s: float = 0.0  # SuperLU factor and solve time, all systems
-    factor_nnz: int = 0  # largest L + U fill of any factorization
+    linear_solve_s: float = 0.0  # multigrid set-up and GMRES time, all systems
+    krylov_iterations: list = field(default_factory=list)  # GMRES, per solved system
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 3,
+            "schema_version": 4,
             "iterations": self.iterations,
             "final_residual": self.final_residual,
             "converged": self.converged,
@@ -70,5 +70,5 @@ class SolveReport:
             "step_history": list(self.step_history),
             "min_eigen_history": list(self.min_eigen_history),
             "linear_solve_s": self.linear_solve_s,
-            "factor_nnz": self.factor_nnz,
+            "krylov_iterations": list(self.krylov_iterations),
         }

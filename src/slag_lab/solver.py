@@ -8,24 +8,31 @@ the stencil terms that join two interior nodes, built once per solve by
 sum_i D_ii u = n tan(theta/n) - sum_i R_ii, where R is the Hessian of the
 rim data with the interior set to 0, and the exact Jacobian
 trace((I + M^2)^{-1} dM/du) is sum_ij A_ij D_ij with A = (I + M^2)^{-1}.
-Both systems are assembled once as CSC patterns in a geometric
-nested-dissection order of the interior nodes (George, SIAM J. Numer.
-Anal. 1973): each box is split across its widest axis at the middle
-plane, the halves come first and the plane last. Each Newton step only
-scatters its A_ij data into the fixed pattern, and SuperLU factors the
-permuted system with its natural column order in symmetric mode. The report
-names why the iteration stopped: convergence, the iteration cap, a line
-search that fell below `min_step`, or a non-finite Newton step (singular
-Jacobian), and records the time and fill of the linear solves.
+Both systems are assembled once as CSR patterns over the interior nodes in
+row-major order, and each Newton step only scatters its A_ij data into the
+fixed pattern. Every system is solved by restarted GMRES (Saad, *Iterative
+Methods for Sparse Linear Systems*, Alg. 9.5), right-preconditioned by one
+multigrid V-cycle with Galerkin coarse operators (Brandt, Math. Comp. 1977;
+Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001): d-linear
+prolongation P from the interior nodes at even indices, R = P^T, coarse
+operators R A P, weighted-Jacobi smoothing and a dense solve of the
+coarsest level. P and R depend on the mask alone and are built once per
+solve. A linear solve that fails (zero Jacobi diagonal, singular coarsest
+block, Krylov breakdown, iteration cap, non-finite iterate) logs its cause:
+in the Newton loop it ends the iteration as a non-finite step, and for the
+initial guess it raises LinearSolveError. The report names why the
+iteration stopped: convergence, the iteration cap, a line search that fell
+below `min_step`, or a non-finite Newton step (no solution of the Newton
+system), and records the time and GMRES iterations of the linear solves.
 Mollification and the supporting-plane convex extension implement the
 smooth-approximation devices used by the rotation audits.
 
-scipy is imported inside the functions that need it (the CSC patterns,
-SuperLU, `mollify` and `scale_potential`), not at module level: the
+scipy is imported inside the functions that need it (the CSR patterns and
+prolongations, `mollify` and `scale_potential`), not at module level: the
 package imports this module, and a first scipy import costs a process
 about 0.35 s more than numpy alone (scipy's array-API layer copies
 numpy's namespace), which the rotation, conjugate and audit paths do not
-need.
+need. The solve uses `scipy.sparse` alone, not `scipy.sparse.linalg`.
 """
 
 from __future__ import annotations
@@ -34,13 +41,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .conjugate import _CHUNK_FLOATS
 from .eigen import eigvals_sym
-from .errors import ConvexityError, GridError
+from .errors import ConvexityError, GridError, LinearSolveError
 from .fields import GridSpec, PotentialField, erode_mask, evaluate_formula
 from .hessians import gradient_field, hessian_matrices, stencil_terms
 from .operators import ProblemSpec, slag_linearization_batch
@@ -49,13 +56,21 @@ from .reports import AuditReport, SolveReport
 logger = logging.getLogger("slag_lab.solver")
 # extend_convex: relative overshoot above u that still keeps a plane
 _SUPPORT_TOL = 1e-9
-# nested dissection: boxes of at most this many nodes keep row-major order
-_DISSECTION_LEAF = 16
-# SuperLU settings of both solve_dirichlet systems, which arrive in
-# dissection order; the natural column order puts SuperLU in symmetric mode
-_PERMC = "NATURAL"
-_DIAG_PIVOT_THRESH = 1e-2
-_SINGULAR = "Factor is exactly singular"
+# linear solves: GMRES(_KRYLOV_RESTART) to a relative residual of
+# _KRYLOV_RTOL, preconditioned by one Galerkin V-cycle. The Poisson guess
+# is used as it stands when it already solves the problem (quadratic and
+# harmonic data), so it is solved to direct-solver accuracy
+_KRYLOV_RTOL = 1e-12
+_POISSON_RTOL = 1e-13
+_KRYLOV_RESTART = 30
+_KRYLOV_MAXITER = 150
+# an Arnoldi vector this small relative to A z ends the Krylov space
+_BREAKDOWN = 1e-14
+_JACOBI_WEIGHT = 0.7
+_PRE_SWEEPS = 2
+_POST_SWEEPS = 3
+# the coarsest level, solved dense, has at most this many unknowns
+_COARSEST = 300
 
 
 @dataclass
@@ -119,78 +134,180 @@ def _boundary_values(g, grid: GridSpec, rim: np.ndarray) -> np.ndarray:
     return vals
 
 
-@lru_cache(maxsize=None)
-def _box_order(shape: tuple) -> np.ndarray:
-    """Row-major flat indices of an index box in nested-dissection order.
-
-    The box splits across its widest axis at the middle plane; the two
-    halves come first (each in its own dissection order), the plane last
-    in row-major order. Read-only, shared between calls.
-    """
-    size = math.prod(shape)
-    if size <= _DISSECTION_LEAF:
-        order = np.arange(size, dtype=np.int32)
-    else:
-        k = int(np.argmax(shape))
-        mid = shape[k] // 2
-        flat = np.arange(size, dtype=np.int32).reshape(shape)
-        lead = (slice(None),) * k
-        parts = []
-        for half in (slice(0, mid), slice(mid + 1, shape[k])):
-            block = flat[lead + (half,)]
-            parts.append(block.ravel()[_box_order(block.shape)])
-        parts.append(flat[lead + (mid,)].ravel())
-        order = np.concatenate(parts)
-    order.flags.writeable = False
-    return order
-
-
-def dissection_order(mask: np.ndarray) -> np.ndarray:
-    """Nested-dissection order of the true nodes of `mask`.
-
-    Entry k is the row-major rank among the masked nodes of the k-th node
-    in the dissection order of the whole index box, filtered to the mask.
-    """
-    flat = mask.ravel()
-    rank = np.cumsum(flat, dtype=np.int32) - 1
-    order = _box_order(mask.shape)
-    return rank[order[flat[order]]]
-
-
-def _csc_pattern(key: np.ndarray, n: int):
-    """Zero-valued n x n CSC pattern of the `col * n + row` keys, and the
+def _csr_pattern(key: np.ndarray, n: int):
+    """Zero-valued n x n CSR pattern of the `row * n + col` keys, and the
     int32 data slot of every key."""
     from scipy import sparse
 
     pattern, slot = np.unique(key, return_inverse=True)
     indptr = np.searchsorted(pattern, np.arange(n + 1, dtype=np.int64) * n)
-    mat = sparse.csc_matrix((np.zeros(len(pattern)), (pattern % n).astype(np.int32),
+    mat = sparse.csr_matrix((np.zeros(len(pattern)), (pattern % n).astype(np.int32),
                              indptr.astype(np.int32)), shape=(n, n))
     return mat, slot.astype(np.int32)
 
 
-def _factor_solve(a, rhs: np.ndarray, report: SolveReport):
-    """Solve a x = rhs by SuperLU; None when the factor is exactly singular.
+def prolongations(interior: np.ndarray) -> list:
+    """(P, R = P^T) of each level of the multigrid hierarchy, finest first.
 
-    `a` is CSC and arrives in dissection order, so SuperLU keeps its columns
-    in place. The time goes to `report.linear_solve_s`; `report.factor_nnz`
-    keeps the largest L + U fill.
+    P is the d-linear prolongation from the coarse level to the fine one.
+    Level l + 1 keeps the nodes of level l at even indices; each level's
+    unknowns are its nodes in row-major order. A fine node takes weight 1
+    from a coarse node it coincides with, and 1/2 per axis along which it
+    lies halfway between two. Coarse nodes outside the mask are dropped,
+    which makes the correction zero there (Dirichlet). Coarsening stops at
+    `_COARSEST` unknowns or fewer.
     """
-    from scipy.sparse import linalg as splinalg
+    from scipy import sparse
 
+    out = []
+    mask = interior
+    while mask.sum() > _COARSEST:
+        coarse = mask[(slice(None, None, 2),) * mask.ndim]
+        if not coarse.any():
+            break
+        index = np.full(coarse.shape, -1, dtype=np.int64)
+        index[coarse] = np.arange(int(coarse.sum()))
+        nodes = np.argwhere(mask)
+        half, odd = nodes // 2, nodes % 2
+        rows, cols, weights = [], [], []
+        for corner in product((0, 1), repeat=mask.ndim):
+            step = odd * np.array(corner)
+            # corner 1 of an even axis would repeat corner 0
+            keep = (step.sum(axis=1) == sum(corner)) & (half + step < coarse.shape).all(axis=1)
+            parent = np.full(len(nodes), -1, dtype=np.int64)
+            parent[keep] = index[tuple((half + step)[keep].T)]
+            row = np.flatnonzero(parent >= 0)
+            rows.append(row)
+            cols.append(parent[row])
+            weights.append(0.5 ** odd[row].sum(axis=1))
+        p = sparse.csr_matrix((np.concatenate(weights),
+                               (np.concatenate(rows), np.concatenate(cols))),
+                              shape=(len(nodes), int(coarse.sum())))
+        out.append((p, p.T.tocsr()))
+        mask = coarse
+    return out
+
+
+def _v_cycle(a, prolongs):
+    """The Galerkin V-cycle of `a` as a function of the residual.
+
+    The coarse operators are R A P with R = P^T, level by level; the
+    smoother is weighted Jacobi and the coarsest level is solved dense.
+    Raises LinearSolveError on a zero or non-finite Jacobi diagonal, and
+    LinAlgError on a singular coarsest block.
+    """
+    levels = []
+    for p, r in prolongs:
+        diag = a.diagonal()
+        if not (np.isfinite(diag).all() and (diag != 0).all()):
+            raise LinearSolveError("zero or non-finite Jacobi diagonal")
+        levels.append((a, _JACOBI_WEIGHT / diag, p, r))
+        a = r @ a @ p
+    coarsest = np.linalg.inv(a.toarray())
+
+    def cycle(b):
+        rhs, iterates = [], []
+        for op, scale, p, r in levels:
+            x = scale * b
+            for _ in range(_PRE_SWEEPS - 1):
+                x += scale * (b - op @ x)
+            rhs.append(b)
+            iterates.append(x)
+            b = r @ (b - op @ x)
+        x = coarsest @ b
+        for (op, scale, p, r), b, x_fine in zip(levels[::-1], rhs[::-1], iterates[::-1]):
+            x = x_fine + p @ x
+            for _ in range(_POST_SWEEPS):
+                x += scale * (b - op @ x)
+        return x
+
+    return cycle
+
+
+def _gmres(a, b: np.ndarray, precondition, rtol: float):
+    """Right-preconditioned restarted GMRES (Saad, Alg. 9.5) for a x = b.
+
+    Arnoldi by modified Gram-Schmidt, the least-squares residual by Givens
+    rotations. Stops once |b - a x| <= rtol |b|, checked on the
+    true residual at the end of each cycle; returns (x, iterations).
+    Raises LinearSolveError on a non-finite iterate, on a breakdown before
+    the tolerance is met, and at `_KRYLOV_MAXITER` iterations.
+    """
+    tol = rtol * float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    r = b
+    iterations = 0
+    breakdown = False
+    while True:
+        beta = float(np.linalg.norm(r))
+        if not math.isfinite(beta):
+            raise LinearSolveError("non-finite iterate")
+        if beta <= tol:
+            return x, iterations
+        if breakdown:
+            raise LinearSolveError(f"Krylov breakdown at residual {beta:.3e}")
+        if iterations >= _KRYLOV_MAXITER:
+            raise LinearSolveError(f"no convergence in {iterations} iterations")
+        basis, search = [r / beta], []
+        hess = np.zeros((_KRYLOV_RESTART + 1, _KRYLOV_RESTART))
+        cos, sin = np.zeros(_KRYLOV_RESTART), np.zeros(_KRYLOV_RESTART)
+        g = np.zeros(_KRYLOV_RESTART + 1)
+        g[0] = beta
+        for j in range(min(_KRYLOV_RESTART, _KRYLOV_MAXITER - iterations)):
+            search.append(precondition(basis[j]))
+            w = a @ search[j]
+            size = float(np.linalg.norm(w))
+            for i in range(j + 1):
+                hess[i, j] = basis[i] @ w
+                w -= hess[i, j] * basis[i]
+            hess[j + 1, j] = float(np.linalg.norm(w))
+            if not math.isfinite(hess[j + 1, j]):
+                raise LinearSolveError("non-finite iterate")
+            # breakdown: the Krylov space stopped growing
+            breakdown = hess[j + 1, j] <= _BREAKDOWN * size
+            if not breakdown:
+                basis.append(w / hess[j + 1, j])
+            for i in range(j):
+                hess[i, j], hess[i + 1, j] = (
+                    cos[i] * hess[i, j] + sin[i] * hess[i + 1, j],
+                    -sin[i] * hess[i, j] + cos[i] * hess[i + 1, j])
+            rho = math.hypot(hess[j, j], hess[j + 1, j])
+            if rho == 0.0:
+                raise LinearSolveError("Krylov breakdown: singular operator")
+            cos[j], sin[j] = hess[j, j] / rho, hess[j + 1, j] / rho
+            hess[j, j], hess[j + 1, j] = rho, 0.0
+            g[j + 1], g[j] = -sin[j] * g[j], cos[j] * g[j]
+            iterations += 1
+            if abs(g[j + 1]) <= tol or breakdown:
+                break
+        k = len(search)
+        y = np.linalg.solve(hess[:k, :k], g[:k])
+        x = x + y @ np.array(search)
+        r = b - a @ x
+
+
+def _linear_solve(a, rhs: np.ndarray, prolongs: list, rtol: float,
+                  report: SolveReport):
+    """Solve a x = rhs to relative residual `rtol` by multigrid-preconditioned
+    GMRES; None when it fails.
+
+    `a` is CSR over the interior nodes in row-major order, and `prolongs`
+    its `prolongations`. A failure logs its cause as a warning. The time
+    goes to `report.linear_solve_s`, the GMRES iterations of a solved
+    system to `report.krylov_iterations`.
+    """
     start = time.perf_counter()
     try:
-        lu = splinalg.splu(a, permc_spec=_PERMC, diag_pivot_thresh=_DIAG_PIVOT_THRESH)
-    except RuntimeError as exc:
-        if str(exc) != _SINGULAR:
-            raise
-        return None
-    x = lu.solve(rhs)
+        x, iterations = _gmres(a, rhs, _v_cycle(a, prolongs), rtol)
+    except (LinearSolveError, np.linalg.LinAlgError) as exc:
+        logger.warning("linear solve of %d unknowns failed: %s", len(rhs), exc)
+        x = None
     seconds = time.perf_counter() - start
     report.linear_solve_s += seconds
-    report.factor_nnz = max(report.factor_nnz, lu.nnz)
-    logger.debug("factored %d unknowns: %d nonzeros in %.3f s",
-                 a.shape[0], lu.nnz, seconds)
+    if x is not None:
+        report.krylov_iterations.append(iterations)
+        logger.debug("solved %d unknowns: %d GMRES iterations in %.3f s",
+                     len(rhs), iterations, seconds)
     return x
 
 
@@ -211,28 +328,29 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
     values = np.where(rim, _boundary_values(g, grid, rim), 0.0)
     row, col, pair, weight = stencil_terms(mask, grid.spacing)
     report = SolveReport()
-    # both systems live in dissection order: unknown k is interior node perm[k]
-    perm = dissection_order(interior)
-    n = len(perm)
-    position = np.empty_like(perm)
-    position[perm] = np.arange(n, dtype=perm.dtype)
-    key = position[col].astype(np.int64) * n + position[row]
+    # both systems number the interior nodes in row-major order, as the
+    # stencil terms do; the hierarchy of their V-cycles depends on the mask
+    n = int(interior.sum())
+    prolongs = prolongations(interior)
+    key = row * n + col
     diagonal = pair[:, 0] == pair[:, 1]
     # the Poisson matrix sums the D_ii; their rim terms, moved to the
     # right-hand side, are the Hessian of the rim data with the interior at 0
-    laplacian, lap_slot = _csc_pattern(key[diagonal], n)
+    laplacian, lap_slot = _csr_pattern(key[diagonal], n)
     laplacian.data = np.bincount(lap_slot, weight[diagonal], minlength=laplacian.nnz)
     rim_hessian = hessian_matrices(PotentialField(grid, values, mask))[0][interior]
     rhs = d * math.tan(theta / d) - sum(rim_hessian[:, i, i] for i in range(d))
-    values[interior] = _factor_solve(laplacian, rhs[perm], report)[position]
+    guess = _linear_solve(laplacian, rhs, prolongs, _POISSON_RTOL, report)
+    if guess is None:
+        raise LinearSolveError("the Poisson system of the initial guess has no solution")
+    values[interior] = guess
     # every Jacobian keeps the union stencil pattern, built once with its
     # explicit zeros; a Newton step only scatters weight * A[row, i, j] into
     # it. trace(A dM) with A = (I + M^2)^{-1}: off-diagonal pairs count twice
-    jac, slot = _csc_pattern(key, n)
+    jac, slot = _csr_pattern(key, n)
     entry = (row * d + pair[:, 0]) * d + pair[:, 1]  # flat index into A
     weight = np.where(diagonal, weight, 2.0 * weight)
-    # not held through the Newton factors
-    del row, col, pair, key, diagonal, laplacian, lap_slot, rim_hessian
+    del row, col, pair, key, diagonal, laplacian, lap_slot, rim_hessian, guess
 
     def residual_of(vals_py):
         f = PotentialField(grid, np.where(mask, vals_py, 0.0), mask)
@@ -252,9 +370,9 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
         coeff = slag_linearization_batch(mats[interior])  # (n_interior, d, d)
         jac.data = np.bincount(slot, weight * coeff.reshape(-1)[entry],
                                minlength=jac.nnz)
-        step = _factor_solve(jac, -res[perm], report)
-        if step is None or not np.isfinite(step).all():
-            logger.warning("non-finite Newton step at iteration %d (residual %.3e)",
+        step = _linear_solve(jac, -res, prolongs, _KRYLOV_RTOL, report)
+        if step is None:
+            logger.warning("no Newton step at iteration %d (residual %.3e)",
                            it, norm)
             stop = "non_finite_step"
             break
@@ -262,7 +380,7 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
         accepted = False
         while t_step >= cfg.min_step:
             trial = values.copy()
-            trial[interior] += t_step * step[position]
+            trial[interior] += t_step * step
             new_res, new_mats, new_lam = residual_of(trial)
             if float(np.abs(new_res).max()) < norm:
                 accepted = True

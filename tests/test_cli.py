@@ -41,12 +41,12 @@ class TestSubcommands:
         payload = json.loads(rep.read_text())
         assert payload["converged"] is True
         assert payload["stop_reason"] == "converged"
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert set(payload) == {"schema_version", "iterations",
                                 "final_residual", "converged", "stop_reason",
                                 "convexity_breached", "step_history",
                                 "min_eigen_history", "linear_solve_s",
-                                "factor_nnz"}
+                                "krylov_iterations"}
         assert run_cli("audit", "--check", "super", "--in", str(sol),
                        "--theta", str(np.pi / 2)) == 0
 

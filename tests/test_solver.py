@@ -1,5 +1,7 @@
 """Dirichlet solver, mollifier, convex extension, scaling device."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -18,13 +20,15 @@ from slag_lab import (
     solve_dirichlet,
     subsolution_preservation_trial,
 )
-from slag_lab.errors import GridError
+from slag_lab.errors import GridError, LinearSolveError
 from slag_lab.fields import erode_mask
 from slag_lab.hessians import hessian_matrices, stencil_terms
 from slag_lab.formulas import bilinear, iso_quad, max_affine, quartic
 from slag_lab.operators import slag_linearization_batch
 from slag_lab.reports import SolveReport
-from slag_lab.solver import _factor_solve, dilate_grid, dissection_order
+import slag_lab.solver as solver_module
+from slag_lab.solver import (_KRYLOV_RTOL, _gmres, _linear_solve, dilate_grid,
+                             prolongations)
 
 
 def boundary_from(formula):
@@ -156,11 +160,8 @@ class TestSolveDirichlet:
         u, rep = solve_dirichlet(boundary_from(quartic(1.0)), spec, grid, cfg)
         assert not rep.converged
 
-    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_singular_jacobian_stops_unconverged(self, monkeypatch):
-        # zero coefficients make the Jacobian singular: spsolve returns NaNs
-        import slag_lab.solver as solver_module
-
+        # zero coefficients make the Jacobian singular: the solve gives no step
         residual_evals = []
 
         def counted_hessians(u, stride=1):
@@ -181,19 +182,16 @@ class TestSolveDirichlet:
 
     def test_jacobian_keeps_the_stencil_pattern(self, monkeypatch):
         # diagonal coefficients zero every cross entry; they stay stored
-        import slag_lab.solver as solver_module
-
         real = solver_module.slag_linearization_batch
-        factor_solve = solver_module._factor_solve
         nnz = []
 
-        def recording(a, rhs, report):
+        def recording(a, rhs, prolongs, rtol, report):
             nnz.append(a.nnz)
-            return factor_solve(a, rhs, report)
+            return _linear_solve(a, rhs, prolongs, rtol, report)
 
         monkeypatch.setattr(solver_module, "slag_linearization_batch",
                             lambda ms: real(ms) * np.eye(ms.shape[-1]))
-        monkeypatch.setattr(solver_module, "_factor_solve", recording)
+        monkeypatch.setattr(solver_module, "_linear_solve", recording)
         grid = box_grid(17)
         spec = ProblemSpec(dim=2, theta=np.pi / 2)
         u, rep = solve_dirichlet(boundary_from(quartic(1.0)), spec, grid)
@@ -208,6 +206,20 @@ class TestSolveDirichlet:
         u, rep = solve_dirichlet(boundary_from(iso_quad(1.0)), spec, grid)
         assert rep.converged and rep.final_residual <= 1e-10
 
+    def test_failed_poisson_solve_raises(self, monkeypatch):
+        calls = []
+
+        def fail_first(a, rhs, prolongs, rtol, report):
+            calls.append(len(rhs))
+            return None if len(calls) == 1 else _linear_solve(a, rhs, prolongs,
+                                                               rtol, report)
+
+        monkeypatch.setattr(solver_module, "_linear_solve", fail_first)
+        grid = GridSpec.ball_box(2, 17)
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        with pytest.raises(LinearSolveError, match="Poisson"):
+            solve_dirichlet(boundary_from(quartic(1.0)), spec, grid)
+        assert len(calls) == 1
 
 
 class TestStopReason:
@@ -223,8 +235,10 @@ class TestStopReason:
         assert rep.converged and rep.stop_reason == "converged"
         payload = rep.to_json()
         assert payload["stop_reason"] == "converged"
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert payload["convexity_breached"] is False
+        # the Poisson guess and one system per Newton step
+        assert len(payload["krylov_iterations"]) == rep.iterations + 1
 
     def test_max_iters(self):
         u, rep = self.solve(SolverConfig(max_iters=1))
@@ -233,8 +247,6 @@ class TestStopReason:
 
     def test_step_underflow(self, monkeypatch):
         # a negated Jacobian points every step uphill
-        import slag_lab.solver as solver_module
-
         real = solver_module.slag_linearization_batch
         monkeypatch.setattr(solver_module, "slag_linearization_batch",
                             lambda ms: -real(ms))
@@ -242,10 +254,7 @@ class TestStopReason:
         assert rep.iterations == 0
         assert not rep.converged and rep.stop_reason == "step_underflow"
 
-    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_non_finite_step(self, monkeypatch):
-        import slag_lab.solver as solver_module
-
         monkeypatch.setattr(solver_module, "slag_linearization_batch",
                             lambda ms: np.zeros_like(ms))
         u, rep = self.solve()
@@ -265,81 +274,156 @@ def _grid(d, nodes, ball):
 
 
 # 2-D and 3-D, ball and box, odd and even sizes
-DISSECTION_GRIDS = [
+HIERARCHY_GRIDS = [
     pytest.param(d, n, ball, id=f"{d}d-{'ball' if ball else 'box'}-{n}")
     for d, sizes in ((2, (17, 24, 33)), (3, (9, 12, 13)))
     for n in sizes for ball in (True, False)]
 
 
-class TestDissectionOrder:
-    @pytest.mark.parametrize("d, nodes, ball", DISSECTION_GRIDS)
-    def test_is_a_permutation(self, d, nodes, ball):
+def _levels(interior):
+    """Node masks of the hierarchy, each the even-index nodes of the last."""
+    masks = [interior]
+    while masks[-1].sum() > solver_module._COARSEST:
+        coarse = masks[-1][(slice(None, None, 2),) * interior.ndim]
+        if not coarse.any():
+            break
+        masks.append(coarse)
+    return masks
+
+
+def _interpolate(coarse_mask, coarse_values, node):
+    """d-linear interpolation at a fine index, zero off the coarse mask."""
+    axes = [[k // 2] if k % 2 == 0 else [(k - 1) // 2, (k + 1) // 2] for k in node]
+    total = 0.0
+    for parent in itertools.product(*axes):
+        inside = all(p < n for p, n in zip(parent, coarse_mask.shape))
+        if inside and coarse_mask[parent]:
+            total += coarse_values[parent] / np.prod([len(a) for a in axes])
+    return total
+
+
+class TestHierarchy:
+    @pytest.mark.parametrize("d, nodes, ball", HIERARCHY_GRIDS)
+    def test_coarse_nodes_are_the_even_index_nodes(self, d, nodes, ball):
         interior = erode_mask(_grid(d, nodes, ball).ball_mask(), 1)
-        order = dissection_order(interior)
-        assert np.array_equal(np.sort(order), np.arange(interior.sum()))
+        masks = _levels(interior)
+        levels = prolongations(interior)
+        assert len(levels) == len(masks) - 1
+        assert masks[-1].sum() <= solver_module._COARSEST or len(levels) == 0
+        for (p, r), fine, coarse in zip(levels, masks, masks[1:]):
+            assert p.shape == (fine.sum(), coarse.sum())
+            assert (r != p.T).nnz == 0
+            # fine nodes at even indices are the coarse nodes, in row-major order
+            even = np.zeros(fine.shape, dtype=bool)
+            even[(slice(None, None, 2),) * d] = True
+            rows = np.flatnonzero(even[fine])
+            assert np.array_equal(p[rows].toarray(), np.eye(coarse.sum()))
 
-    @pytest.mark.parametrize("d, nodes, ball", DISSECTION_GRIDS)
-    def test_every_separator_splits_its_box(self, d, nodes, ball):
-        grid = _grid(d, nodes, ball)
-        mask = grid.ball_mask()
-        interior = erode_mask(mask, 1)
-        ops = stencil_operators(mask, grid.spacing)
-        order = dissection_order(interior)
-        # union of the 3^d stencils, rows and columns in dissection order
-        graph = sum(abs(op) for op in ops.values())[order][:, order].tocsr()
-        coords = np.argwhere(interior)[order]
+    @pytest.mark.parametrize("d, nodes, ball", HIERARCHY_GRIDS)
+    def test_prolongation_is_d_linear(self, d, nodes, ball, monkeypatch):
+        # coarsen down to the last node, so that small grids have levels too
+        monkeypatch.setattr(solver_module, "_COARSEST", 1)
+        interior = erode_mask(_grid(d, nodes, ball).ball_mask(), 1)
+        masks = _levels(interior)
+        levels = prolongations(interior)
+        assert len(levels) == len(masks) - 1 >= 1
+        rng = np.random.default_rng(d * nodes)
+        for (p, _), fine, coarse in zip(levels, masks, masks[1:]):
+            values = np.zeros(coarse.shape)
+            values[coarse] = rng.standard_normal(int(coarse.sum()))
+            expected = [_interpolate(coarse, values, tuple(node))
+                        for node in np.argwhere(fine)]
+            assert np.allclose(p @ values[coarse], expected, rtol=0, atol=1e-15)
 
-        def walk(lo, hi, start):
-            """Check the box [lo, hi) whose nodes start at `start`; count them."""
-            box = interior[tuple(slice(a, b) for a, b in zip(lo, hi))]
-            block = coords[start:start + int(box.sum())]
-            assert ((block >= lo) & (block < hi)).all()
-            if np.prod(hi - lo) <= 16:
-                assert np.array_equal(block, np.argwhere(box) + lo)
-                return len(block)
-            k = int(np.argmax(hi - lo))
-            mid = lo[k] + (hi[k] - lo[k]) // 2
-            n1 = walk(lo, np.where(np.arange(d) == k, mid, hi), start)
-            n2 = walk(np.where(np.arange(d) == k, mid + 1, lo), hi, start + n1)
-            plane = np.argwhere(np.take(box, mid - lo[k], axis=k))
-            assert np.array_equal(np.delete(block[n1 + n2:], k, axis=1),
-                                  plane + np.delete(lo, k))
-            assert (block[n1 + n2:, k] == mid).all()
-            # no stencil edge joins the two halves
-            assert graph[start:start + n1, start + n1:start + n1 + n2].nnz == 0
-            return len(block)
 
-        assert walk(np.zeros(d, dtype=int), np.array(grid.shape), 0) == len(coords)
+def _poisson_and_jacobian(grid):
+    """The Poisson matrix sum_i D_ii and the Newton Jacobian of quartic data,
+    summed from scipy operators, not from the solver's patterns."""
+    u = sample_potential(quartic(1.0), grid)
+    ops = stencil_operators(u.mask, grid.spacing)
+    interior = erode_mask(u.mask, 1)
+    mats, _ = hessian_matrices(u)
+    coeff = slag_linearization_batch(mats[interior])
+    jac = sum((1.0 if i == j else 2.0) * sparse.diags(coeff[:, i, j]) @ op
+              for (i, j), op in ops.items())
+    poisson = sum(op for (i, j), op in ops.items() if i == j)
+    return interior, poisson.tocsr(), jac.tocsr()
 
+
+class TestLinearSolve:
     @pytest.mark.parametrize("d, nodes, ball", [(2, 33, True), (2, 32, False),
                                                 (3, 13, True), (3, 12, False)])
-    def test_factor_solve_matches_spsolve(self, d, nodes, ball):
-        grid = _grid(d, nodes, ball)
-        u = sample_potential(quartic(1.0), grid)
-        ops = stencil_operators(u.mask, grid.spacing)
-        interior = erode_mask(u.mask, 1)
-        mats, _ = hessian_matrices(u)
-        coeff = slag_linearization_batch(mats[interior])
-        jac = sum((1.0 if i == j else 2.0) * sparse.diags(coeff[:, i, j]) @ op
-                  for (i, j), op in ops.items()).tocsc()
+    def test_matches_spsolve(self, d, nodes, ball):
+        interior, poisson, jac = _poisson_and_jacobian(_grid(d, nodes, ball))
+        levels = prolongations(interior)
+        assert levels  # every grid here has a coarse level
         rhs = np.random.default_rng(d * nodes).standard_normal(jac.shape[0])
-        expected = splinalg.spsolve(jac, rhs)
-        perm = dissection_order(interior)
         report = SolveReport()
-        got = np.empty_like(rhs)
-        got[perm] = _factor_solve(jac[perm][:, perm].tocsc(), rhs[perm], report)
-        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert report.linear_solve_s > 0 and report.factor_nnz >= jac.nnz
+        for a in (poisson, jac):
+            expected = splinalg.spsolve(a.tocsc(), rhs)
+            got = _linear_solve(a, rhs, levels, _KRYLOV_RTOL, report)
+            assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert report.linear_solve_s > 0
+        assert len(report.krylov_iterations) == 2
+        assert all(0 < k < solver_module._KRYLOV_RESTART for k in report.krylov_iterations)
 
-    def test_one_debug_line_per_factorization(self, caplog):
+    def test_one_debug_line_per_linear_solve(self, caplog):
         caplog.set_level("DEBUG", logger="slag_lab.solver")
-        grid = GridSpec.ball_box(2, 17)
+        grid = GridSpec.ball_box(2, 33)
         spec = ProblemSpec(dim=2, theta=np.pi / 2)
         u, rep = solve_dirichlet(boundary_from(quartic(1.0)), spec, grid)
-        lines = [r for r in caplog.records if r.message.startswith("factored")]
-        assert len(lines) == rep.iterations + 1
-        assert rep.linear_solve_s > 0 and rep.factor_nnz > 0
-        assert any(f" {rep.factor_nnz} nonzeros" in r.message for r in lines)
+        lines = [r for r in caplog.records if r.message.startswith("solved")]
+        assert len(lines) == rep.iterations + 1 == len(rep.krylov_iterations)
+        assert rep.linear_solve_s > 0 and min(rep.krylov_iterations) > 0
+        for line, count in zip(lines, rep.krylov_iterations):
+            assert f"{int(erode_mask(u.mask, 1).sum())} unknowns" in line.message
+            assert f" {count} GMRES iterations in " in line.message
+
+    def failed(self, caplog, a, rhs, levels, cause):
+        report = SolveReport()
+        with caplog.at_level("WARNING", logger="slag_lab.solver"):
+            assert _linear_solve(a, rhs, levels, _KRYLOV_RTOL, report) is None
+        assert cause in caplog.text
+        assert report.krylov_iterations == [] and report.linear_solve_s > 0
+
+    def test_zero_jacobi_diagonal_fails(self, caplog):
+        interior, poisson, _ = _poisson_and_jacobian(_grid(2, 32, False))
+        poisson = poisson.tolil()
+        poisson[5, 5] = 0.0
+        rhs = np.ones(poisson.shape[0])
+        self.failed(caplog, poisson.tocsr(), rhs, prolongations(interior),
+                    "zero or non-finite Jacobi diagonal")
+
+    def test_singular_coarsest_block_fails(self, caplog):
+        # 137 unknowns: the coarsest level is the system itself
+        interior, poisson, _ = _poisson_and_jacobian(_grid(2, 17, True))
+        assert prolongations(interior) == []
+        self.failed(caplog, 0.0 * poisson, np.ones(poisson.shape[0]), [],
+                    "Singular matrix")
+
+    def test_iteration_cap_fails(self, caplog, monkeypatch):
+        monkeypatch.setattr(solver_module, "_KRYLOV_MAXITER", 2)
+        interior, _, jac = _poisson_and_jacobian(_grid(2, 32, False))
+        rhs = np.random.default_rng(0).standard_normal(jac.shape[0])
+        self.failed(caplog, jac, rhs, prolongations(interior),
+                    "no convergence in 2 iterations")
+
+    def test_non_finite_iterate_fails(self, caplog):
+        interior, _, jac = _poisson_and_jacobian(_grid(2, 32, False))
+        rhs = np.ones(jac.shape[0])
+        rhs[7] = np.inf
+        self.failed(caplog, jac, rhs, prolongations(interior), "non-finite iterate")
+
+    def test_breakdown_on_a_singular_operator_raises(self):
+        # the Krylov space of [[1, 1], [1, 1]] from (1, 0) stops at dimension 2
+        a = sparse.csr_matrix(np.ones((2, 2)))
+        with pytest.raises(LinearSolveError, match="breakdown"):
+            _gmres(a, np.array([1.0, 0.0]), lambda v: v, _KRYLOV_RTOL)
+
+    def test_zero_right_hand_side_needs_no_iteration(self):
+        a = sparse.csr_matrix(np.eye(3))
+        x, iterations = _gmres(a, np.zeros(3), lambda v: v, _KRYLOV_RTOL)
+        assert iterations == 0 and not x.any()
 
 
 class TestMollify:

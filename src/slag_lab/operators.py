@@ -98,14 +98,17 @@ def slag_linearization(m: np.ndarray) -> np.ndarray:
 
 
 def slag_linearization_batch(ms: np.ndarray) -> np.ndarray:
-    """(I + M^2)^{-1} for a batch (..., d, d), d = 2 or 3, as adj(S) / det(S).
+    """(I + M^2)^{-1} for a batch (..., d, d), d = 2 or 3, as
+    Re[adj(I + iM) / det(I + iM)].
 
-    For symmetric M, S = I + M^2 is SPD with every eigenvalue >= 1, so
-    det(S) >= 1 (`eigen.adjugate`).
+    For symmetric M, I + M^2 = (I + iM)(I - iM), so its inverse is the real
+    part of (I + iM)^{-1}; |det(I + iM)| >= 1 (`eigen.adjugate`). Forming
+    S = I + M^2 first squares the condition number, and the cofactors of
+    adj(S) cancel for near-rank-1 M with large entries.
     """
     ms = np.asarray(ms, dtype=float)
-    adj, det = adjugate(ms @ ms + np.eye(ms.shape[-1]))
-    return adj / det[..., None, None]
+    adj, det = adjugate(np.eye(ms.shape[-1]) + 1j * ms)
+    return (adj / det[..., None, None]).real
 
 
 def phase_classify(theta: float, dim: int) -> str:

@@ -55,9 +55,13 @@ class SolveReport:
     min_eigen_history: list = field(default_factory=list)
     converged: bool = False
     convexity_breached: bool = False
-    stop_reason: str = ""  # converged, max_iters, step_underflow, non_finite_step
+    # converged, max_iters, step_underflow, or non_finite_step: the linear
+    # solve of a Newton system failed (its cause is logged as a warning)
+    stop_reason: str = ""
     linear_solve_s: float = 0.0  # multigrid set-up and GMRES time, all systems
-    krylov_iterations: list = field(default_factory=list)  # GMRES, per solved system
+    # GMRES iterations of each solved system: the Poisson guess, then one
+    # per Newton step
+    krylov_iterations: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {

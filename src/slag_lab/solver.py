@@ -70,7 +70,7 @@ _JACOBI_WEIGHT = 0.7
 _PRE_SWEEPS = 2
 _POST_SWEEPS = 3
 # the coarsest level, solved dense, has at most this many unknowns
-_COARSEST = 300
+_COARSEST = 100
 
 
 @dataclass

@@ -309,7 +309,7 @@ class TestHierarchy:
         masks = _levels(interior)
         levels = prolongations(interior)
         assert len(levels) == len(masks) - 1
-        assert masks[-1].sum() <= solver_module._COARSEST or len(levels) == 0
+        assert masks[-1].sum() <= solver_module._COARSEST
         for (p, r), fine, coarse in zip(levels, masks, masks[1:]):
             assert p.shape == (fine.sum(), coarse.sum())
             assert (r != p.T).nnz == 0
@@ -395,8 +395,8 @@ class TestLinearSolve:
                     "zero or non-finite Jacobi diagonal")
 
     def test_singular_coarsest_block_fails(self, caplog):
-        # 137 unknowns: the coarsest level is the system itself
-        interior, poisson, _ = _poisson_and_jacobian(_grid(2, 17, True))
+        # 57 unknowns: the coarsest level is the system itself
+        interior, poisson, _ = _poisson_and_jacobian(_grid(3, 9, True))
         assert prolongations(interior) == []
         self.failed(caplog, 0.0 * poisson, np.ones(poisson.shape[0]), [],
                     "Singular matrix")

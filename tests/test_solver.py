@@ -274,7 +274,7 @@ def _grid(d, nodes, ball):
 
 
 # 2-D and 3-D, ball and box, odd and even sizes
-HIERARCHY_GRIDS = [
+DISSECTION_GRIDS = [
     pytest.param(d, n, ball, id=f"{d}d-{'ball' if ball else 'box'}-{n}")
     for d, sizes in ((2, (17, 24, 33)), (3, (9, 12, 13)))
     for n in sizes for ball in (True, False)]
@@ -302,40 +302,6 @@ def _interpolate(coarse_mask, coarse_values, node):
     return total
 
 
-class TestHierarchy:
-    @pytest.mark.parametrize("d, nodes, ball", HIERARCHY_GRIDS)
-    def test_coarse_nodes_are_the_even_index_nodes(self, d, nodes, ball):
-        interior = erode_mask(_grid(d, nodes, ball).ball_mask(), 1)
-        masks = _levels(interior)
-        levels = prolongations(interior)
-        assert len(levels) == len(masks) - 1
-        assert masks[-1].sum() <= solver_module._COARSEST
-        for (p, r), fine, coarse in zip(levels, masks, masks[1:]):
-            assert p.shape == (fine.sum(), coarse.sum())
-            assert (r != p.T).nnz == 0
-            # fine nodes at even indices are the coarse nodes, in row-major order
-            even = np.zeros(fine.shape, dtype=bool)
-            even[(slice(None, None, 2),) * d] = True
-            rows = np.flatnonzero(even[fine])
-            assert np.array_equal(p[rows].toarray(), np.eye(coarse.sum()))
-
-    @pytest.mark.parametrize("d, nodes, ball", HIERARCHY_GRIDS)
-    def test_prolongation_is_d_linear(self, d, nodes, ball, monkeypatch):
-        # coarsen down to the last node, so that small grids have levels too
-        monkeypatch.setattr(solver_module, "_COARSEST", 1)
-        interior = erode_mask(_grid(d, nodes, ball).ball_mask(), 1)
-        masks = _levels(interior)
-        levels = prolongations(interior)
-        assert len(levels) == len(masks) - 1 >= 1
-        rng = np.random.default_rng(d * nodes)
-        for (p, _), fine, coarse in zip(levels, masks, masks[1:]):
-            values = np.zeros(coarse.shape)
-            values[coarse] = rng.standard_normal(int(coarse.sum()))
-            expected = [_interpolate(coarse, values, tuple(node))
-                        for node in np.argwhere(fine)]
-            assert np.allclose(p @ values[coarse], expected, rtol=0, atol=1e-15)
-
-
 def _poisson_and_jacobian(grid):
     """The Poisson matrix sum_i D_ii and the Newton Jacobian of quartic data,
     summed from scipy operators, not from the solver's patterns."""
@@ -350,10 +316,51 @@ def _poisson_and_jacobian(grid):
     return interior, poisson.tocsr(), jac.tocsr()
 
 
-class TestLinearSolve:
+class TestDissectionOrder:
+    """The multigrid hierarchy and the linear solve on it.
+
+    Each level dissects the nodes of the level above into the even-index
+    nodes, which make up the next coarser level, and the nodes that split
+    the boxes between them. Unknowns are in row-major order on every level.
+    """
+
+    @pytest.mark.parametrize("d, nodes, ball", DISSECTION_GRIDS)
+    def test_is_a_permutation(self, d, nodes, ball):
+        interior = erode_mask(_grid(d, nodes, ball).ball_mask(), 1)
+        masks = _levels(interior)
+        levels = prolongations(interior)
+        assert len(levels) == len(masks) - 1
+        assert masks[-1].sum() <= solver_module._COARSEST
+        for (p, r), fine, coarse in zip(levels, masks, masks[1:]):
+            assert p.shape == (fine.sum(), coarse.sum())
+            assert (r != p.T).nnz == 0
+            # fine nodes at even indices are the coarse nodes, in row-major order
+            even = np.zeros(fine.shape, dtype=bool)
+            even[(slice(None, None, 2),) * d] = True
+            rows = np.flatnonzero(even[fine])
+            assert np.array_equal(p[rows].toarray(), np.eye(coarse.sum()))
+
+    @pytest.mark.parametrize("d, nodes, ball", DISSECTION_GRIDS)
+    def test_every_separator_splits_its_box(self, d, nodes, ball, monkeypatch):
+        # a node between coarse nodes takes the d-linear weights of the
+        # corners of the coarse box it splits; coarsen down to the last
+        # node, so that small grids have levels too
+        monkeypatch.setattr(solver_module, "_COARSEST", 1)
+        interior = erode_mask(_grid(d, nodes, ball).ball_mask(), 1)
+        masks = _levels(interior)
+        levels = prolongations(interior)
+        assert len(levels) == len(masks) - 1 >= 1
+        rng = np.random.default_rng(d * nodes)
+        for (p, _), fine, coarse in zip(levels, masks, masks[1:]):
+            values = np.zeros(coarse.shape)
+            values[coarse] = rng.standard_normal(int(coarse.sum()))
+            expected = [_interpolate(coarse, values, tuple(node))
+                        for node in np.argwhere(fine)]
+            assert np.allclose(p @ values[coarse], expected, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("d, nodes, ball", [(2, 33, True), (2, 32, False),
                                                 (3, 13, True), (3, 12, False)])
-    def test_matches_spsolve(self, d, nodes, ball):
+    def test_factor_solve_matches_spsolve(self, d, nodes, ball):
         interior, poisson, jac = _poisson_and_jacobian(_grid(d, nodes, ball))
         levels = prolongations(interior)
         assert levels  # every grid here has a coarse level
@@ -367,7 +374,8 @@ class TestLinearSolve:
         assert len(report.krylov_iterations) == 2
         assert all(0 < k < solver_module._KRYLOV_RESTART for k in report.krylov_iterations)
 
-    def test_one_debug_line_per_linear_solve(self, caplog):
+    def test_one_debug_line_per_factorization(self, caplog):
+        # one line per linear solve; a 33^2 ball has a coarse level
         caplog.set_level("DEBUG", logger="slag_lab.solver")
         grid = GridSpec.ball_box(2, 33)
         spec = ProblemSpec(dim=2, theta=np.pi / 2)
@@ -379,6 +387,8 @@ class TestLinearSolve:
             assert f"{int(erode_mask(u.mask, 1).sum())} unknowns" in line.message
             assert f" {count} GMRES iterations in " in line.message
 
+
+class TestLinearSolve:
     def failed(self, caplog, a, rhs, levels, cause):
         report = SolveReport()
         with caplog.at_level("WARNING", logger="slag_lab.solver"):

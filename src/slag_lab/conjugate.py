@@ -117,19 +117,24 @@ def auto_slope_grid(f: PotentialField) -> GridSpec:
     """Slope-space grid covering the attained gradient range plus a margin.
 
     The spacing is h times the largest attained slope-to-coordinate range
-    ratio, and the grid is aligned so that 0 is a node.
+    ratio, and the grid is aligned so that 0 is a node. Each gradient
+    component is reduced as its own contiguous array, and each coordinate
+    range is read off the axis at the first and last index of the interior.
     """
     grads, valid = gradient_field(f)
     if not valid.any():
         raise SlopeGridError("no interior node to estimate the slope range")
-    g = grads[valid]
-    lo = g.min(axis=0)
-    hi = g.max(axis=0)
-    scale = float(np.abs(g).max())
+    d = f.grid.dim
+    comps = [grads[..., k][valid] for k in range(d)]
+    lo = np.array([g.min() for g in comps])
+    hi = np.array([g.max() for g in comps])
+    scale = float(np.maximum(-lo, hi).max())
     if float((hi - lo).max()) <= 1e-12 * (1.0 + scale):
         raise SlopeGridError("attained slope range is degenerate")
-    coords = f.grid.coords()[valid]
-    span = coords.max(axis=0) - coords.min(axis=0)
+    span = np.empty(d)
+    for k, axis in enumerate(f.grid.axes()):
+        used = np.flatnonzero(valid.any(axis=tuple(j for j in range(d) if j != k)))
+        span[k] = axis[used[-1]] - axis[used[0]]
     spacing = float(((hi - lo) / span).max()) * f.grid.spacing
     if not spacing > 0:
         raise SlopeGridError(f"slope spacing must be positive, got {spacing}")
@@ -149,38 +154,46 @@ def auto_slope_grid(f: PotentialField) -> GridSpec:
 def _hull_transform(xs: np.ndarray, v: np.ndarray, ys: np.ndarray):
     """max_i (y * xs[i] - v[r, i]) and its maximizer i for every row r of v.
 
-    xs and ys ascend; non-finite entries are missing. Each peel round drops
-    at once every entry j whose surviving row neighbours p < j < q pass the
-    monotone chain's test (v_j - v_p)(x_q - x_j) >= (v_q - v_j)(x_j - x_p),
-    until none does (at most one round per entry): what survives are the
-    lower hulls without collinear points. A slope equal to a breakpoint
-    takes the left vertex, so an exact tie resolves to the smallest i; rows
-    with no entry give -inf and index 0. Returns (values, picks, rounds).
+    xs strictly ascends and ys ascends; non-finite entries are missing. The
+    finite entries are laid out row after row, each row closed by a NaN
+    separator. Each peel round drops at once every entry j whose surviving
+    neighbours p < j < q pass the monotone chain's test
+    (v_j - v_p)(x_q - x_j) >= (v_q - v_j)(x_j - x_p), until none does (at
+    most one round per entry): a test that reads a separator is false, so
+    what survives are the lower hulls of the rows, without collinear points,
+    and the separators. A slope equal to a breakpoint takes the left vertex,
+    so an exact tie resolves to the smallest i; rows with no entry read
+    their separator as a vertex at +inf: -inf and index 0. Returns (values,
+    picks, rounds).
     """
-    r, c = np.nonzero(np.isfinite(v))
-    vs = v[r, c]
+    rows = v.shape[0]
+    padded = np.full((rows, v.shape[1] + 1), np.nan)
+    padded[:, :-1] = v
+    take = np.isfinite(padded)
+    take[:, -1] = True
+    vs = padded[take]
+    x = np.broadcast_to(np.append(xs, np.nan), padded.shape)[take]
     rounds = 0
     while True:
         rounds += 1
-        x = xs[c]
-        drop = (r[:-2] == r[2:]) & (
-            (vs[1:-1] - vs[:-2]) * (x[2:] - x[1:-1])
-            >= (vs[2:] - vs[1:-1]) * (x[1:-1] - x[:-2]))
+        drop = ((vs[1:-1] - vs[:-2]) * (x[2:] - x[1:-1])
+                >= (vs[2:] - vs[1:-1]) * (x[1:-1] - x[:-2]))
         if not drop.any():
             break
         keep = np.concatenate(([True], ~drop, [True]))
-        r, c, vs = r[keep], c[keep], vs[keep]
+        vs, x = vs[keep], x[keep]
+    sep = np.isnan(x)
+    r = np.cumsum(sep) - sep
     # slope y takes the hull vertex numbered #(breaks of its row below y)
-    m = np.flatnonzero(r[1:] == r[:-1])
+    m = np.flatnonzero(~(sep[:-1] | sep[1:]))
     breaks = (vs[m + 1] - vs[m]) / (x[m + 1] - x[m])
-    rows, ny = v.shape[0], ys.size
+    ny = ys.size
     hits = np.bincount(r[m] * (ny + 1) + np.searchsorted(ys, breaks, "right"),
                        minlength=rows * (ny + 1)).reshape(rows, ny + 1)
-    count = np.bincount(r, minlength=rows)
-    k = (np.cumsum(count) - count)[:, None] + np.cumsum(hits[:, :ny], axis=1)
-    # rows with no entry read a sentinel vertex at +inf: -inf, index 0
-    k = np.where(count[:, None] > 0, k, r.size)
-    x, vs, c = np.append(x, 0.0), np.append(vs, np.inf), np.append(c, 0)
+    size = np.bincount(r, minlength=rows)
+    k = (np.cumsum(size) - size)[:, None] + np.cumsum(hits[:, :ny], axis=1)
+    c = np.searchsorted(xs, x)
+    c[sep], x[sep], vs[sep] = 0, 0.0, np.inf
     return ys * x[k] - vs[k], c[k], rounds
 
 
@@ -544,13 +557,18 @@ def _lipschitz_at(f: PotentialField, idx: tuple[int, ...]) -> float:
     return best
 
 
-def _fenchel_gap(f: PotentialField, star: PotentialField, a):
-    """f(a) + f*(y) - y.a at every slope node of the transform `star`."""
+def _slope_coords(star: PotentialField) -> np.ndarray:
+    """Coordinates of the slope nodes of `star`, one row per node."""
+    return star.grid.coords().reshape(-1, star.grid.dim)
+
+
+def _fenchel_gap(f: PotentialField, star: PotentialField, ys: np.ndarray, a):
+    """f(a) + f*(y) - y.a at every slope node y of the transform `star`;
+    `ys` is `_slope_coords(star)`."""
     idx = _locate_node(f, a)
     anchor = f.grid.node_coords(idx)
-    ys = star.grid.coords().reshape(-1, f.grid.dim)
     gap = f.values[idx] + star.values.reshape(-1) - ys @ anchor
-    return idx, anchor, ys, gap
+    return idx, anchor, gap
 
 
 def subdifferential(f: PotentialField, a, tol: float | None = None) -> SlopeSet:
@@ -560,7 +578,9 @@ def subdifferential(f: PotentialField, a, tol: float | None = None) -> SlopeSet:
     result on any auto-sized slope grid; pass a tighter tolerance to localize
     smooth-point gradients.
     """
-    idx, anchor, ys, gap = _fenchel_gap(f, conjugate_fast(f), a)
+    star = conjugate_fast(f)
+    ys = _slope_coords(star)
+    idx, anchor, gap = _fenchel_gap(f, star, ys, a)
     if tol is None:
         tol = 2.0 * f.grid.spacing * (1.0 + _lipschitz_at(f, idx))
     members = ys[gap <= tol]
@@ -576,12 +596,15 @@ def tight_subdifferential(f: PotentialField, a,
     inclusions) need the gap minimizer neighborhood instead. Exact kinks
     (gap identically zero on the subdifferential) are unaffected.
     """
-    return _tight_members(f, conjugate_fast(f, slopes), a)
+    star = conjugate_fast(f, slopes)
+    return _tight_members(f, star, _slope_coords(star), a)
 
 
-def _tight_members(f: PotentialField, star: PotentialField, a) -> SlopeSet:
-    """`tight_subdifferential` at `a` from a precomputed transform `star`."""
-    idx, anchor, ys, gap = _fenchel_gap(f, star, a)
+def _tight_members(f: PotentialField, star: PotentialField, ys: np.ndarray,
+                   a) -> SlopeSet:
+    """`tight_subdifferential` at `a` from a precomputed transform `star` and
+    its `_slope_coords` `ys`, which every anchor of one transform shares."""
+    idx, anchor, gap = _fenchel_gap(f, star, ys, a)
     # a quarter of the one-cell gap increment keeps smooth-point sets at the
     # argmin node; exact kink plateaus (gap == 0) are kept whole
     h = f.grid.spacing
@@ -627,6 +650,7 @@ def check_sum_rule(v: PotentialField, kappa: float, samples) -> AuditReport:
     vq = v.with_values(v.values + q)
     star_sum = conjugate_fast(vq, auto_slope_grid(vq))
     star_v = conjugate_fast(v, auto_slope_grid(v))
+    ys_sum, ys_v = _slope_coords(star_sum), _slope_coords(star_v)
     allowance = (2.0 * max(star_sum.grid.spacing, star_v.grid.spacing)
                  + _SUM_RULE_TOL)
     samples = list(samples)
@@ -634,8 +658,8 @@ def check_sum_rule(v: PotentialField, kappa: float, samples) -> AuditReport:
     min_margin = np.inf
     worst = (None, -np.inf)
     for a in samples:
-        s_sum = _tight_members(vq, star_sum, a)
-        s_v = _tight_members(v, star_v, a)
+        s_sum = _tight_members(vq, star_sum, ys_sum, a)
+        s_v = _tight_members(v, star_v, ys_v, a)
         dist = _hausdorff(s_sum.members, s_v.members + kappa * s_sum.anchor)
         margin = allowance - dist
         min_margin = min(min_margin, margin)
@@ -674,7 +698,7 @@ def check_slope_increase(f: PotentialField, s_delta: float, samples) -> AuditRep
     dm = slope_domain(f)
     slopes = dm.slope_grid
     star = conjugate_fast(f, slopes)
-    ys = slopes.coords().reshape(-1, f.grid.dim)
+    ys = _slope_coords(star)
     inside_flat = dm.inside.reshape(-1)
     near_rim = (~dm.inside & dilate_mask(dm.inside)).reshape(-1)
     violations = []
@@ -687,7 +711,7 @@ def check_slope_increase(f: PotentialField, s_delta: float, samples) -> AuditRep
         if r <= 0:
             continue
         min_margin = min(min_margin, r)
-        sd = _tight_members(f, star, a)
+        sd = _tight_members(f, star, ys, a)
         for member in sd.members:
             dist = np.linalg.norm(ys - member, axis=1)
             required = dist <= r

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 
 import numpy as np
 
@@ -271,14 +271,21 @@ def fourth_order_jet(u: PotentialField):
 
 
 def gradient_field(u: PotentialField) -> tuple[np.ndarray, np.ndarray]:
-    """Centered first differences: (gradients (*shape, dim), validity mask)."""
+    """Centered first differences: (gradients (*shape, dim), validity mask).
+
+    The differences are taken on the box one cell in from the grid border,
+    which holds every interior node.
+    """
     grid = u.grid
     d = grid.dim
     h = grid.spacing
     grads = np.zeros(grid.shape + (d,))
     valid = erode_mask(u.mask, 1)
+    inner = (slice(1, -1),) * d
     for i in range(d):
-        grads[..., i] = _combine(u.values, _corners(d, (i,))) / (2.0 * h)
+        ahead = inner[:i] + (slice(2, None),) + inner[i + 1:]
+        behind = inner[:i] + (slice(None, -2),) + inner[i + 1:]
+        grads[inner + (i,)] = (u.values[ahead] - u.values[behind]) / (2.0 * h)
     grads[~valid] = 0.0
     return grads, valid
 
@@ -293,13 +300,11 @@ def semiconvexity_modulus(u: PotentialField) -> float:
     return float(lam[..., -1].min())
 
 
-def _direction_set(d: int) -> list[tuple[int, ...]]:
-    dirs = []
-    for off in np.ndindex(*(3,) * d):
-        v = tuple(int(o) - 1 for o in off)
-        if any(v) and (-np.array(v)).tolist() not in [list(w) for w in dirs]:
-            dirs.append(v)
-    return dirs
+@lru_cache(maxsize=None)
+def _direction_set(d: int) -> tuple[tuple[int, ...], ...]:
+    """One offset of each pair +-v of nonzero 3^d stencil offsets: the ones
+    before the centre in row-major order."""
+    return tuple(islice(product((-1, 0, 1), repeat=d), (3**d - 1) // 2))
 
 
 def directional_convexity_deficit(u: PotentialField):
@@ -307,22 +312,31 @@ def directional_convexity_deficit(u: PotentialField):
 
     Sampled convex functions (kinks included) have every directional second
     difference >= 0, which makes this the right discrete convexity test; the
-    assembled FD Hessian matrix can be indefinite at creases.
+    assembled FD Hessian matrix can be indefinite at creases. Interior
+    nodes never sit on the grid border, so the differences are taken on the
+    box one cell in from it, where every neighbour exists.
     """
     grid = u.grid
     h = grid.spacing
     valid = erode_mask(u.mask, 1)
     if not valid.any():
         raise GridError("domain too small for a convexity check")
+    inner = (slice(1, -1),) * grid.dim
+    centre = u.values[inner]
+    valid = valid[inner]
     worst = np.inf
-    node = None
+    best = None
     for v in _direction_set(grid.dim):
         step2 = float(np.dot(v, v)) * h * h
-        second = (_shift(u.values, v) - 2.0 * u.values
-                  + _shift(u.values, tuple(-c for c in v))) / step2
+        ahead = tuple(slice(1 + c, n - 1 + c) for c, n in zip(v, grid.shape))
+        behind = tuple(slice(1 - c, n - 1 - c) for c, n in zip(v, grid.shape))
+        second = (u.values[ahead] - 2.0 * centre + u.values[behind]) / step2
         vals = second[valid]
         k = int(np.nanargmin(vals))
         if vals[k] < worst:
             worst = float(vals[k])
-            node = tuple(int(i) for i in np.argwhere(valid)[k])
-    return worst, node
+            best = k
+    if best is None:
+        return worst, None
+    node = np.unravel_index(np.flatnonzero(valid)[best], valid.shape)
+    return worst, tuple(int(i) + 1 for i in node)

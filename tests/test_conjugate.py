@@ -837,7 +837,7 @@ class TestSlopeIncrease:
         violations, rim_flags = [], 0
         for a in samples:
             r = 0.8 * (1.0 - float(np.linalg.norm(a))) - 2.0 * grid.spacing
-            for member in _tight_members(u, star, a).members:
+            for member in _tight_members(u, star, ys, a).members:
                 dist = np.linalg.norm(ys - member, axis=1)
                 for flat in np.flatnonzero((dist <= r) & ~inside):
                     if near_rim[flat]:

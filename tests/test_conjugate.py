@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -41,6 +41,7 @@ from slag_lab.conjugate import (
 from slag_lab.fields import PotentialField, connected_components, erode_mask
 from slag_lab.formulas import (
     iso_quad,
+    max_affine,
     norm,
     quad_form,
     quartic,
@@ -631,6 +632,131 @@ class TestTransformLaws:
         assert worst >= -1e-9
 
 
+def _convex_on_random_mask(seed, dim, lattice):
+    """A convex field on a random mask, and a slope grid.
+
+    The mask is drawn as in `_random_masked_field`, joined with a 3^dim
+    block around one of its nodes so that the convexity check has an
+    interior node. The values are a max-affine part, plus an SPD quadratic
+    unless `lattice` is set. With `lattice` the field is max-affine alone,
+    and the grid, the slope grid, the piece slopes (nodes of the slope
+    grid) and the offsets are dyadic with a few bits each, so every sum,
+    product and breakpoint the transform forms is exact.
+    """
+    rng = np.random.default_rng(seed)
+    base, slopes = _random_masked_field(seed, dim, one_node=False)
+    shape = base.grid.shape
+    node = np.argwhere(base.mask)[rng.integers(int(base.mask.sum()))]
+    centre = np.clip(node, 1, np.array(shape) - 2)
+    mask = base.mask.copy()
+    mask[tuple(slice(c - 1, c + 2) for c in centre)] = True
+    pieces = int(rng.integers(1, 5))
+    if lattice:
+        h = 2.0 ** -int(rng.integers(2, 5))
+        grid = GridSpec(dim, shape, h, tuple(-h * (np.array(shape) // 2)), None)
+        s = 2.0 ** -int(rng.integers(0, 3))
+        slope_shape = tuple(int(n) for n in rng.integers(3, 9, size=dim))
+        slopes = GridSpec(dim, slope_shape, s,
+                          tuple(-s * rng.integers(0, np.array(slope_shape))), None)
+        p = np.array(slopes.origin) + s * rng.integers(0, slope_shape,
+                                                       size=(pieces, dim))
+        b = rng.integers(-16, 17, size=pieces) / 16.0
+        quad = 0.0
+    else:
+        grid = base.grid
+        p = rng.uniform(-1.0, 1.0, size=(pieces, dim))
+        b = rng.uniform(-0.3, 0.3, size=pieces)
+        x = grid.coords()
+        a = random_spd_matrix(rng, dim)
+        quad = 0.5 * np.einsum("...i,ij,...j->...", x, a, x)
+    values = max_affine(p, b)(grid.coords()) + quad
+    return PotentialField(grid, np.where(mask, values, np.nan), mask), slopes
+
+
+def _slope_index(slopes, ys):
+    """Flat slope-grid index of each row of `ys`, -1 off the grid."""
+    k = np.round((ys - np.array(slopes.origin)) / slopes.spacing).astype(int)
+    on = np.all((k >= 0) & (k < np.array(slopes.shape)), axis=1)
+    flat = np.ravel_multi_index(tuple(np.where(on[:, None], k, 0).T), slopes.shape)
+    return np.where(on, flat, -1)
+
+
+_LAW_DRAWS = dict(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
+
+
+class TestTransformLawsOnRandomMasks:
+    """Legendre laws of `conjugate_fast` on random masks in 2-D and 3-D.
+
+    Round-off laws run on general convex fields, exact ones on lattice
+    fields, where the transform's arithmetic is exact.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_LAW_DRAWS)
+    # draws that fail when the peel stops after one round
+    @example(seed=0, dim=2)
+    def test_fenchel_young_with_equality_at_the_sup(self, seed, dim):
+        f, slopes = _convex_on_random_mask(seed, dim, lattice=False)
+        star = conjugate_fast(f, slopes).values.reshape(-1)
+        xs, fs = f.masked_points()
+        xy = slopes.coords().reshape(-1, dim) @ xs.T
+        gap = fs[None, :] + star[:, None] - xy
+        tol = 1e-12 * (1.0 + np.abs(fs)[None, :] + np.abs(star)[:, None]
+                       + np.abs(xy))
+        assert np.all(gap >= -tol)
+        assert np.all(gap.min(axis=1) <= tol[np.arange(len(star)),
+                                              gap.argmin(axis=1)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_LAW_DRAWS, lift=st.floats(0.0, 1.0), bend=st.floats(0.0, 2.0))
+    def test_order_reversal(self, seed, dim, lift, bend):
+        f, slopes = _convex_on_random_mask(seed, dim, lattice=False)
+        x = f.grid.coords()
+        centre = x[f.mask][0]
+        g = f.with_values(f.values + lift
+                          + 0.5 * bend * np.sum((x - centre) ** 2, axis=-1))
+        assert np.all(g.values[f.mask] >= f.values[f.mask])
+        fs = conjugate_fast(f, slopes).values
+        gs = conjugate_fast(g, slopes).values
+        assert np.all(gs <= fs + 1e-12 * (1.0 + np.abs(fs)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_LAW_DRAWS, shift=st.integers(-64, 64))
+    def test_constant_shift_is_exact(self, seed, dim, shift):
+        f, slopes = _convex_on_random_mask(seed, dim, lattice=True)
+        c = shift / 32.0
+        star = conjugate_fast(f, slopes).values
+        assert np.array_equal(conjugate_fast(f.shifted(c), slopes).values,
+                              star - c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_LAW_DRAWS, data=st.data())
+    def test_tilt_by_a_lattice_slope(self, seed, dim, data):
+        f, slopes = _convex_on_random_mask(seed, dim, lattice=True)
+        steps = np.array([data.draw(st.integers(1 - n, n - 1))
+                          for n in slopes.shape])
+        a = slopes.spacing * steps
+        tilted = f.with_values(f.values - f.grid.coords() @ a)
+        lhs = conjugate_fast(tilted, slopes).values.reshape(-1)
+        star = conjugate_fast(f, slopes).values.reshape(-1)
+        ys = slopes.coords().reshape(-1, dim)
+        moved = _slope_index(slopes, ys + a)
+        on = moved >= 0
+        assert on.any()
+        assert np.array_equal(lhs[on], star[moved[on]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_LAW_DRAWS)
+    @example(seed=6373, dim=2)
+    def test_involution_on_lattice_max_affine(self, seed, dim):
+        f, slopes = _convex_on_random_mask(seed, dim, lattice=True)
+        star = conjugate_fast(f, slopes)
+        g = f.grid
+        back = conjugate_fast(star, GridSpec(dim, g.shape, g.spacing,
+                                             g.origin, None))
+        assert np.array_equal(back.values[f.mask], f.values[f.mask])
+
+
 class TestAutoSlopeGrid:
     def test_covers_attained_range_with_two_cell_margin(self, grid65, rng):
         from slag_lab.hessians import gradient_field
@@ -674,6 +800,77 @@ class TestAutoSlopeGrid:
         flat = sample_potential(lambda x: np.full(x.shape[:-1], 2.0), grid65)
         with pytest.raises(SlopeGridError):
             auto_slope_grid(flat)
+
+
+def _auto_slope_grid_reference(f):
+    """`auto_slope_grid` as it read the gradients and coordinates through
+    full (N, dim) arrays: the oracle of the per-component reductions."""
+    from slag_lab.errors import SlopeGridError
+    from slag_lab.hessians import _combine, _corners
+
+    d, h = f.grid.dim, f.grid.spacing
+    valid = erode_mask(f.mask, 1)
+    grads = np.zeros(f.grid.shape + (d,))
+    for i in range(d):
+        grads[..., i] = _combine(f.values, _corners(d, (i,))) / (2.0 * h)
+    if not valid.any():
+        raise SlopeGridError("no interior node to estimate the slope range")
+    g = grads[valid]
+    lo, hi = g.min(axis=0), g.max(axis=0)
+    if float((hi - lo).max()) <= 1e-12 * (1.0 + float(np.abs(g).max())):
+        raise SlopeGridError("attained slope range is degenerate")
+    coords = f.grid.coords()[valid]
+    span = coords.max(axis=0) - coords.min(axis=0)
+    spacing = float(((hi - lo) / span).max()) * h
+    shape, origin = [], []
+    for k in range(d):
+        lo_node = int(np.floor(conjugate._snap(lo[k] / spacing))) - 2
+        hi_node = int(np.ceil(conjugate._snap(hi[k] / spacing))) + 2
+        while hi_node - lo_node + 1 < 5:
+            lo_node -= 1
+            hi_node += 1
+        shape.append(hi_node - lo_node + 1)
+        origin.append(lo_node * spacing)
+    return GridSpec(d, tuple(shape), spacing, tuple(origin), None)
+
+
+class TestAutoSlopeGridOracle:
+    """`auto_slope_grid` equals its full-array reference bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           domain=st.sampled_from(["ball", "box", "random"]),
+           data=st.sampled_from(["smooth", "noise", "affine", "constant"]))
+    def test_equals_the_full_array_reference(self, seed, dim, domain, data):
+        from slag_lab.errors import SlopeGridError
+
+        rng = np.random.default_rng(seed)
+        if domain == "random":
+            f, _ = _random_masked_field(seed, dim, one_node=False)
+            grid, mask = f.grid, f.mask
+        else:
+            nodes = int(rng.integers(5, 40 if dim == 2 else 16))
+            grid = GridSpec.ball_box(dim, nodes, float(rng.uniform(0.3, 3.0)))
+            mask = (grid.ball_mask() if domain == "ball"
+                    else np.ones(grid.shape, dtype=bool))
+        x = grid.coords()
+        p = rng.normal(size=dim)
+        values = {
+            "smooth": lambda: (0.5 * np.einsum("...i,ij,...j->...", x,
+                                               random_spd_matrix(rng, dim), x)
+                               + np.sin(x @ p)),
+            "noise": lambda: rng.uniform(-1.0, 1.0, size=grid.shape),
+            "affine": lambda: x @ p + 0.3,
+            "constant": lambda: np.full(grid.shape, 0.7),
+        }[data]()
+        f = PotentialField(grid, np.where(mask, values, np.nan), mask)
+        try:
+            ref = _auto_slope_grid_reference(f)
+        except SlopeGridError as err:
+            with pytest.raises(SlopeGridError, match=str(err)):
+                auto_slope_grid(f)
+            return
+        assert auto_slope_grid(f) == ref
 
 
 class TestSubdifferential:
@@ -720,6 +917,36 @@ class TestSubdifferential:
         u = sample_potential(iso_quad(1.0), grid65)
         with pytest.raises(ConvexityError):
             subdifferential(u, (0.0, 0.0), tol=-1.0)
+
+
+def _tight_members_per_call(f, star, a):
+    """`_tight_members` as it built the slope coordinates for every anchor."""
+    idx = conjugate._locate_node(f, a)
+    anchor = f.grid.node_coords(idx)
+    ys = star.grid.coords().reshape(-1, f.grid.dim)
+    gap = f.values[idx] + star.values.reshape(-1) - ys @ anchor
+    h = f.grid.spacing
+    slack = (0.25 * (1.0 + conjugate._lipschitz_at(f, idx)) * h * h
+             + 1e-12 * (1.0 + abs(float(f.values[idx]))))
+    cut = float(gap.min()) + slack
+    return anchor, ys[gap <= cut], cut
+
+
+class TestTightMembersSharedCoordinates:
+    @pytest.mark.parametrize("dim, nodes", [(2, 33), (3, 13)])
+    def test_equals_the_per_call_version(self, dim, nodes, rng):
+        grid = GridSpec.ball_box(dim, nodes)
+        u = sample_potential(random_max_affine(rng, dim, 4), grid)
+        u = u.with_values(u.values + sample_potential(iso_quad(0.5), grid).values)
+        star = conjugate_fast(u)
+        ys = conjugate._slope_coords(star)
+        for node in np.argwhere(u.mask)[::3]:
+            a = grid.node_coords(node)
+            sd = _tight_members(u, star, ys, a)
+            anchor, members, cut = _tight_members_per_call(u, star, a)
+            assert np.array_equal(sd.anchor, anchor)
+            assert np.array_equal(sd.members, members)
+            assert sd.tolerance == cut
 
 
 class TestSlopeDomain:

@@ -19,8 +19,10 @@ from slag_lab import (
     semiconvexity_modulus,
 )
 from slag_lab.eigen import adjugate
-from slag_lab.fields import connected_components, dilate_mask, erode_mask, label_components
+from slag_lab.fields import (PotentialField, connected_components, dilate_mask, erode_mask,
+                             label_components)
 from slag_lab.formulas import bilinear, iso_quad, pure_quartic, quad_form
+from slag_lab.hessians import directional_convexity_deficit, gradient_field
 
 from conftest import make_iso_quad
 
@@ -210,6 +212,82 @@ class TestHessianField:
         u = sample_potential(iso_quad(1.0), grid)
         with pytest.raises(GridError):
             hessian_field(u)
+
+
+def _deficit_reference(u):
+    """`directional_convexity_deficit` on NaN-filled shifted copies of the
+    whole grid, with one `argwhere` per improving direction."""
+    from slag_lab.hessians import _direction_set, _shift
+
+    valid = erode_mask(u.mask, 1)
+    if not valid.any():
+        raise GridError("domain too small for a convexity check")
+    h = u.grid.spacing
+    worst, node = np.inf, None
+    for v in _direction_set(u.grid.dim):
+        second = (_shift(u.values, v) - 2.0 * u.values
+                  + _shift(u.values, tuple(-c for c in v))) / (np.dot(v, v) * h * h)
+        vals = second[valid]
+        k = int(np.nanargmin(vals))
+        if vals[k] < worst:
+            worst = float(vals[k])
+            node = tuple(int(i) for i in np.argwhere(valid)[k])
+    return worst, node
+
+
+def _gradient_reference(u):
+    """`gradient_field` from NaN-filled shifted copies of the whole grid."""
+    from slag_lab.hessians import _combine, _corners
+
+    d = u.grid.dim
+    grads = np.zeros(u.grid.shape + (d,))
+    valid = erode_mask(u.mask, 1)
+    for i in range(d):
+        grads[..., i] = _combine(u.values, _corners(d, (i,))) / (2.0 * u.grid.spacing)
+    grads[~valid] = 0.0
+    return grads, valid
+
+
+class TestSliceStencils:
+    """Interior-slice differences against the shifted-copy references."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           kind=st.sampled_from(["convex", "nonconvex", "noise"]),
+           domain=st.sampled_from(["ball", "box", "holes"]))
+    def test_deficit_and_gradient_match(self, seed, dim, kind, domain):
+        rng = np.random.default_rng(seed)
+        nodes = int(rng.integers(3, 30 if dim == 2 else 12))
+        grid = GridSpec.ball_box(dim, nodes, float(rng.uniform(0.5, 2.0)))
+        mask = grid.ball_mask()
+        if domain == "box":
+            mask = np.ones(grid.shape, dtype=bool)
+        elif domain == "holes":
+            mask &= rng.random(grid.shape) < 0.85
+            labels, count = label_components(mask)
+            if count == 0:
+                mask = grid.ball_mask()
+            else:
+                sizes = np.bincount(labels.ravel())[1:]
+                mask = labels == 1 + int(np.argmax(sizes))
+        x = grid.coords()
+        a = rng.normal(size=(dim, dim))
+        a = a @ a.T if kind == "convex" else a + a.T
+        values = (0.5 * np.einsum("...i,ij,...j->...", x, a, x)
+                  if kind != "noise" else rng.normal(size=grid.shape))
+        # NaN outside the mask, as `mollify` leaves it
+        u = PotentialField(grid, np.where(mask, values, np.nan), mask)
+        grads, valid = gradient_field(u)
+        ref_grads, ref_valid = _gradient_reference(u)
+        assert np.array_equal(valid, ref_valid)
+        assert np.array_equal(grads, ref_grads)
+        try:
+            ref = _deficit_reference(u)
+        except GridError:
+            with pytest.raises(GridError):
+                directional_convexity_deficit(u)
+            return
+        assert directional_convexity_deficit(u) == ref
 
 
 class TestEigen:

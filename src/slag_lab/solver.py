@@ -27,12 +27,13 @@ system), and records the time and GMRES iterations of the linear solves.
 Mollification and the supporting-plane convex extension implement the
 smooth-approximation devices used by the rotation audits.
 
-scipy is imported inside the functions that need it (the CSR patterns and
-prolongations, `mollify` and `scale_potential`), not at module level: the
+scipy is imported inside the two functions that build sparse matrices
+(the CSR patterns and the prolongations), not at module level: the
 package imports this module, and a first scipy import costs a process
 about 0.35 s more than numpy alone (scipy's array-API layer copies
 numpy's namespace), which the rotation, conjugate and audit paths do not
 need. The solve uses `scipy.sparse` alone, not `scipy.sparse.linalg`.
+`mollify` erodes its mask and `scale_potential` interpolates in numpy.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ _KRYLOV_RESTART = 30
 _KRYLOV_MAXITER = 150
 # an Arnoldi vector this small relative to A z ends the Krylov space
 _BREAKDOWN = 1e-14
+# a true residual that stopped falling within this many machine epsilons of
+# |A| |x| + |b| (normwise backward error, Rigal and Gaches, JACM 1967) is
+# the round-off floor and is accepted below the Krylov tolerance
+_ROUNDOFF_FLOOR = 16
 _JACOBI_WEIGHT = 0.7
 _PRE_SWEEPS = 2
 _POST_SWEEPS = 3
@@ -229,21 +234,36 @@ def _gmres(a, b: np.ndarray, precondition, rtol: float):
 
     Arnoldi by modified Gram-Schmidt, the least-squares residual by Givens
     rotations. Stops once |b - a x| <= rtol |b|, checked on the
-    true residual at the end of each cycle; returns (x, iterations).
-    Raises LinearSolveError on a non-finite iterate, on a breakdown before
-    the tolerance is met, and at `_KRYLOV_MAXITER` iterations.
+    true residual at the end of each cycle, or once that residual no longer
+    falls from one cycle to the next and lies within `_ROUNDOFF_FLOOR`
+    machine epsilons of |a|_inf |x| + |b|, the most a solve in floating
+    point can reach; returns (x, iterations). Raises LinearSolveError on a
+    non-finite iterate, on a breakdown before the tolerance is met, and at
+    `_KRYLOV_MAXITER` iterations.
     """
-    tol = rtol * float(np.linalg.norm(b))
+    b_norm = float(np.linalg.norm(b))
+    tol = rtol * b_norm
     x = np.zeros_like(b)
     r = b
     iterations = 0
     breakdown = False
+    last = math.inf
     while True:
         beta = float(np.linalg.norm(r))
         if not math.isfinite(beta):
             raise LinearSolveError("non-finite iterate")
         if beta <= tol:
             return x, iterations
+        if beta >= last:
+            a_norm = float(abs(a).sum(axis=1).max())
+            floor = (_ROUNDOFF_FLOOR * np.finfo(float).eps
+                     * (a_norm * float(np.linalg.norm(x)) + b_norm))
+            if beta <= floor:
+                logger.debug("GMRES residual %.3e stalled at the round-off "
+                             "floor %.3e after %d iterations, above the "
+                             "tolerance %.3e", beta, floor, iterations, tol)
+                return x, iterations
+        last = beta
         if breakdown:
             raise LinearSolveError(f"Krylov breakdown at residual {beta:.3e}")
         if iterations >= _KRYLOV_MAXITER:
@@ -414,15 +434,16 @@ def mollify(u: PotentialField, m: MollifierSpec | float) -> PotentialField:
 
     Affine fields pass through unchanged; quadratics shift by a constant.
     """
-    from scipy import ndimage
-
     if not isinstance(m, MollifierSpec):
         m = MollifierSpec.build(float(m), u.grid)
+    # erosion by the footprint: a node stays where every offset lands on a
+    # masked node; the padding is false, so nothing enters from outside
     reach = int(np.abs(m.offsets).max())
-    footprint = np.zeros((2 * reach + 1,) * u.grid.dim, dtype=bool)
+    padded = np.pad(u.mask, reach)
+    valid = u.mask.copy()
     for off in m.offsets:
-        footprint[tuple(off + reach)] = True
-    valid = ndimage.binary_erosion(u.mask, structure=footprint, border_value=0)
+        valid &= padded[tuple(slice(reach + o, reach + o + n)
+                              for o, n in zip(off, u.grid.shape))]
     if not valid.any():
         raise GridError("mollifier stencil exceeds the masked data everywhere")
     if valid.sum() < u.mask.sum():
@@ -488,14 +509,33 @@ def extend_convex(u: PotentialField, target: GridSpec) -> PotentialField:
                           np.ones(target.shape, dtype=bool))
 
 
+def _interpolate(values: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """d-linear interpolation of `values` at fractional indices `frac` (n, d).
+
+    Indices past the box read its nearest node. The weights are 1 - t and
+    1 - (1 - t) on each axis, multiplied onto each corner value axis by
+    axis and summed corner by corner in row-major order, which is the
+    arithmetic of `scipy.ndimage.map_coordinates(order=1, mode="nearest")`.
+    """
+    top = np.array(values.shape) - 1
+    lo = np.floor(frac).astype(np.intp)
+    w0 = 1.0 - (frac - lo)
+    w1 = 1.0 - w0
+    out = np.zeros(len(frac))
+    for corner in product((0, 1), repeat=values.ndim):
+        term = values[tuple(np.clip(lo + corner, 0, top).T)]
+        for k, c in enumerate(corner):
+            term = term * (w1[:, k] if c else w0[:, k])
+        out += term
+    return out
+
+
 def scale_potential(u: PotentialField, ratio: float = 1.2) -> PotentialField:
     """Domain-margin device: ratio^2 * u(x / ratio) on the enlarged ball.
 
     Intended for convex fields; values are first extended so that the
     multilinear interpolation never reads unmasked data.
     """
-    from scipy import ndimage
-
     if ratio <= 1:
         raise ValueError("ratio must exceed 1")
     grid = u.grid
@@ -508,8 +548,7 @@ def scale_potential(u: PotentialField, ratio: float = 1.2) -> PotentialField:
     target = GridSpec(grid.dim, big.shape, big.spacing, big.origin, new_radius)
     pts = target.coords().reshape(-1, grid.dim) / ratio
     frac = (pts - np.array(big.origin)) / big.spacing
-    interp = ndimage.map_coordinates(ext.values, frac.T, order=1, mode="nearest")
-    values = ratio**2 * interp.reshape(target.shape)
+    values = ratio**2 * _interpolate(ext.values, frac).reshape(target.shape)
     return PotentialField(target, values, target.ball_mask())
 
 

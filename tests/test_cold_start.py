@@ -20,7 +20,8 @@ import numpy as np
 import slag_lab
 from slag_lab import (GridSpec, ProblemSpec, RotationParams, check_subsolution,
                       check_sum_rule, conjugate_fast, rotate, sample_potential,
-                      solve_dirichlet)
+                      scale_potential, solve_dirichlet,
+                      subsolution_preservation_trial)
 from slag_lab.formulas import iso_quad
 
 def scipy_modules():
@@ -34,6 +35,9 @@ u = sample_potential(iso_quad(1.5), GridSpec.ball_box(2, 17))
 conjugate_fast(u)
 assert check_sum_rule(u, 1.0, [u.grid.node_coords((8, 7))]).passed
 assert check_subsolution(u, math.pi / 2).passed
+h = u.grid.spacing
+assert subsolution_preservation_trial(u, math.pi / 2, [2 * h]).passed
+assert scale_potential(u).mask.any()
 assert not scipy_modules(), scipy_modules()[:3]
 
 field, report = solve_dirichlet(iso_quad(1.0), ProblemSpec(dim=2, theta=math.pi / 2),

@@ -21,7 +21,7 @@ from slag_lab import (
     subsolution_preservation_trial,
 )
 from slag_lab.errors import GridError, LinearSolveError
-from slag_lab.fields import erode_mask
+from slag_lab.fields import PotentialField, erode_mask
 from slag_lab.hessians import hessian_matrices, stencil_terms
 from slag_lab.formulas import bilinear, iso_quad, max_affine, quartic
 from slag_lab.operators import slag_linearization_batch
@@ -430,6 +430,23 @@ class TestLinearSolve:
         with pytest.raises(LinearSolveError, match="breakdown"):
             _gmres(a, np.array([1.0, 0.0]), lambda v: v, _KRYLOV_RTOL)
 
+    def test_stall_at_round_off_is_accepted(self, caplog, monkeypatch):
+        # below the attainable residual, every restart cycle ends after one
+        # iteration at about 3e-15 on this grid; the solve must accept that
+        # floor rather than run into the iteration cap
+        g = boundary_from(lambda x: 0.5 * np.sum(x * x, axis=-1) + 0.1 * x[..., 0] ** 4)
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        grid = box_grid(33)
+        reference, _ = solve_dirichlet(g, spec, grid)
+        monkeypatch.setattr(solver_module, "_KRYLOV_RTOL", 1e-15)
+        with caplog.at_level("DEBUG", logger="slag_lab.solver"):
+            u, rep = solve_dirichlet(g, spec, grid)
+        assert rep.stop_reason == "converged"
+        assert max(rep.krylov_iterations) < solver_module._KRYLOV_MAXITER
+        assert "stalled at the round-off floor" in caplog.text
+        inside = u.mask
+        assert np.abs(u.values[inside] - reference.values[inside]).max() <= 1e-12
+
     def test_zero_right_hand_side_needs_no_iteration(self):
         a = sparse.csr_matrix(np.eye(3))
         x, iterations = _gmres(a, np.zeros(3), lambda v: v, _KRYLOV_RTOL)
@@ -575,6 +592,63 @@ class TestScalePotential:
         inner = erode_mask(out.mask, 1)
         h = out.grid.spacing
         assert np.abs(out.values[inner] - expected[inner]).max() < 0.8 * h * h
+
+
+class TestNumpyMorphologyAndInterpolation:
+    """`mollify`'s erosion and `scale_potential`'s interpolation against
+    the `scipy.ndimage` calls they replace."""
+
+    @pytest.mark.parametrize("dim, nodes, cells", [(2, 33, 2), (2, 41, 5),
+                                                   (3, 15, 2), (3, 17, 3)])
+    def test_mollified_mask_equals_binary_erosion(self, dim, nodes, cells):
+        from scipy import ndimage
+
+        grid = GridSpec.ball_box(dim, nodes)
+        x = grid.coords()
+        # a ball with an off-centre hole, and the whole box, whose border
+        # the erosion must clear as if outside the box were unmasked
+        hole = np.sum((x - 0.3) ** 2, axis=-1) < 0.2**2
+        for mask in (grid.ball_mask() & ~hole, np.ones(grid.shape, dtype=bool)):
+            values = 0.5 * np.sum(grid.coords() ** 2, axis=-1)
+            u = PotentialField(grid, np.where(mask, values, np.nan), mask)
+            m = MollifierSpec.build(cells * grid.spacing, grid)
+            footprint = np.zeros((2 * cells + 1,) * dim, dtype=bool)
+            footprint[tuple((m.offsets + cells).T)] = True
+            expected = ndimage.binary_erosion(mask, structure=footprint,
+                                              border_value=0)
+            assert np.array_equal(mollify(u, m).mask, expected)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_interpolation_equals_map_coordinates(self, dim):
+        from scipy import ndimage
+
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            shape = tuple(int(n) for n in rng.integers(3, 12, size=dim))
+            values = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+            # inside the box and up to 1.5 cells past every face
+            frac = rng.uniform(-1.5, np.array(shape) + 0.5, size=(400, dim))
+            ref = ndimage.map_coordinates(values, frac.T, order=1,
+                                          mode="nearest")
+            got = solver_module._interpolate(values, frac)
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+    @pytest.mark.parametrize("dim, nodes", [(2, 33), (3, 13)])
+    def test_scale_potential_equals_the_ndimage_version(self, dim, nodes):
+        from scipy import ndimage
+
+        grid = GridSpec.ball_box(dim, nodes)
+        u = sample_potential(quartic(1.0), grid)
+        out = scale_potential(u, 1.3)
+        ext = extend_convex(u, GridSpec(dim, out.grid.shape, out.grid.spacing,
+                                        out.grid.origin, None))
+        frac = ((out.grid.coords().reshape(-1, dim) / 1.3
+                 - np.array(out.grid.origin)) / out.grid.spacing)
+        ref = 1.3**2 * ndimage.map_coordinates(ext.values, frac.T, order=1,
+                                               mode="nearest")
+        got = out.values.reshape(-1)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+        assert np.array_equal(out.mask, out.grid.ball_mask())
 
 
 class TestPreservationTrial:

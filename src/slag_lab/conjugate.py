@@ -4,10 +4,15 @@ The transform of a masked field is f*(y) = max over masked nodes x of
 y.x - f(x), i.e. the conjugate of the piecewise-linear interpolant. One
 kernel evaluates it with its maximizing node, an axis at a time as in
 Lucet's linear-time Legendre transform (Numer. Algorithms 1997): a pass
-peels all rows at once to their lower hulls, in rounds of simultaneous
-monotone-chain tests, and merges the hull breakpoints with the slope axis
-in one `searchsorted`; exact ties take the smallest index, and empty rows
-give -inf and index 0. `sup_with_argmax` (both masks in one call per pass)
+lays the finite entries of all rows out in one array, each row closed by a
+NaN separator that fails every test, peels them to their lower hulls in
+rounds of simultaneous monotone-chain tests, and merges the hull
+breakpoints with the slope axis in one `searchsorted`; exact ties take the
+smallest index, and empty rows give -inf and index 0. The kernel obeys the
+Legendre laws (Fenchel-Young with equality at the maximizer, order
+reversal, exact constant shifts and lattice tilts, involution on lattice
+max-affine fields), which hypothesis tests check on random masks in 2-D
+and 3-D. `sup_with_argmax` (both masks in one call per pass)
 and `conjugate_fast` are its entry points; `refined_sup` polishes its node
 suprema with local quartic Taylor models and the rotation operator builds
 on that. The chunked O(N^2) `_sup_brute` survives only as the oracle behind
@@ -34,7 +39,9 @@ chunk count gives the same bits.
 
 Slope grids are sized automatically from attained first differences plus a
 two-cell margin, with a node pinned at the slope-space origin; node
-quotients within round-off of an integer are snapped to it first.
+quotients within round-off of an integer are snapped to it first. The
+audits build the slope coordinates once per transform and share them
+between anchors.
 """
 
 from __future__ import annotations

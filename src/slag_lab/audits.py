@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -350,10 +350,52 @@ def laplace_beltrami(values: np.ndarray, valid: np.ndarray,
     return result, out_valid
 
 
+def _sq(x):
+    # libm pow, which rounds x ** 2 differently from x * x for about one
+    # double in a thousand; the audited values keep the pow rounding
+    return np.float_power(x, 2.0)
+
+
+# the curvature identity's coefficient families in report order: label, index
+# tuples over top = range(m) and low = range(m, n), value over those columns
 _COEFF_FAMILIES = (
-    "diag_top", "pair_top", "top_low", "low_top",
-    "triple_top", "two_top_one_low", "one_top_two_low",
+    ("diag_top[k={}]",
+     lambda top, low: [(k,) for k in top],
+     lambda k: 1.0 + _sq(k)),
+    ("pair_top[i={},k={}]",
+     lambda top, low: permutations(top, 2),
+     lambda i, k: 3.0 + _sq(i) + 2.0 * i * k),
+    ("top_low[k={},i={}]",
+     lambda top, low: product(top, low),
+     lambda k, i: 2.0 * k * (1.0 + k * i) / (k - i)),
+    ("low_top[i={},k={}]",
+     lambda top, low: product(top, low),
+     lambda i, k: (i - k + _sq(i) * (2.0 + _sq(i) + i * k)) / (i - k)),
+    ("triple_top[{},{},{}]",
+     lambda top, low: combinations(top, 3),
+     lambda i, j, k: 2.0 * (3.0 + i * j + j * k + k * i)),
+    ("two_top_one_low[{},{},{}]",
+     lambda top, low: [(*p, k) for p in combinations(top, 2) for k in low],
+     lambda i, j, k: 2.0 * (1.0 + i * j + i * (1.0 + i * k) / (i - k)
+                            + j * (1.0 + j * k) / (j - k))),
+    ("one_top_two_low[{},{},{}]",
+     lambda top, low: [(i, *p) for i in top for p in combinations(low, 2)],
+     lambda i, j, k: 2.0 * i * ((1.0 + i * j) / (i - j)
+                                + (1.0 + j * k) / (j - k))),
 )
+
+
+def _coefficient_table(lam: np.ndarray, m: int):
+    """Labels and values of every coefficient family over a (k, n) batch of
+    spectra, one row per spectrum and one column per label."""
+    top, low = range(m), range(m, lam.shape[1])
+    labels, columns = [], []
+    for fmt, index_tuples, value in _COEFF_FAMILIES:
+        idx = np.array(list(index_tuples(top, low)), dtype=np.intp)
+        if idx.size:
+            labels += [fmt.format(*(t + 1 for t in tup)) for tup in idx]
+            columns.append(value(*np.moveaxis(lam[:, idx], -1, 0)))
+    return labels, np.concatenate(columns, axis=1)
 
 
 def coefficient_values(lam: np.ndarray, m: int) -> list[tuple[str, float]]:
@@ -365,60 +407,14 @@ def coefficient_values(lam: np.ndarray, m: int) -> list[tuple[str, float]]:
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.size
-    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+    if np.any(lam[:-1] < lam[1:]):
         raise ValueError("eigenvalues must be sorted descending")
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in 1..{n}")
     if m < n and not lam[m - 1] > lam[m]:
         raise ValueError("ordering hypothesis needs a strict gap at position m")
-    top = range(m)           # indices 0..m-1   (paper's 1..m)
-    low = range(m, n)
-    out = []
-    for k in top:
-        out.append((f"diag_top[k={k + 1}]", 1.0 + lam[k] ** 2))
-    for i in top:
-        for k in top:
-            if i != k:
-                out.append(
-                    (f"pair_top[i={i + 1},k={k + 1}]",
-                     3.0 + lam[i] ** 2 + 2.0 * lam[i] * lam[k])
-                )
-    for k in top:
-        for i in low:
-            out.append(
-                (f"top_low[k={k + 1},i={i + 1}]",
-                 2.0 * lam[k] * (1.0 + lam[k] * lam[i]) / (lam[k] - lam[i]))
-            )
-    for i in top:
-        for k in low:
-            out.append(
-                (f"low_top[i={i + 1},k={k + 1}]",
-                 (lam[i] - lam[k]
-                  + lam[i] ** 2 * (2.0 + lam[i] ** 2 + lam[i] * lam[k]))
-                 / (lam[i] - lam[k]))
-            )
-    for i, j, k in combinations(top, 3):
-        out.append(
-            (f"triple_top[{i + 1},{j + 1},{k + 1}]",
-             2.0 * (3.0 + lam[i] * lam[j] + lam[j] * lam[k] + lam[k] * lam[i]))
-        )
-    for i, j in combinations(top, 2):
-        for k in low:
-            out.append(
-                (f"two_top_one_low[{i + 1},{j + 1},{k + 1}]",
-                 2.0 * (1.0 + lam[i] * lam[j]
-                        + lam[i] * (1.0 + lam[i] * lam[k]) / (lam[i] - lam[k])
-                        + lam[j] * (1.0 + lam[j] * lam[k]) / (lam[j] - lam[k])))
-            )
-    for i in top:
-        for j, k in combinations(low, 2):
-            out.append(
-                (f"one_top_two_low[{i + 1},{j + 1},{k + 1}]",
-                 2.0 * lam[i]
-                 * ((1.0 + lam[i] * lam[j]) / (lam[i] - lam[j])
-                    + (1.0 + lam[j] * lam[k]) / (lam[j] - lam[k])))
-            )
-    return out
+    labels, values = _coefficient_table(lam.reshape(1, n), m)
+    return list(zip(labels, values[0]))
 
 
 def coefficient_audit(lambdas: Spectrum | np.ndarray, m: int,
@@ -453,24 +449,20 @@ def coefficient_sweep(n_samples: int, rng: np.random.Generator,
     for n in `_SWEEP_DIMS` and 1 <= m < n. Returns (min coefficient,
     negative count, tuples tested).
     """
-    min_coeff = math.inf
-    negatives = 0
-    tested = 0
+    lo, hi = top_range
     per_call = max(1, n_samples // (sum(d - 1 for d in _SWEEP_DIMS)))
+    worst = []
     for n in _SWEEP_DIMS:
         for m in range(1, n):
-            for _ in range(per_call):
-                top = np.sort(rng.uniform(*top_range, size=m))[::-1]
-                lo_hi = top[-1] - _SWEEP_GAP
-                low = np.sort(rng.uniform(_SWEEP_BOTTOM, lo_hi, size=n - m))[::-1]
-                lam = np.concatenate([top, low])
-                vals = [v for _, v in coefficient_values(lam, m)]
-                tested += 1
-                worst = min(vals)
-                min_coeff = min(min_coeff, worst)
-                if worst < 0:
-                    negatives += 1
-    return min_coeff, negatives, tested
+            # the per-spectrum rng.uniform draws: low + (high - low) * u
+            u = rng.random((per_call, n))
+            top = lo + (hi - lo) * u[:, :m]
+            lo_hi = top.min(axis=1, keepdims=True) - _SWEEP_GAP
+            low = _SWEEP_BOTTOM + (lo_hi - _SWEEP_BOTTOM) * u[:, m:]
+            lam = np.sort(np.hstack([top, low]), axis=1)[:, ::-1]
+            worst.append(_coefficient_table(lam, m)[1].min(axis=1))
+    worst = np.concatenate(worst)
+    return worst.min(), int((worst < 0).sum()), worst.size
 
 
 def subharmonicity_trial(v: RotatedPotential, m: int,

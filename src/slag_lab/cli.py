@@ -139,13 +139,13 @@ def cmd_residual(args) -> int:
 def cmd_solve(args) -> int:
     grid = _grid_from_args(args)
     spec = ProblemSpec(dim=args.dim, theta=args.theta)
-    cfg = SolverConfig()
+    options = {}
     if args.config:
         for key, value in _key_value_lines(Path(args.config).read_text()):
-            if not hasattr(cfg, key):
+            if key not in SolverConfig.__dataclass_fields__:
                 raise SlagLabError(f"unknown solver option {key!r}")
-            cast = int if key == "max_iters" else float
-            setattr(cfg, key, cast(value))
+            options[key] = (int if key == "max_iters" else float)(value)
+    cfg = SolverConfig(**options)
     if args.boundary.endswith(".pf1"):
         g = fileio.load_field(args.boundary).values
     else:

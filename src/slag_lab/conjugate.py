@@ -15,8 +15,9 @@ max-affine fields), which hypothesis tests check on random masks in 2-D
 and 3-D. `sup_with_argmax` (both masks in one call per pass)
 and `conjugate_fast` are its entry points; `refined_sup` polishes its node
 suprema with local quartic Taylor models and the rotation operator builds
-on that. The chunked O(N^2) `_sup_brute` survives only as the oracle behind
-`conjugate_brute` and the tests (contract: equal to 1e-12).
+on that. The O(N*M) references survive for the tests (contract: equal to
+1e-12): values-only `conjugate_brute` on the max kernel `_max_plus`, and
+`_sup_brute`, the argmax and interior oracle of `sup_with_argmax`.
 
 The polish visits the candidate nodes around each node argmax ring by ring
 (offset infinity norm 0, 1, 2) and skips every candidate whose upper
@@ -71,7 +72,8 @@ from .workers import max_workers, usable_cores
 
 logger = logging.getLogger("slag_lab.conjugate")
 
-# floats per block of the chunked O(N*M) loops (brute sup, plane envelope)
+# floats per block of the O(N*M) loops: `_max_plus` (conjugate_brute and
+# extend_convex's two passes) and `_sup_brute`
 _CHUNK_FLOATS = 8_000_000
 # refined_sup: candidate nodes within this many cells of the node argmax,
 # and the smallest Hessian eigenvalue that admits a local model
@@ -210,11 +212,10 @@ def _separable_sup(f: PotentialField, slopes: GridSpec, masks: np.ndarray):
     max_x (y.x - f(x)) splits into nested 1-D maxima, innermost over the
     last axis; each pass is one `_hull_transform` call over every row of
     the previous pass's negated output, all k masks included. Returns
-    (values of shape (k,) + slopes.shape, the maximizing node over the
-    first mask as a tuple of index arrays of slopes.shape), read back
-    through the passes: the last pass (axis 0) picks x_0, then each earlier
-    pass's pick is looked up at the coordinates already found. Values are
-    -inf where a mask is empty.
+    (values of shape (k,) + slopes.shape, picks): picks[axis] is the grid
+    index of x_axis that its pass maximized over, on the axes (k, grid
+    axes below `axis`, slope axes from `axis` on). Values are -inf where a
+    mask is empty.
     """
     d = f.grid.dim
     work = np.where(masks, f.values, np.inf)
@@ -229,11 +230,7 @@ def _separable_sup(f: PotentialField, slopes: GridSpec, masks: np.ndarray):
         shape = (*rows.shape[:-1], -1)
         work = np.moveaxis(out.reshape(shape), -1, axis + 1)
         picks[axis] = np.moveaxis(pick.reshape(shape), -1, axis + 1)
-    ys = np.indices(slopes.shape)
-    node = [picks[0][0]]
-    for axis in range(1, d):
-        node.append(picks[axis][(0, *node, *ys[axis:])])
-    return work, tuple(node)
+    return work, picks
 
 
 def sup_with_argmax(f: PotentialField, slopes: GridSpec,
@@ -250,10 +247,28 @@ def sup_with_argmax(f: PotentialField, slopes: GridSpec,
     `_sup_brute` picks; ties within round-off may resolve to either node.
     """
     masks = np.stack([f.mask, erode_mask(f.mask, interior_cells)])
-    vals, node = _separable_sup(f, slopes, masks)
+    vals, picks = _separable_sup(f, slopes, masks)
+    # the node over the full mask, read back through the passes: axis 0
+    # picks x_0, then each later axis looks its pick up at those found
+    ys = np.indices(slopes.shape)
+    node = [picks[0][0]]
+    for axis in range(1, f.grid.dim):
+        node.append(picks[axis][(0, *node, *ys[axis:])])
     rank = np.cumsum(f.mask.reshape(-1)) - 1
-    arg = rank[np.ravel_multi_index(node, f.grid.shape)]
+    arg = rank[np.ravel_multi_index(tuple(node), f.grid.shape)]
     return vals[0].reshape(-1), arg.reshape(-1), vals[1].reshape(-1)
+
+
+def _max_plus(ys: np.ndarray, xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """max_j (ys[i].xs[j] - fs[j]) for every row i, in blocks of rows of
+    about `_CHUNK_FLOATS` floats."""
+    out = np.empty(len(ys))
+    chunk = max(1, _CHUNK_FLOATS // max(1, len(xs)))
+    for a in range(0, len(ys), chunk):
+        w = ys[a:a + chunk] @ xs.T
+        w -= fs
+        out[a:a + chunk] = w.max(axis=1)
+    return out
 
 
 def _sup_brute(f: PotentialField, slopes: GridSpec, interior_cells: int = 1):
@@ -287,7 +302,8 @@ def conjugate_brute(f: PotentialField, slopes: GridSpec | None = None,
     _require_convex(f, convexity_tol)
     if slopes is None:
         slopes = auto_slope_grid(f)
-    vals, _, _ = _sup_brute(f, slopes)
+    xs, fs = f.masked_points()
+    vals = _max_plus(slopes.coords().reshape(-1, slopes.dim), xs, fs)
     return PotentialField(slopes, vals.reshape(slopes.shape))
 
 

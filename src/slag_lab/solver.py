@@ -46,7 +46,7 @@ from itertools import product
 
 import numpy as np
 
-from .conjugate import _CHUNK_FLOATS
+from .conjugate import _max_plus
 from .eigen import eigvals_sym
 from .errors import ConvexityError, GridError, LinearSolveError
 from .fields import GridSpec, PotentialField, erode_mask, evaluate_formula
@@ -488,23 +488,13 @@ def extend_convex(u: PotentialField, target: GridSpec) -> PotentialField:
     x0 = coords[ok]
     b = u.values[ok] - np.einsum("pi,pi->p", p, x0)
     scale = 1.0 + float(np.abs(us).max())
-    overshoot = np.full(len(p), -np.inf)
-    chunk = max(1, _CHUNK_FLOATS // max(1, len(xs)))
-    for a in range(0, len(p), chunk):
-        c = min(a + chunk, len(p))
-        vals = p[a:c] @ xs.T + b[a:c, None] - us[None, :]
-        overshoot[a:c] = vals.max(axis=1)
+    overshoot = _max_plus(np.column_stack([p, b]),
+                          np.column_stack([xs, np.ones(len(xs))]), us)
     keep = overshoot <= _SUPPORT_TOL * scale
     if not keep.any():
         raise ConvexityError("no supporting planes survive the filter")
     p, b = p[keep], b[keep]
-
-    tcoords = target.coords().reshape(-1, target.dim)
-    out = np.full(len(tcoords), -np.inf)
-    for a in range(0, len(p), chunk):
-        c = min(a + chunk, len(p))
-        np.maximum(out, (tcoords @ p[a:c].T + b[a:c][None, :]).max(axis=1),
-                   out=out)
+    out = _max_plus(target.coords().reshape(-1, target.dim), p, -b)
     return PotentialField(target, out.reshape(target.shape),
                           np.ones(target.shape, dtype=bool))
 

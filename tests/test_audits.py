@@ -1,9 +1,12 @@
 """Viscosity checks, rotation preservation, curvature-identity audits."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slag_lab import (
     GridSpec,
@@ -28,7 +31,8 @@ from slag_lab import (
     solve_dirichlet,
     subharmonicity_trial,
 )
-from slag_lab.audits import MetricField, _diverging, _jet_data
+from slag_lab.audits import (MetricField, _coefficient_table, _diverging,
+                             _jet_data)
 from slag_lab.conjugate import DomainMask
 from slag_lab.fields import PotentialField, erode_mask
 from slag_lab.formulas import bilinear, iso_quad, quad_form, quartic
@@ -366,6 +370,96 @@ class TestCoefficientAudit:
             coefficient_values(np.array([0.5, 0.9]), 1)
         with pytest.raises(ValueError):
             coefficient_values(np.array([0.9, 0.9]), 1)  # no strict gap
+
+
+def _families_loop(lam, m):
+    """Per-spectrum reference for the family table: scalar formulas in
+    report order, squares as scalar `x ** 2` (libm pow)."""
+    top, low = range(m), range(m, len(lam))
+    out = [(f"diag_top[k={k + 1}]", 1.0 + lam[k] ** 2) for k in top]
+    out += [(f"pair_top[i={i + 1},k={k + 1}]",
+             3.0 + lam[i] ** 2 + 2.0 * lam[i] * lam[k])
+            for i in top for k in top if i != k]
+    out += [(f"top_low[k={k + 1},i={i + 1}]",
+             2.0 * lam[k] * (1.0 + lam[k] * lam[i]) / (lam[k] - lam[i]))
+            for k in top for i in low]
+    out += [(f"low_top[i={i + 1},k={k + 1}]",
+             (lam[i] - lam[k]
+              + lam[i] ** 2 * (2.0 + lam[i] ** 2 + lam[i] * lam[k]))
+             / (lam[i] - lam[k]))
+            for i in top for k in low]
+    out += [(f"triple_top[{i + 1},{j + 1},{k + 1}]",
+             2.0 * (3.0 + lam[i] * lam[j] + lam[j] * lam[k] + lam[k] * lam[i]))
+            for i, j, k in combinations(top, 3)]
+    out += [(f"two_top_one_low[{i + 1},{j + 1},{k + 1}]",
+             2.0 * (1.0 + lam[i] * lam[j]
+                    + lam[i] * (1.0 + lam[i] * lam[k]) / (lam[i] - lam[k])
+                    + lam[j] * (1.0 + lam[j] * lam[k]) / (lam[j] - lam[k])))
+            for i, j in combinations(top, 2) for k in low]
+    out += [(f"one_top_two_low[{i + 1},{j + 1},{k + 1}]",
+             2.0 * lam[i] * ((1.0 + lam[i] * lam[j]) / (lam[i] - lam[j])
+                             + (1.0 + lam[j] * lam[k]) / (lam[j] - lam[k])))
+            for i in top for j, k in combinations(low, 2)]
+    return out
+
+
+def _sweep_loop(n_samples, rng, top_range=(0.8, 1.0)):
+    """Per-spectrum reference for `coefficient_sweep`: `rng.uniform` draws
+    and one `coefficient_values` call per spectrum."""
+    min_coeff, negatives, tested = np.inf, 0, 0
+    per_call = max(1, n_samples // 3)
+    for n in (2, 3):
+        for m in range(1, n):
+            for _ in range(per_call):
+                top = np.sort(rng.uniform(*top_range, size=m))[::-1]
+                low = np.sort(rng.uniform(-1.0, top[-1] - 1e-3,
+                                          size=n - m))[::-1]
+                worst = min(v for _, v in
+                            coefficient_values(np.concatenate([top, low]), m))
+                tested += 1
+                min_coeff = min(min_coeff, worst)
+                negatives += worst < 0
+    return min_coeff, negatives, tested
+
+
+class TestCoefficientTable:
+    """The family table over a batch against per-spectrum evaluation."""
+
+    @pytest.mark.parametrize("seed", [20240817, 1, 2])
+    def test_sweep_equals_the_per_spectrum_loop(self, seed):
+        # main then control on one generator, as criterion 8 runs them: the
+        # control sweep continues the stream the main one left
+        got, want = [], []
+        for out, sweep in ((got, coefficient_sweep), (want, _sweep_loop)):
+            rng = np.random.default_rng(seed)
+            out.append(sweep(1500, rng))
+            out.append(sweep(900, rng, top_range=(1.0 + 1e-6, 2.0)))
+        assert got == want
+        assert want[1][1] > 0
+
+    def test_squares_keep_the_pow_rounding(self):
+        # libm pow and x * x round some squares apart; the values keep pow's
+        xs = np.random.default_rng(0).uniform(0.5, 1.0, 10_000).tolist()
+        x = next(x for x in xs if 1.0 + x ** 2 != 1.0 + x * x)
+        got = dict(coefficient_values(np.array([x, -0.5]), 1))
+        assert got["diag_top[k=1]"] == 1.0 + x ** 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+           rows=st.integers(1, 6), data=st.data())
+    def test_batch_rows_equal_one_row_calls(self, seed, n, rows, data):
+        m = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        lam = np.sort(rng.uniform(-1.5, 1.5, size=(rows, n)), axis=1)[:, ::-1]
+        assume(m == n or np.all(lam[:, m - 1] > lam[:, m]))
+        labels, values = _coefficient_table(lam, m)
+        for row, vals in zip(lam, values):
+            one = coefficient_values(row, m)
+            assert labels == [label for label, _ in one]
+            assert np.array_equal(vals, [v for _, v in one])
+            ref = _families_loop(row.tolist(), m)
+            assert labels == [label for label, _ in ref]
+            assert np.array_equal(vals, [v for _, v in ref])
 
 
 class TestSubharmonicity:

@@ -136,6 +136,14 @@ class TestSubcommands:
         assert "line 3: expected key=value" in capsys.readouterr().err
         cfg.write_text("newton_steps = 5\n")
         assert run_cli(*solve) == 2
+        # out-of-range values fail the config's own checks before a solve
+        cfg.write_text("damping = 2\nmin_step = 5\n")
+        assert run_cli(*solve) == 2
+        assert "need 0 < min_step <= damping <= 1" in capsys.readouterr().err
+        cfg.write_text("residual_tol = -1\n")
+        assert run_cli(*solve) == 2
+        assert "residual_tol must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "s.pf1").exists()
 
     @pytest.mark.parametrize("alpha", ["2", "0", "-0.5", str(np.pi / 2), "nan"])
     def test_angle_outside_the_open_quarter_turn_exits_2(self, tmp_path,

@@ -189,6 +189,11 @@ class TestSupKernelOracle:
         ys = slopes.coords().reshape(-1, f.grid.dim)
         attained = np.einsum("ij,ij->i", ys, xs[arg]) - fs[arg]
         assert np.all(np.abs(attained - vals) <= 1e-14 * (1.0 + np.abs(vals)))
+        # the values-only reference takes the same maxima of the same blocks;
+        # random values are not convex, so its convexity gate is bypassed
+        with mock.patch.object(conjugate, "_require_convex"):
+            star = conjugate_brute(f, slopes)
+        assert np.array_equal(star.values.reshape(-1), ref)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_exact_ties_take_the_first_node_in_row_major_order(self, dim):
@@ -209,6 +214,24 @@ class TestSupKernelOracle:
         xs, fs = f.masked_points()
         assert np.all(xs @ p - fs == vals[centre])
         assert arg[centre] == 0
+
+
+@pytest.mark.parametrize("dim,nodes", [(2, 33), (3, 17)])
+@pytest.mark.parametrize("rows", [2, 7, 64])
+def test_brute_values_do_not_depend_on_the_chunk(dim, nodes, rows,
+                                                  monkeypatch):
+    # dyadic data make every product and sum exact, so the bits cannot
+    # depend on how BLAS tiles a block (OpenBLAS mixes fused and unfused
+    # multiply-adds across tiles) and the comparison sees the chunk loop
+    grid = GridSpec.ball_box(dim, nodes)
+    f = sample_potential(quartic(1.0), grid)
+    slopes = GridSpec(dim, (13,) * dim, 0.125, (-0.75,) * dim, None)
+    monkeypatch.setattr(conjugate, "_CHUNK_FLOATS", 10**12)
+    one = conjugate_brute(f, slopes).values
+    masked = int(f.mask.sum())
+    assert slopes.n_nodes() % rows and slopes.n_nodes() > rows
+    monkeypatch.setattr(conjugate, "_CHUNK_FLOATS", rows * masked)
+    assert np.array_equal(conjugate_brute(f, slopes).values, one)
 
 
 def _hull_transform_1d(xs, vs, ys):

@@ -579,6 +579,25 @@ class TestExtendConvex:
         expected = (np.tensordot(pts, slopes, axes=([-1], [1])) + offsets).max(-1)
         assert np.abs(ext.values - expected).max() < 1e-9
 
+    @pytest.mark.parametrize("dim,nodes", [(2, 33), (3, 17)])
+    @pytest.mark.parametrize("rows", [2, 7, 64])
+    def test_envelope_does_not_depend_on_the_chunk(self, dim, nodes, rows,
+                                                   monkeypatch):
+        # dyadic data make every slope, offset, product and sum exact, so
+        # the bits cannot depend on how BLAS tiles a block and the
+        # comparison sees the chunk loops of both passes
+        from slag_lab import conjugate
+
+        grid = GridSpec.ball_box(dim, nodes)
+        u = sample_potential(quartic(1.0), grid)
+        target = dilate_grid(grid, 3)
+        monkeypatch.setattr(conjugate, "_CHUNK_FLOATS", 10**12)
+        one = extend_convex(u, target).values
+        masked = int(u.mask.sum())
+        assert masked % rows and target.n_nodes() % rows
+        monkeypatch.setattr(conjugate, "_CHUNK_FLOATS", rows * masked)
+        assert np.array_equal(extend_convex(u, target).values, one)
+
 
 class TestScalePotential:
     def test_quadratic_scaling_identity(self):

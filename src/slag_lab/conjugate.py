@@ -23,20 +23,25 @@ The polish visits the candidate nodes around each node argmax ring by ring
 (offset infinity norm 0, 1, 2) and skips every candidate whose upper
 bound over its half-cell box (node value, a closed-form quadratic term per
 axis and the cubic and quartic terms at their largest on the box; cf.
-Moore, Interval Analysis, 1966) falls below the best value found so far.
-The maximum is unchanged bit for bit; in 3-D about 2 % of the candidates
-are left to polish. The models are rows of one table, one per one-cell
-interior node, and a padded copy of the grid maps nodes to rows, so each
-offset's candidates are one gather; everything the bound reads of a node
-is one packed row of a second table. Third and fourth derivatives are kept
-packed (`hessians.taylor_tensors`) and expanded only for the polished rows.
-Where the mask has no two-cell interior (and on the one-cell rim ring of
-any mask) the models fall back to the plain quadratic ones. The d x d
-Newton systems and Hessian inverses are closed-form adjugates over
-determinants (`eigen.adjugate`). Slope rows are independent, so contiguous
-chunks of them run on a thread pool, one per usable core (capped by
-`SLAG_LAB_THREADS`) on grids large enough to pay for a thread; every
-chunk count gives the same bits.
+Moore, Interval Analysis, 1966) falls below the best value found in the
+earlier rings. The maximum is unchanged bit for bit; in 3-D about 3 % of
+the candidates are left to polish. The candidates of a ring that pass are
+polished together, in calls of up to `_POLISH_ROWS`. The models are
+one per one-cell interior node, and a padded copy of the grid maps nodes
+to them, so each offset's candidates are one gather. Everything the bound
+reads of a node is one packed row of a table; everything the polish reads
+is one column of a second, component-major table, with the Hessian, its
+inverse and the third and fourth derivatives kept as their packed
+symmetric entries (`hessians.symmetric_slots`). The polish contracts
+those entries directly, elementwise over candidates, so a candidate's
+value does not depend on the call it lands in. Where the mask has no
+two-cell interior (and on the one-cell rim ring of any mask) the models
+fall back to the plain quadratic ones. The d x d Newton systems and
+Hessian inverses are closed-form adjugates over determinants. Slope rows
+are independent, so contiguous chunks of them run on a thread pool, one
+per usable core (capped by `SLAG_LAB_THREADS`) on grids large enough to
+pay for a thread; every chunk count and polish call size gives the same
+bits.
 
 Slope grids are sized automatically from attained first differences plus a
 two-cell margin, with a node pinned at the slope-space origin; node
@@ -50,7 +55,9 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -83,8 +90,16 @@ _PSD_FLOOR = 1e-10
 # about 7k rows per chunk in 3-D and 3k in 2-D (below that, a chunk's small
 # per-offset arrays make two threads slower). The value follows the 3-D
 # figure, so 2-D slope grids of 6k to 16k rows stay on one core and give
-# up a measured gain
+# up a measured gain. With one polish call per ring, two chunks of the 22^3
+# slope grid of a 21^3 rotation are still about 8 % slower than one, and
+# splitting the offsets instead (blocks of about 16k rows on two threads)
+# gained 0.102 -> 0.099 s per operation for 4.2 MB more peak memory, so
+# the value stays
 _CHUNK_ROWS = 8192
+# refined_sup: most candidates per `_polish` call. A 3-D call holds about
+# 64 floats per candidate at its peak, 4 MB at this size; calls of 2048
+# made a 129^2 rotation about 18 % slower
+_POLISH_ROWS = 8192
 # auto_slope_grid: node quotients this close to an integer (relative) are
 # snapped to it; FD round-off leaves them up to ~50 ulps off, while
 # genuinely fractional quotients lie ~1e13 ulps away
@@ -318,31 +333,46 @@ def conjugate_fast(f: PotentialField, slopes: GridSpec | None = None,
 
 
 class _Jets(NamedTuple):
-    """Local quartic Taylor models, one row per node."""
+    """Local quartic Taylor models, one column of `cols` per node."""
 
-    coords: np.ndarray      # node positions x_c
-    values: np.ndarray      # f_c
-    grads: np.ndarray       # gradients g_c
-    mats: np.ndarray        # Hessians H_c
-    inv: np.ndarray         # H_c^-1 where usable, else 0
-    tens3: np.ndarray       # packed third-derivative tensors
-    tens4: np.ndarray       # packed fourth-derivative tensors
+    cols: np.ndarray        # what `_polish` reads, one row per component
+                            # (`_column_blocks`): g_c, H_c, packed t3 and
+                            # t4, H_c^-1 (where usable, else 0), x_c, f_c;
+                            # H_c and H_c^-1 as their symmetric entries
     usable: np.ndarray      # rows with lam_min > _PSD_FLOOR
-    bound: np.ndarray       # `_box_bound`'s table: x_c, g_c, lam_min h/2,
-                            # 1/(2 lam_min), c_c
+    bound: np.ndarray       # `_box_bound`'s table, one row per node: x_c,
+                            # g_c, lam_min h/2, 1/(2 lam_min), c_c
     reach: float            # max |x_ck| + h/2
     half: float             # h/2, the half-width of each node's box
+
+
+@lru_cache(maxsize=None)
+def _sym_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i <= j, of the symmetric entries of a d x d
+    matrix, in `symmetric_slots(d, 2)` column order (read-only)."""
+    pairs = np.array(list(combinations_with_replacement(range(d), 2))).T
+    pairs.flags.writeable = False
+    return pairs[0], pairs[1]
+
+
+def _column_blocks(cols: np.ndarray, d: int) -> list[np.ndarray]:
+    """The blocks g, H, t3, t4, H^-1, x, f of `_Jets.cols`, as views."""
+    p = d * (d + 1) // 2
+    sizes = [d, p, comb(d + 2, 3), comb(d + 3, 4), p, d]
+    return np.split(cols, np.cumsum(sizes))
 
 
 def _model_jets(coords, values, grads, mats, tens3, tens4,
                 half: float) -> _Jets:
     """Screen rows of raw jets by `_PSD_FLOOR`; add inverses and the bound table.
 
-    `tens3` and `tens4` are packed (`hessians.symmetric_slots`); each
-    column's absolute value counts once per dense slot it fills. The table
-    row of node c holds x_c, g_c, lam_min h/2, 1/(2 lam_min) and
-    c_c = -f_c + tail_c + `_BOUND_SLACK` (1 + |f_c| + (h/2) sum|g_c|), with
-    tail_c = (h/2)^3 sum|t3| / 6 + (h/2)^4 sum|t4| / 24.
+    Inputs are row-major, one row per node. `tens3` and `tens4` are packed
+    (`hessians.symmetric_slots`); each column's absolute value counts once
+    per dense slot it fills. The table row of node c holds x_c, g_c,
+    lam_min h/2, 1/(2 lam_min) and c_c = -f_c + tail_c + `_BOUND_SLACK`
+    (1 + |f_c| + (h/2) sum|g_c|), with tail_c = (h/2)^3 sum|t3| / 6 +
+    (h/2)^4 sum|t4| / 24. The polish columns keep the entries (i, j),
+    i <= j, of H_c and H_c^-1.
     """
     d = coords.shape[-1]
     lam_min = eigvals_sym(mats)[:, -1]
@@ -360,8 +390,10 @@ def _model_jets(coords, values, grads, mats, tens3, tens4,
                          where=usable)
     bound = np.column_stack([coords, grads, lam_min * half, inv_2lam, offset])
     reach = float(np.abs(coords).max(initial=0.0)) + half
-    return _Jets(coords, values, grads, mats, inv, tens3, tens4, usable,
-                 bound, reach, half)
+    i, j = _sym_pairs(d)
+    cols = np.concatenate([grads.T, mats[:, i, j].T, tens3.T, tens4.T,
+                           inv[:, i, j].T, coords.T, values[None]])
+    return _Jets(cols, usable, bound, reach, half)
 
 
 def _field_jets(f: PotentialField) -> tuple[_Jets, np.ndarray]:
@@ -407,10 +439,58 @@ def _box_bound(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
             + _BOUND_SLACK * jets.reach * np.abs(ys).sum(axis=1))
 
 
-def _dot(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Row-wise contraction of the last axis of t (n, ..., d) with s (n, d)."""
-    return (t.reshape(len(s), -1, s.shape[1]) @ s[:, :, None]).reshape(
-        t.shape[:-1])
+@lru_cache(maxsize=None)
+def _polish_tables(d: int):
+    """Index tables of `_polish` in dimension d, over the symmetric pairs
+    (i, j) of `_sym_pairs`: `full[r, c]` is the pair of entry (r, c),
+    `of3[a, l]` the packed t3 column of (i_a, j_a, l), `of4[a, b]` the
+    packed t4 column of (i_a, j_a, i_b, j_b), and `cross` the pairs with
+    i < j (read-only)."""
+    i, j = _sym_pairs(d)
+    of3 = symmetric_slots(d, 3)[i, j]
+    of4 = symmetric_slots(d, 4)[i, j][:, i, j]
+    cross = np.flatnonzero(i < j)
+    for table in (of3, of4, cross):
+        table.flags.writeable = False
+    return i, j, symmetric_slots(d, 2), of3, of4, cross
+
+
+def _contract(a: np.ndarray, index: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum over c of a[index[:, c]] * v[c], candidate by candidate.
+
+    `a` and `v` hold one row per component and one column per candidate;
+    the sum runs in the order of c.
+    """
+    out = np.take(a, index[:, 0], axis=0)
+    out *= v[0]
+    term = np.empty_like(out)
+    for c in range(1, len(v)):
+        # with mode "clip" (the indices are in range) `take` writes into
+        # `term` without a buffer
+        np.take(a, index[:, c], axis=0, out=term, mode="clip")
+        term *= v[c]
+        out += term
+    return out
+
+
+def _sym_adjugate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(adj(M), det(M)) of symmetric 2x2 or 3x3 matrices given by their
+    entries (i, j), i <= j (one row each), in closed form as in
+    `eigen.adjugate`; adj(M) comes as its entries too."""
+    if len(m) == 3:
+        a, b, c = m
+        return np.stack([c, -b, a]), a * c - b * b
+    a, b, c, d, e, f = m
+    adj = np.empty_like(m)
+    for out, (p, q, r, s) in zip(adj, ((d, f, e, e), (e, c, f, b),
+                                       (b, e, c, d), (f, a, c, c),
+                                       (c, b, a, e), (a, d, b, b))):
+        np.multiply(p, q, out=out)
+        out -= r * s
+    det = a * adj[0]
+    det += b * adj[1]
+    det += c * adj[2]
+    return adj, det
 
 
 def _polish(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -422,32 +502,76 @@ def _polish(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     t4.s.s, the gradient is dy - (H + t3s/2 + t4ss/6) s and the Jacobian
     J = H + t3s + t4ss/2; each step solves J delta = gradient as
     adj(J) gradient / det(J), or takes H^-1 gradient where det(J) <= 1e-14.
+
+    The gathered jet columns hold one row per component and one column
+    per candidate, and every operation is elementwise over candidates, so
+    a candidate's value does not depend on the others in the call. t3s
+    and t4ss come straight from the packed tensors, as symmetric entries:
+    t3s_ij sums t3_ijl s_l, and t4ss_ij sums t4_ijlm q_lm over the pairs
+    l <= m, with q_lm = s_l s_m doubled where l < m.
     """
-    half = jets.half
-    g0 = jets.grads[rows]
-    h0 = jets.mats[rows]
-    inv = jets.inv[rows]
-    dy = ys - g0
-    step = np.clip(_dot(inv, dy), -half, half)
-    # np.take keeps the expanded rows C-ordered (a[:, slots] is not)
     d = ys.shape[1]
-    t3 = np.take(jets.tens3[rows], symmetric_slots(d, 3), axis=1)
-    t4 = np.take(jets.tens4[rows], symmetric_slots(d, 4), axis=1)
-    for _ in range(3):
-        t3s = _dot(t3, step)
-        t4ss = _dot(_dot(t4, step), step)
-        resid = dy - _dot(h0 + t3s / 2.0 + t4ss / 6.0, step)
-        adj, det = adjugate(h0 + t3s + t4ss / 2.0)
+    i, j, full, of3, of4, cross = _polish_tables(d)
+    blocks = _column_blocks(jets.cols, d)
+    g, h, t3, t4 = (np.take(b, rows, axis=1) for b in blocks[:4])
+    inv, x, f = blocks[4:]
+    half = jets.half
+    y = ys.T
+    dy = y - g
+
+    def taylor_terms(s):
+        q = np.take(s, i, axis=0)
+        q *= np.take(s, j, axis=0)
+        q[cross] *= 2.0
+        return _contract(t3, of3, s), _contract(t4, of4, q)
+
+    def newton_step(s):
+        t3s, t4ss = taylor_terms(s)
+        # the gradient dy - (H + t3s/2 + t4ss/6) s, then the Jacobian in
+        # place over t3s; each block is dropped once read, which keeps 3-D
+        # calls to about 64 floats per candidate instead of 74
+        curv = t3s / 2.0
+        curv += h
+        curv += t4ss / 6.0
+        resid = _contract(curv, full, s)
+        np.subtract(dy, resid, out=resid)
+        del curv
+        t3s += h
+        t4ss *= 0.5
+        t3s += t4ss
+        del t4ss
+        adj, det = _sym_adjugate(t3s)
+        del t3s
         good = det > 1e-14
-        delta = np.where(good[:, None],
-                         _dot(adj, resid) / np.where(good, det, 1.0)[:, None],
-                         _dot(inv, resid))
-        step = np.clip(step + delta, -half, half)
-    t3s = _dot(t3, step)
-    t4ss = _dot(_dot(t4, step), step)
-    quad = _dot(h0 / 2.0 + t3s / 6.0 + t4ss / 24.0, step)
-    return ((ys * (jets.coords[rows] + step) - (g0 + quad) * step).sum(axis=1)
-            - jets.values[rows])
+        delta = _contract(adj, full, resid)
+        delta /= np.where(good, det, 1.0)
+        if not good.all():
+            bad = np.flatnonzero(~good)
+            delta[:, bad] = _contract(np.take(inv, rows[bad], axis=1), full,
+                                      resid[:, bad])
+        return delta
+
+    step = _contract(np.take(inv, rows, axis=1), full, dy)
+    np.clip(step, -half, half, out=step)
+    for _ in range(3):
+        step += newton_step(step)
+        np.clip(step, -half, half, out=step)
+    t3s, t4ss = taylor_terms(step)
+    quad = h / 2.0
+    quad += t3s / 6.0
+    quad += t4ss / 24.0
+    quad = _contract(quad, full, step)
+    quad += g
+    quad *= step
+    terms = np.take(x, rows, axis=1)
+    terms += step
+    terms *= y
+    terms -= quad
+    value = terms[0] + terms[1]
+    for k in range(2, d):
+        value += terms[k]
+    value -= np.take(f[0], rows)
+    return value
 
 
 def _row_chunks(rows: int) -> int:
@@ -459,23 +583,33 @@ def _row_chunks(rows: int) -> int:
     return max(1, min(max_workers(usable_cores()), rows // _CHUNK_ROWS))
 
 
-def _refine_rows(jets: _Jets, lookup: np.ndarray, steps: np.ndarray,
+def _refine_rows(jets: _Jets, lookup: np.ndarray, rings: list[np.ndarray],
                  anchors: np.ndarray, ys: np.ndarray,
                  best: np.ndarray) -> None:
     """Raise `best` in place to the polished maxima of its slope rows.
 
     `anchors` are the rows' node argmaxes as flat indices into the flat
-    padded `lookup`, and `steps` the flat offsets in ring order. Runs
-    only numpy, `_box_bound` and `_polish`, so chunks can share a pool.
+    padded `lookup`, and `rings` the flat offsets of each ring. Every
+    offset of a ring is screened against `best` as it stood when the ring
+    started; the candidates that pass are polished in calls of at most
+    `_POLISH_ROWS` and folded in by `np.maximum.at`. Runs only numpy,
+    `_box_bound` and `_polish`, so chunks can share a pool.
     """
-    for step in steps:
-        rows = lookup[anchors + step]
-        sel = np.flatnonzero(rows >= 0)
-        live = _box_bound(jets, ys[sel], rows[sel]) >= best[sel]
-        sel = sel[live]
-        if sel.size:
-            best[sel] = np.maximum(best[sel],
-                                   _polish(jets, ys[sel], rows[sel]))
+    for ring in rings:
+        sels, cands = [], []
+        for step in ring:
+            rows = lookup[anchors + step]
+            sel = np.flatnonzero(rows >= 0)
+            rows = rows[sel]
+            live = _box_bound(jets, ys[sel], rows) >= best[sel]
+            sels.append(sel[live])
+            cands.append(rows[live])
+        sel = np.concatenate(sels)
+        rows = np.concatenate(cands)
+        for a in range(0, sel.size, _POLISH_ROWS):
+            part = sel[a:a + _POLISH_ROWS]
+            np.maximum.at(best, part,
+                          _polish(jets, ys[part], rows[a:a + _POLISH_ROWS]))
 
 
 def refined_sup(f: PotentialField, slopes: GridSpec):
@@ -490,13 +624,14 @@ def refined_sup(f: PotentialField, slopes: GridSpec):
 
     Candidates are visited ring by ring (infinity norm 0, 1, 2 of the
     offset), and one is polished only if the upper bound of its model over
-    the box (`_box_bound`) reaches the best value found so far; a maximum
-    does not depend on the order of its terms, so the pruning changes no
-    output bit. Slope rows are independent, so contiguous chunks of them
-    (`_row_chunks`) run on a thread pool, with the same output bits as one
-    chunk. Returns (values, argmax, interior node values, node values);
-    attainment tests must compare the last two (refined values exceed node
-    suprema off the lattice).
+    the box (`_box_bound`) reaches the best value found before its ring; a
+    maximum does not depend on the order of its terms, and a candidate's
+    polish not on the call it shares, so neither the pruning nor the size
+    of the polish calls changes an output bit. Slope rows are independent,
+    so contiguous chunks of them (`_row_chunks`) run on a thread pool, with
+    the same output bits as one chunk. Returns (values, argmax, interior
+    node values, node values); attainment tests must compare the last two
+    (refined values exceed node suprema off the lattice).
     """
     vals, arg, vals_in = sup_with_argmax(f, slopes)
     jets, lookup = _field_jets(f)
@@ -504,9 +639,10 @@ def refined_sup(f: PotentialField, slopes: GridSpec):
     # flat step of each offset
     anchors = np.flatnonzero(np.pad(f.mask, _REFINE_WINDOW))[arg]
     window = range(-_REFINE_WINDOW, _REFINE_WINDOW + 1)
-    rings = sorted(product(window, repeat=f.grid.dim),
-                   key=lambda o: max(map(abs, o)))
-    steps = np.array(rings) @ (np.array(lookup.strides) // lookup.itemsize)
+    offsets = np.array(list(product(window, repeat=f.grid.dim)))
+    steps = offsets @ (np.array(lookup.strides) // lookup.itemsize)
+    ring = np.abs(offsets).max(axis=1)
+    rings = [steps[ring == r] for r in range(_REFINE_WINDOW + 1)]
     flat = lookup.ravel()
     ys = slopes.coords().reshape(-1, f.grid.dim)
     best = vals.copy()
@@ -515,7 +651,7 @@ def refined_sup(f: PotentialField, slopes: GridSpec):
     ends = [n * i // chunks for i in range(chunks + 1)]
 
     def refine(lo: int, hi: int) -> None:
-        _refine_rows(jets, flat, steps, anchors[lo:hi], ys[lo:hi],
+        _refine_rows(jets, flat, rings, anchors[lo:hi], ys[lo:hi],
                      best[lo:hi])
 
     if chunks == 1:

@@ -87,6 +87,11 @@ class SolverConfig:
     convexity_floor: float = -1e-6
 
     def __post_init__(self):
+        # 0 runs no Newton step: the Poisson guess only
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 0):
+            raise ValueError("max_iters must be a nonnegative integer")
         if not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive")
         if not 0 < self.min_step <= self.damping <= 1:

@@ -143,6 +143,10 @@ class TestSubcommands:
         cfg.write_text("residual_tol = -1\n")
         assert run_cli(*solve) == 2
         assert "residual_tol must be positive" in capsys.readouterr().err
+        cfg.write_text("max_iters = -3\n")
+        assert run_cli(*solve) == 2
+        err = capsys.readouterr().err
+        assert "max_iters must be a nonnegative integer" in err
         assert not (tmp_path / "s.pf1").exists()
 
     @pytest.mark.parametrize("alpha", ["2", "0", "-0.5", str(np.pi / 2), "nan"])

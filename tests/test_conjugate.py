@@ -27,6 +27,7 @@ from slag_lab.conjugate import (
     _CHUNK_ROWS,
     _REFINE_WINDOW,
     _box_bound,
+    _column_blocks,
     _field_jets,
     _hull_transform,
     _model_jets,
@@ -48,7 +49,7 @@ from slag_lab.formulas import (
     random_max_affine,
     random_spd_matrix,
 )
-from slag_lab.hessians import directional_convexity_deficit
+from slag_lab.hessians import directional_convexity_deficit, symmetric_slots
 from slag_lab.workers import usable_cores
 
 
@@ -536,6 +537,130 @@ class TestPolish:
         scale = 1.0 + np.abs(values) + (np.abs(ys) * (np.abs(coords) + half)
                                         ).sum(axis=1)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def _dense_polish(jets, ys, rows):
+    """The dense-`matmul` polish that `_polish` replaced (test oracle).
+
+    Expands each candidate's packed H, H^-1, t3 and t4 to dense d^2, d^3
+    and d^4 arrays and contracts them with stacked `matmul`s. Returns the
+    values, the candidates that took an H^-1 step (det(J) <= 1e-14) and
+    those whose final step lies on a face of the box."""
+    d = ys.shape[1]
+    blocks = _column_blocks(np.take(jets.cols, rows, axis=1), d)
+    g0, h0, t3, t4, inv, x, f = (
+        np.take(b.T, symmetric_slots(d, order), axis=1) if order else b.T
+        for b, order in zip(blocks, (0, 2, 3, 4, 2, 0, 0)))
+
+    def dot(t, s):
+        return (t.reshape(len(s), -1, d) @ s[:, :, None]).reshape(t.shape[:-1])
+
+    half = jets.half
+    dy = ys - g0
+    step = np.clip(dot(inv, dy), -half, half)
+    fallback = np.zeros(len(ys), dtype=bool)
+    for _ in range(3):
+        t3s = dot(t3, step)
+        t4ss = dot(dot(t4, step), step)
+        resid = dy - dot(h0 + t3s / 2.0 + t4ss / 6.0, step)
+        adj, det = conjugate.adjugate(h0 + t3s + t4ss / 2.0)
+        good = det > 1e-14
+        fallback |= ~good
+        delta = np.where(good[:, None],
+                         dot(adj, resid) / np.where(good, det, 1.0)[:, None],
+                         dot(inv, resid))
+        step = np.clip(step + delta, -half, half)
+    t3s = dot(t3, step)
+    t4ss = dot(dot(t4, step), step)
+    quad = dot(h0 / 2.0 + t3s / 6.0 + t4ss / 24.0, step)
+    values = (ys * (x + step) - (g0 + quad) * step).sum(axis=1) - f[:, 0]
+    return values, fallback, np.any(np.abs(step) == half, axis=1)
+
+
+def _random_polish_jets(seed, dim, n, reach):
+    """Jets at n unrelated nodes, with slopes y for them.
+
+    Random SPD H (eigenvalues 1 to 5) and symmetric t3, t4 small enough
+    that J stays well inside the SPD cone on the box; y - g is H times a
+    quadratic step of up to `reach` box half-widths per axis, so above 1
+    the steps are clamped. About a quarter of the nodes get t4_0000 =
+    -1e3 / (h/2)^2 and a first step component of 10 half-widths: the step
+    stays on the face s_0 = +-h/2, where J_00 is about -500 and det(J) is
+    far below 1e-14, so the polish takes H^-1 steps there."""
+    rng = np.random.default_rng(seed)
+    half = float(rng.uniform(0.005, 0.5))
+    mats = np.stack([random_spd_matrix(rng, dim, (1.0, 5.0))
+                     for _ in range(n)])
+    tens = []
+    for order in (3, 4):
+        t = (rng.uniform(-1.0, 1.0, size=(n,) + (dim,) * order)
+             * rng.uniform(0.0, 0.1) / half ** (order - 2))
+        sym = (sum(np.transpose(t, (0,) + tuple(1 + np.array(p)))
+                   for p in permutations(range(order)))
+               / math.factorial(order))
+        multi = np.array(list(combinations_with_replacement(range(dim),
+                                                            order)))
+        tens.append(sym[(slice(None), *multi.T)])
+    steps = reach * half * rng.uniform(-1.0, 1.0, size=(n, dim))
+    degenerate = rng.random(n) < 0.25
+    tens[1][degenerate, 0] = -1e3 / half**2
+    steps[degenerate, 0] = 10.0 * half * rng.choice([-1.0, 1.0])
+    coords = rng.uniform(-3.0, 3.0, size=(n, dim))
+    grads = rng.normal(size=(n, dim)) * 3.0
+    values = rng.normal(size=n) * 10.0
+    jets = _model_jets(coords, values, grads, mats, *tens, half)
+    return jets, grads + np.einsum("nij,nj->ni", mats, steps)
+
+
+class TestPackedPolish:
+    """`_polish` on packed jet columns against the dense `matmul` oracle,
+    and its independence of the batch it runs in."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           n=st.integers(1, 12), reach=st.floats(0.0, 3.0))
+    def test_matches_the_dense_oracle(self, seed, dim, n, reach):
+        jets, ys = _random_polish_jets(seed, dim, n, reach)
+        rows = np.arange(n)
+        want, _, _ = _dense_polish(jets, ys, rows)
+        got = _polish(jets, ys, rows)
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_oracle_draws_clamp_and_fall_back(self, dim):
+        # the draws of the test above reach both branches of a step
+        jets, ys = _random_polish_jets(dim, dim, 400, 3.0)
+        rows = np.arange(400)
+        want, fallback, clamped = _dense_polish(jets, ys, rows)
+        assert 0 < fallback.sum() < 400 and 0 < clamped.sum() < 400
+        got = _polish(jets, ys, rows)
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           n=st.integers(1, 40))
+    def test_a_candidate_ignores_its_batch(self, seed, dim, n):
+        # candidates repeat rows; a subset or permutation of them must give
+        # the same bits as the full call
+        jets, ys = _random_polish_jets(seed, dim, 8, 3.0)
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 8, size=n)
+        ys = ys[rows] + rng.normal(size=(n, dim))
+        full = _polish(jets, ys, rows)
+        subset = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        for pick in (rng.permutation(n), subset):
+            assert np.array_equal(_polish(jets, ys[pick], rows[pick]),
+                                  full[pick])
+
+    @pytest.mark.parametrize("dim, nodes", [(2, 33), (3, 13)])
+    def test_polish_cap_changes_no_bit(self, dim, nodes, monkeypatch):
+        f = sample_potential(quartic(1.0), GridSpec.ball_box(dim, nodes))
+        slopes = auto_slope_grid(f)
+        want = refined_sup(f, slopes)
+        for cap in (1, 7, 64):
+            monkeypatch.setattr(conjugate, "_POLISH_ROWS", cap)
+            for got, ref in zip(refined_sup(f, slopes), want):
+                assert np.array_equal(got, ref)
 
 
 class TestRefinedSupChunks:

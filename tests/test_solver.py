@@ -222,6 +222,25 @@ class TestSolveDirichlet:
         assert len(calls) == 1
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("max_iters", [-3, -1, 2.5, 3.0, "5", True, None])
+    def test_rejects_a_max_iters_that_is_not_a_nonnegative_integer(
+            self, max_iters):
+        with pytest.raises(ValueError,
+                           match="max_iters must be a nonnegative integer"):
+            SolverConfig(max_iters=max_iters)
+
+    def test_zero_max_iters_keeps_the_poisson_guess(self):
+        assert SolverConfig(max_iters=np.int64(4)).max_iters == 4
+        grid = GridSpec.ball_box(2, 17)
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        u, rep = solve_dirichlet(boundary_from(quartic(1.0)), spec, grid,
+                                 SolverConfig(max_iters=0))
+        assert rep.iterations == 0 and rep.stop_reason == "max_iters"
+        assert len(rep.to_json()["krylov_iterations"]) == 1
+        assert np.isfinite(u.values[u.mask]).all()
+
+
 class TestStopReason:
     """One test per exit of the Newton loop; the JSON report carries it."""
 

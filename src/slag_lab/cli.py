@@ -34,7 +34,13 @@ from .conjugate import (
     slope_domain,
     subdifferential,
 )
-from .errors import ConvexityError, RotationError, SlagLabError, SlopeGridError
+from .errors import (
+    ConvexityError,
+    GridError,
+    RotationError,
+    SlagLabError,
+    SlopeGridError,
+)
 from .experiments import (
     DEFAULT_SEED,
     REGISTRY,
@@ -68,6 +74,8 @@ def _angle(text: str) -> float:
 
 def _grid_from_args(args) -> GridSpec:
     if args.h is not None:
+        if not (math.isfinite(args.h) and args.h > 0):
+            raise GridError(f"--h must be finite and positive, got {args.h}")
         nodes = int(round(2.0 * args.radius / args.h)) + 1
     else:
         nodes = args.grid

@@ -28,20 +28,23 @@ earlier rings. The maximum is unchanged bit for bit; in 3-D about 3 % of
 the candidates are left to polish. The candidates of a ring that pass are
 polished together, in calls of up to `_POLISH_ROWS`. The models are
 one per one-cell interior node, and a padded copy of the grid maps nodes
-to them, so each offset's candidates are one gather. Everything the bound
-reads of a node is one packed row of a table; everything the polish reads
-is one column of a second, component-major table, with the Hessian, its
-inverse and the third and fourth derivatives kept as their packed
-symmetric entries (`hessians.symmetric_slots`). The polish contracts
-those entries directly, elementwise over candidates, so a candidate's
-value does not depend on the call it lands in. Where the mask has no
-two-cell interior (and on the one-cell rim ring of any mask) the models
-fall back to the plain quadratic ones. The d x d Newton systems and
-Hessian inverses are closed-form adjugates over determinants. Slope rows
-are independent, so contiguous chunks of them run on a thread pool, one
-per usable core (capped by `SLAG_LAB_THREADS`) on grids large enough to
-pay for a thread; every chunk count and polish call size gives the same
-bits.
+to them, so each offset's candidates are one gather. They form one
+component-major table, a contiguous row per component and a column per
+node: the polish reads the gradient, the Hessian, its inverse and the
+third and fourth derivatives, kept as their packed symmetric entries
+(`hessians.symmetric_slots`), and the position and value; the bound reads
+the position, the gradient and three rows of its own. The bound takes
+each row it needs with one 1-D gather per offset, and the terms that
+depend on the slope row alone are formed once per chunk of slope rows.
+The polish contracts the packed entries directly, elementwise over
+candidates, so a candidate's value does not depend on the call it lands
+in. Where the mask has no two-cell interior (and on the one-cell rim ring
+of any mask) the models fall back to the plain quadratic ones. The d x d
+Newton systems and Hessian inverses are closed-form adjugates over
+determinants. Slope rows are independent, so contiguous chunks of them
+run on a thread pool, one per usable core (capped by `SLAG_LAB_THREADS`)
+on grids large enough to pay for a thread; every chunk count and polish
+call size gives the same bits.
 
 Slope grids are sized automatically from attained first differences plus a
 two-cell margin, with a node pinned at the slope-space origin; node
@@ -63,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import adjugate, eigvals_sym
-from .errors import ConvexityError, SlopeGridError
+from .errors import ConvexityError, GridError, SlopeGridError
 from .fields import GridSpec, PotentialField, dilate_mask, erode_mask
 from .hessians import (
     directional_convexity_deficit,
@@ -86,16 +89,15 @@ _CHUNK_FLOATS = 8_000_000
 # and the smallest Hessian eigenvalue that admits a local model
 _REFINE_WINDOW = 2
 _PSD_FLOOR = 1e-10
-# refined_sup: fewest slope rows per chunk. Two threads beat one from
-# about 7k rows per chunk in 3-D and 3k in 2-D (below that, a chunk's small
-# per-offset arrays make two threads slower). The value follows the 3-D
-# figure, so 2-D slope grids of 6k to 16k rows stay on one core and give
-# up a measured gain. With one polish call per ring, two chunks of the 22^3
-# slope grid of a 21^3 rotation are still about 8 % slower than one, and
-# splitting the offsets instead (blocks of about 16k rows on two threads)
-# gained 0.102 -> 0.099 s per operation for 4.2 MB more peak memory, so
-# the value stays
-_CHUNK_ROWS = 8192
+# refined_sup: fewest slope rows per chunk. Since the screen reads one jet
+# component per take, two threads pay only on large slope grids. Quartic
+# rotations, in-process, alternated rounds, one chunk against two: 129^2
+# (16 641 rows) 0.042 against 0.053 s, 21^3 (9 261) 0.055 against 0.095 s,
+# 33^3 (35 937) 0.22-0.25 s either way, 257^2 (66 049) 0.18-0.21 against
+# 0.16-0.18 s. In benchmark pairs one chunk at 129^2 lowered rotate-2d
+# op_s in 8 of 10 pairs (median -6 %) and peak_rss_mb by 6 MB in all 10.
+# The value is the smallest power of two that keeps 129^2 in one chunk
+_CHUNK_ROWS = 16384
 # refined_sup: most candidates per `_polish` call. A 3-D call holds about
 # 64 floats per candidate at its peak, 4 MB at this size; calls of 2048
 # made a 129^2 rotation about 18 % slower
@@ -335,13 +337,14 @@ def conjugate_fast(f: PotentialField, slopes: GridSpec | None = None,
 class _Jets(NamedTuple):
     """Local quartic Taylor models, one column of `cols` per node."""
 
-    cols: np.ndarray        # what `_polish` reads, one row per component
-                            # (`_column_blocks`): g_c, H_c, packed t3 and
-                            # t4, H_c^-1 (where usable, else 0), x_c, f_c;
-                            # H_c and H_c^-1 as their symmetric entries
+    cols: np.ndarray        # one contiguous row per component, one
+                            # column per node (`_column_blocks`): g_c, H_c,
+                            # packed t3 and t4, H_c^-1 (where usable, else
+                            # 0), x_c, f_c for `_polish`, then lam_min h/2,
+                            # 1/(2 lam_min), c_c, which `_box_bound` reads
+                            # with x_c and g_c; H_c and H_c^-1 as their
+                            # symmetric entries
     usable: np.ndarray      # rows with lam_min > _PSD_FLOOR
-    bound: np.ndarray       # `_box_bound`'s table, one row per node: x_c,
-                            # g_c, lam_min h/2, 1/(2 lam_min), c_c
     reach: float            # max |x_ck| + h/2
     half: float             # h/2, the half-width of each node's box
 
@@ -356,23 +359,24 @@ def _sym_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _column_blocks(cols: np.ndarray, d: int) -> list[np.ndarray]:
-    """The blocks g, H, t3, t4, H^-1, x, f of `_Jets.cols`, as views."""
+    """The blocks g, H, t3, t4, H^-1, x, f, lam_min h/2, 1/(2 lam_min), c
+    of `_Jets.cols`, as views."""
     p = d * (d + 1) // 2
-    sizes = [d, p, comb(d + 2, 3), comb(d + 3, 4), p, d]
+    sizes = [d, p, comb(d + 2, 3), comb(d + 3, 4), p, d, 1, 1, 1]
     return np.split(cols, np.cumsum(sizes))
 
 
 def _model_jets(coords, values, grads, mats, tens3, tens4,
                 half: float) -> _Jets:
-    """Screen rows of raw jets by `_PSD_FLOOR`; add inverses and the bound table.
+    """Screen rows of raw jets by `_PSD_FLOOR`; add inverses and bound terms.
 
     Inputs are row-major, one row per node. `tens3` and `tens4` are packed
     (`hessians.symmetric_slots`); each column's absolute value counts once
-    per dense slot it fills. The table row of node c holds x_c, g_c,
-    lam_min h/2, 1/(2 lam_min) and c_c = -f_c + tail_c + `_BOUND_SLACK`
-    (1 + |f_c| + (h/2) sum|g_c|), with tail_c = (h/2)^3 sum|t3| / 6 +
-    (h/2)^4 sum|t4| / 24. The polish columns keep the entries (i, j),
-    i <= j, of H_c and H_c^-1.
+    per dense slot it fills. Besides the polish's components, the column
+    of node c holds lam_min h/2, 1/(2 lam_min) and c_c = -f_c + tail_c +
+    `_BOUND_SLACK` (1 + |f_c| + (h/2) sum|g_c|), with tail_c = (h/2)^3
+    sum|t3| / 6 + (h/2)^4 sum|t4| / 24. The columns keep the entries
+    (i, j), i <= j, of H_c and H_c^-1.
     """
     d = coords.shape[-1]
     lam_min = eigvals_sym(mats)[:, -1]
@@ -388,12 +392,12 @@ def _model_jets(coords, values, grads, mats, tens3, tens4,
         1.0 + np.abs(values) + half * np.abs(grads).sum(axis=1))
     inv_2lam = np.divide(0.5, lam_min, out=np.zeros_like(lam_min),
                          where=usable)
-    bound = np.column_stack([coords, grads, lam_min * half, inv_2lam, offset])
     reach = float(np.abs(coords).max(initial=0.0)) + half
     i, j = _sym_pairs(d)
     cols = np.concatenate([grads.T, mats[:, i, j].T, tens3.T, tens4.T,
-                           inv[:, i, j].T, coords.T, values[None]])
-    return _Jets(cols, usable, bound, reach, half)
+                           inv[:, i, j].T, coords.T, values[None],
+                           lam_min[None] * half, inv_2lam[None], offset[None]])
+    return _Jets(cols, usable, reach, half)
 
 
 def _field_jets(f: PotentialField) -> tuple[_Jets, np.ndarray]:
@@ -415,10 +419,21 @@ def _field_jets(f: PotentialField) -> tuple[_Jets, np.ndarray]:
     return jets, np.pad(rows, _REFINE_WINDOW, constant_values=-1)
 
 
-def _box_bound(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _slope_terms(jets: _Jets, ys: np.ndarray):
+    """What `_box_bound` reads of slope rows `ys`: their coordinates as one
+    contiguous row per axis, and the y-only slack term `_BOUND_SLACK` reach
+    sum|y_k| of each row."""
+    return (np.ascontiguousarray(ys.T),
+            _BOUND_SLACK * jets.reach * np.abs(ys).sum(axis=1))
+
+
+def _box_bound(jets: _Jets, yt: np.ndarray, slack: np.ndarray,
+               sel: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Upper bound of the quartic model of y.x - f over each candidate's box.
 
-    With s the step from x_c, |s_k| <= h/2 and H_c >= lam_min I, the model
+    Candidate i pairs slope row `sel[i]` (a column of `yt` and an entry of
+    `slack`, from `_slope_terms`) with jet row `rows[i]`. With s the step
+    from x_c, |s_k| <= h/2 and H_c >= lam_min I, the model
     y.x_c - f_c + dy.s - s.H_c.s/2 - t3[s,s,s]/6 - t4[s,s,s,s]/24 with
     dy = y - g_c is at most its node value plus sum_k phi(|dy_k|) plus the
     precomputed tail, where phi(a) = max over |s| <= h/2 of a s - lam_min
@@ -427,16 +442,37 @@ def _box_bound(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     nothing. A relative slack of `_BOUND_SLACK` on the magnitude of the
     model's terms keeps round-off in either value from dropping a winner;
     its y-dependent part is `_BOUND_SLACK` reach sum|y_k|, never below
-    sum|y_k| (|x_ck| + h/2). One gather of the table serves each call.
+    sum|y_k| (|x_ck| + h/2). Each call reads the jet table one component
+    row at a time, by 1-D takes, and sums the axes in order.
     """
-    d = ys.shape[1]
-    t = jets.bound[rows]
-    a = np.abs(ys - t[:, d:2 * d])
-    m = np.minimum(a, t[:, 2 * d, None])
-    return (np.einsum("ij,ij->i", ys, t[:, :d])
-            + t[:, 2 * d + 1] * np.einsum("ij,ij->i", m, 2.0 * a - m)
-            + t[:, 2 * d + 2]
-            + _BOUND_SLACK * jets.reach * np.abs(ys).sum(axis=1))
+    d = len(yt)
+    cols = jets.cols
+    # the rows of `_column_blocks` by position: g_c first, x_c before f_c
+    # and the last three
+    x = len(cols) - d - 4
+    lam_half, inv_2lam, offset = cols[-3:]
+    cap = np.take(lam_half, rows)
+    dot = quad = None
+    for k in range(d):
+        y = np.take(yt[k], sel)
+        a = np.take(cols[k], rows)
+        a -= y
+        np.abs(a, out=a)
+        m = np.minimum(a, cap)
+        a *= 2.0
+        a -= m
+        a *= m
+        y *= np.take(cols[x + k], rows)
+        if k == 0:
+            dot, quad = y, a
+        else:
+            dot += y
+            quad += a
+    quad *= np.take(inv_2lam, rows)
+    dot += quad
+    dot += np.take(offset, rows)
+    dot += np.take(slack, sel)
+    return dot
 
 
 @lru_cache(maxsize=None)
@@ -514,7 +550,7 @@ def _polish(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     i, j, full, of3, of4, cross = _polish_tables(d)
     blocks = _column_blocks(jets.cols, d)
     g, h, t3, t4 = (np.take(b, rows, axis=1) for b in blocks[:4])
-    inv, x, f = blocks[4:]
+    inv, x, f = blocks[4:7]
     half = jets.half
     y = ys.T
     dy = y - g
@@ -592,18 +628,21 @@ def _refine_rows(jets: _Jets, lookup: np.ndarray, rings: list[np.ndarray],
     padded `lookup`, and `rings` the flat offsets of each ring. Every
     offset of a ring is screened against `best` as it stood when the ring
     started; the candidates that pass are polished in calls of at most
-    `_POLISH_ROWS` and folded in by `np.maximum.at`. Runs only numpy,
+    `_POLISH_ROWS` and folded in by `np.maximum.at`. The slope terms of
+    the bound are formed once for all offsets. Runs only numpy,
     `_box_bound` and `_polish`, so chunks can share a pool.
     """
+    yt, slack = _slope_terms(jets, ys)
     for ring in rings:
         sels, cands = [], []
         for step in ring:
-            rows = lookup[anchors + step]
+            rows = np.take(lookup, anchors + step)
             sel = np.flatnonzero(rows >= 0)
-            rows = rows[sel]
-            live = _box_bound(jets, ys[sel], rows) >= best[sel]
-            sels.append(sel[live])
-            cands.append(rows[live])
+            rows = np.take(rows, sel)
+            live = np.flatnonzero(_box_bound(jets, yt, slack, sel, rows)
+                                  >= np.take(best, sel))
+            sels.append(np.take(sel, live))
+            cands.append(np.take(rows, live))
         sel = np.concatenate(sels)
         rows = np.concatenate(cands)
         for a in range(0, sel.size, _POLISH_ROWS):
@@ -695,6 +734,9 @@ class DomainMask:
 
 
 def _locate_node(f: PotentialField, point) -> tuple[int, ...]:
+    if len(point) != f.grid.dim:
+        raise GridError(f"point {tuple(point)} has {len(point)} coordinates, "
+                        f"the field is {f.grid.dim}-D")
     idx = f.grid.nearest_node(point)
     x = f.grid.node_coords(idx)
     if np.abs(x - np.asarray(point, dtype=float)).max() > 1e-9 * (1 + np.abs(x).max()):

@@ -69,6 +69,8 @@ class GridSpec:
     @classmethod
     def ball_box(cls, dim: int, nodes: int, ball_radius: float = 1.0) -> "GridSpec":
         """Centered box [-R, R]^dim with `nodes` nodes per axis and the ball mask."""
+        if nodes < 3:
+            raise GridError(f"need at least 3 nodes per axis, got {nodes}")
         h = 2.0 * ball_radius / (nodes - 1)
         return cls(dim, (nodes,) * dim, h, (-ball_radius,) * dim, ball_radius)
 

@@ -89,7 +89,7 @@ def rotate(u: PotentialField, params: RotationParams,
     """
     if delta is None:
         delta = params.cot
-    if delta <= 0:
+    if not delta > 0:
         raise RotationError(f"delta must be positive, got {delta}")
     modulus = semiconvexity_modulus(u)
     if modulus < -(params.cot - delta) - _MODULUS_SLACK:

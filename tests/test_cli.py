@@ -148,6 +148,26 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert "max_iters must be a nonnegative integer" in err
         assert not (tmp_path / "s.pf1").exists()
+        # grids of fewer than 3 nodes per axis, and spacings that are not
+        # finite and positive, fail with one line before any division
+        x = str(tmp_path / "x.pf1")
+        for grid_args, message in ((("--grid", "1"), "at least 3 nodes"),
+                                   (("--h", "0"), "--h must be finite"),
+                                   (("--h", "nan"), "--h must be finite"),
+                                   (("--h", "10"), "at least 3 nodes")):
+            assert run_cli("sample", "--formula", "iso-quad:1", *grid_args,
+                           "--out", x) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
+        assert not (tmp_path / "x.pf1").exists()
+        # a point of the wrong dimension is named as such
+        u = tmp_path / "u.pf1"
+        run_cli("sample", "--formula", "iso-quad:1", "--grid", "17",
+                "--out", str(u))
+        capsys.readouterr()
+        assert run_cli("subdiff", "--in", str(u), "--point", "0,0,0") == 2
+        assert "has 3 coordinates, the field is 2-D" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["2", "0", "-0.5", str(np.pi / 2), "nan"])
     def test_angle_outside_the_open_quarter_turn_exits_2(self, tmp_path,
@@ -162,6 +182,18 @@ class TestSubcommands:
         assert not (tmp_path / "v.pf1").exists()
         assert run_cli("audit", "--check", "rotation-super", "--in", str(u),
                        "--alpha", alpha) == 2
+
+    @pytest.mark.parametrize("delta", ["-1", "0", "nan"])
+    def test_delta_that_is_not_positive_exits_1(self, tmp_path, capsys,
+                                                delta):
+        u = tmp_path / "u.pf1"
+        run_cli("sample", "--formula", "iso-quad:1", "--grid", "17",
+                "--out", str(u))
+        capsys.readouterr()
+        assert run_cli("rotate", "--alpha", "0.7", "--delta", delta,
+                       "--in", str(u), "--out", str(tmp_path / "v.pf1")) == 1
+        assert "delta must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "v.pf1").exists()
 
     def test_hessian_bound_audit_takes_the_tolerance(self, tmp_path):
         # a phase 1e-6 above that of |x|^2/2 makes the harness's

@@ -33,6 +33,7 @@ from slag_lab.conjugate import (
     _model_jets,
     _polish,
     _row_chunks,
+    _slope_terms,
     _sup_brute,
     _tight_members,
     auto_slope_grid,
@@ -493,7 +494,91 @@ class TestRefinedSupPruning:
         ys = grads + (reach * lam_max * half)[:, None] * rng.normal(size=(n, dim))
         rows = np.arange(n)
         model = _polish(jets, ys, rows)
-        assert np.all(model <= _box_bound(jets, ys, rows))
+        assert np.all(model <= _box_bound(jets, *_slope_terms(jets, ys), rows,
+                                          rows))
+
+
+def _row_major_box_bound(jets, ys, rows):
+    """The row-major `_box_bound` that the component-row screen replaced
+    (test oracle): one table row per node holding x_c, g_c, lam_min h/2,
+    1/(2 lam_min) and c_c, one 2-D gather per call and `einsum` sums."""
+    d = ys.shape[1]
+    blocks = _column_blocks(jets.cols, d)
+    t = np.concatenate([blocks[5], blocks[0], *blocks[7:]]).T[rows]
+    a = np.abs(ys - t[:, d:2 * d])
+    m = np.minimum(a, t[:, 2 * d, None])
+    return (np.einsum("ij,ij->i", ys, t[:, :d])
+            + t[:, 2 * d + 1] * np.einsum("ij,ij->i", m, 2.0 * a - m)
+            + t[:, 2 * d + 2]
+            + conjugate._BOUND_SLACK * jets.reach * np.abs(ys).sum(axis=1))
+
+
+class TestComponentScreen:
+    """The screen of `_refine_rows`, which reads the jet table one
+    component row at a time, against the row-major bound it replaced."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           box=st.booleans())
+    def test_matches_the_row_major_screen(self, seed, dim, box):
+        # ring by ring: every offset's bound against the oracle on the
+        # candidates of `_reference_candidates`, then `_refine_rows` on
+        # that ring alone must polish exactly the candidates the oracle
+        # passes, in the same order, and raise `best` to the same bits
+        f = _random_convex_field(seed, dim, box)
+        slopes = auto_slope_grid(f)
+        vals, arg, _ = sup_with_argmax(f, slopes)
+        jets, lookup = _field_jets(f)
+        flat = lookup.ravel()
+        ys = slopes.coords().reshape(-1, dim)
+        yt, slack = _slope_terms(jets, ys)
+        anchors = np.argwhere(f.mask)[arg]
+        starts = np.flatnonzero(np.pad(f.mask, _REFINE_WINDOW))[arg]
+        strides = np.array(lookup.strides) // lookup.itemsize
+        window = range(-_REFINE_WINDOW, _REFINE_WINDOW + 1)
+        offsets = np.array(list(product(window, repeat=dim)))
+        blocks = _column_blocks(jets.cols, dim)
+        rims = 0
+        best, want_best = vals.copy(), vals.copy()
+        for ring in range(_REFINE_WINDOW + 1):
+            ring_offsets = offsets[np.abs(offsets).max(axis=1) == ring]
+            steps = ring_offsets @ strides
+            rims += int((flat[starts[:, None] + steps] < 0).sum())
+            sels, cands = [], []
+            for offset in ring_offsets:
+                sel, rows = _reference_candidates(f, jets, anchors, offset)
+                want = _row_major_box_bound(jets, ys[sel], rows)
+                got = _box_bound(jets, yt, slack, sel, rows)
+                # the two orders of summation agree to round-off of the
+                # terms that cancel, y.x_c and c_c (`einsum` does not add
+                # in axis order)
+                terms = (np.abs(ys[sel] * blocks[5][:, rows].T).sum(axis=1)
+                         + np.abs(blocks[9][0, rows]))
+                assert np.all(np.abs(got - want)
+                              <= 1e-15 * (1 + np.abs(want) + terms))
+                live = want >= want_best[sel]
+                assert np.array_equal(got >= want_best[sel], live)
+                sels.append(sel[live])
+                cands.append(rows[live])
+            sel, rows = np.concatenate(sels), np.concatenate(cands)
+            polished = []
+
+            def recording(jets, ys, rows):
+                polished.append((ys, rows))
+                return _polish(jets, ys, rows)
+
+            with mock.patch.object(conjugate, "_polish", recording):
+                conjugate._refine_rows(jets, flat, [steps], starts, ys, best)
+            got_ys = np.concatenate([p[0] for p in polished] + [ys[:0]])
+            got_rows = np.concatenate([p[1] for p in polished] + [rows[:0]])
+            # no window slot that reads -1 reaches the polish
+            assert np.all(got_rows >= 0) and jets.usable[got_rows].all()
+            assert np.array_equal(got_rows, rows)
+            assert np.array_equal(got_ys, ys[sel])
+            if sel.size:
+                np.maximum.at(want_best, sel, _polish(jets, ys[sel], rows))
+            assert np.array_equal(best, want_best)
+        assert rims > 0
 
 
 class TestPolish:
@@ -689,7 +774,7 @@ class TestRefinedSupChunks:
                 assert np.array_equal(got, want)
 
     def test_a_thread_cap_of_one_changes_no_bit(self, monkeypatch):
-        f = sample_potential(quartic(1.0), GridSpec.ball_box(2, 129))
+        f = sample_potential(quartic(1.0), GridSpec.ball_box(2, 193))
         slopes = auto_slope_grid(f)
         rows = slopes.n_nodes()
         assert rows >= 2 * _CHUNK_ROWS

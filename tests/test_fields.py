@@ -82,6 +82,10 @@ class TestGridSpec:
         with pytest.raises(GridError):
             # box [0, 0.4]^2 cannot contain the unit ball
             GridSpec(2, (5, 5), 0.1, (0, 0), 1.0)
+        for nodes in (2, 1, 0):
+            # before dividing the diameter by nodes - 1
+            with pytest.raises(GridError, match="at least 3 nodes"):
+                GridSpec.ball_box(2, nodes)
 
     def test_slope_grid_mask_covers_box(self):
         g = GridSpec(2, (7, 9), 0.5, (-1.5, -2.0), None)

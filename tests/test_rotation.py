@@ -132,6 +132,14 @@ class TestRotateQuadratics:
             rotate(u, ALPHA4)  # default delta = cot(alpha) demands convexity
         assert err.value.modulus == pytest.approx(-0.9, abs=1e-8)
 
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, float("nan")])
+    def test_delta_that_is_not_positive_rejected(self, delta):
+        # NaN fails both the sign test and the semiconvexity comparison
+        # unless the check asks for delta > 0
+        u = sample_potential(iso_quad(1.0), GridSpec.ball_box(2, 17))
+        with pytest.raises(RotationError, match="delta must be positive"):
+            rotate(u, ALPHA4, delta=delta)
+
     def test_mask_without_two_cell_interior_uses_quadratic_models(self):
         # 19 one-cell interior nodes and none two cells in: the quartic
         # jets do not fit anywhere, and the quadratic ones are exact here

@@ -15,6 +15,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
+from .conjugate import _require_tolerance
 from .eigen import Spectrum, adjugate, eigvals_sym
 from .errors import ConvexityError, GridError
 from .fields import GridSpec, PotentialField, dilate_mask, erode_mask, osc
@@ -419,7 +420,8 @@ def coefficient_values(lam: np.ndarray, m: int) -> list[tuple[str, float]]:
 
 def coefficient_audit(lambdas: Spectrum | np.ndarray, m: int,
                       tol: float = 0.0) -> AuditReport:
-    """Evaluate every coefficient family; negatives are violations."""
+    """Evaluate every coefficient family; values below -tol are violations."""
+    _require_tolerance("tol", tol)
     lam = (
         lambdas.as_array() if isinstance(lambdas, Spectrum)
         else np.asarray(lambdas, dtype=float)
@@ -475,10 +477,12 @@ def subharmonicity_trial(v: RotatedPotential, m: int,
     transform's one-cell fallback ring near the domain rim is noisy at
     O(1)). The
     report's min_margin is the smallest Laplacian value seen; values below
-    -max(slack, 1e-9) are violations. The sign claim is a property of
-    solution fields; rotations of non-solution potentials have a genuine
-    negative floor.
+    -max(slack, 1e-9) are violations; slack = inf only reports the margin.
+    The sign claim is a property of solution fields; rotations of
+    non-solution potentials have a genuine negative floor.
     """
+    if not slack >= 0:
+        raise ValueError(f"slack must be nonnegative, got {slack}")
     bm, hf, lam = _bm_with_hessian(v, m, gap_tol)
     sub = bm.valid & (lam[..., 0] <= 1.0 + _HYPOTHESIS_TOL)
     sub = erode_mask(sub, _SUBHARMONIC_RIM)

@@ -35,16 +35,13 @@ third and fourth derivatives, kept as their packed symmetric entries
 (`hessians.symmetric_slots`), and the position and value; the bound reads
 the position, the gradient and three rows of its own. The bound takes
 each row it needs with one 1-D gather per offset, and the terms that
-depend on the slope row alone are formed once per chunk of slope rows.
-The polish contracts the packed entries directly, elementwise over
-candidates, so a candidate's value does not depend on the call it lands
-in. Where the mask has no two-cell interior (and on the one-cell rim ring
-of any mask) the models fall back to the plain quadratic ones. The d x d
-Newton systems and Hessian inverses are closed-form adjugates over
-determinants. Slope rows are independent, so contiguous chunks of them
-run on a thread pool, one per usable core (capped by `SLAG_LAB_THREADS`)
-on grids large enough to pay for a thread; every chunk count and polish
-call size gives the same bits.
+depend on the slope row alone are formed once per transform. The polish
+contracts the packed entries directly, elementwise over candidates, so a
+candidate's value does not depend on the call it lands in. Where the mask
+has no two-cell interior (and on the one-cell rim ring of any mask) the
+models fall back to the plain quadratic ones. The d x d Newton systems and
+Hessian inverses are closed-form adjugates over determinants. Every
+polish call size gives the same bits.
 
 Slope grids are sized automatically from attained first differences plus a
 two-cell margin, with a node pinned at the slope-space origin; node
@@ -56,7 +53,7 @@ between anchors.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -78,7 +75,6 @@ from .hessians import (
     taylor_tensors,
 )
 from .reports import AuditReport
-from .workers import max_workers, usable_cores
 
 logger = logging.getLogger("slag_lab.conjugate")
 
@@ -89,15 +85,6 @@ _CHUNK_FLOATS = 8_000_000
 # and the smallest Hessian eigenvalue that admits a local model
 _REFINE_WINDOW = 2
 _PSD_FLOOR = 1e-10
-# refined_sup: fewest slope rows per chunk. Since the screen reads one jet
-# component per take, two threads pay only on large slope grids. Quartic
-# rotations, in-process, alternated rounds, one chunk against two: 129^2
-# (16 641 rows) 0.042 against 0.053 s, 21^3 (9 261) 0.055 against 0.095 s,
-# 33^3 (35 937) 0.22-0.25 s either way, 257^2 (66 049) 0.18-0.21 against
-# 0.16-0.18 s. In benchmark pairs one chunk at 129^2 lowered rotate-2d
-# op_s in 8 of 10 pairs (median -6 %) and peak_rss_mb by 6 MB in all 10.
-# The value is the smallest power of two that keeps 129^2 in one chunk
-_CHUNK_ROWS = 16384
 # refined_sup: most candidates per `_polish` call. A 3-D call holds about
 # 64 floats per candidate at its peak, 4 MB at this size; calls of 2048
 # made a 129^2 rotation about 18 % slower
@@ -119,10 +106,19 @@ _SUM_RULE_TOL = 1e-9
 _MODULUS_TOL = 1e-8
 
 
+def _require_tolerance(name: str, tol: float) -> None:
+    """Raise ValueError unless `tol` is finite and nonnegative: a NaN or
+    infinite tolerance switches its check off, and a negative one asks for
+    more than equality."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
+
+
 def _require_convex(f: PotentialField, tol: float = _CONVEXITY_TOL) -> None:
     # directional second differences, not matrix eigenvalues: sampled convex
     # functions with creases have exactly nonnegative directional curvature
     # while their assembled cross-stencil Hessian can be indefinite
+    _require_tolerance("convexity tolerance", tol)
     worst, node = directional_convexity_deficit(f)
     if worst < -tol:
         raise ConvexityError("field is not convex", node=node, modulus=worst)
@@ -610,15 +606,6 @@ def _polish(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return value
 
 
-def _row_chunks(rows: int) -> int:
-    """Contiguous slope-row chunks for `refined_sup` to run side by side.
-
-    One per usable core, capped by `SLAG_LAB_THREADS`, and no more than
-    one per `_CHUNK_ROWS` rows.
-    """
-    return max(1, min(max_workers(usable_cores()), rows // _CHUNK_ROWS))
-
-
 def _refine_rows(jets: _Jets, lookup: np.ndarray, rings: list[np.ndarray],
                  anchors: np.ndarray, ys: np.ndarray,
                  best: np.ndarray) -> None:
@@ -629,8 +616,7 @@ def _refine_rows(jets: _Jets, lookup: np.ndarray, rings: list[np.ndarray],
     offset of a ring is screened against `best` as it stood when the ring
     started; the candidates that pass are polished in calls of at most
     `_POLISH_ROWS` and folded in by `np.maximum.at`. The slope terms of
-    the bound are formed once for all offsets. Runs only numpy,
-    `_box_bound` and `_polish`, so chunks can share a pool.
+    the bound are formed once for all offsets.
     """
     yt, slack = _slope_terms(jets, ys)
     for ring in rings:
@@ -666,11 +652,9 @@ def refined_sup(f: PotentialField, slopes: GridSpec):
     the box (`_box_bound`) reaches the best value found before its ring; a
     maximum does not depend on the order of its terms, and a candidate's
     polish not on the call it shares, so neither the pruning nor the size
-    of the polish calls changes an output bit. Slope rows are independent,
-    so contiguous chunks of them (`_row_chunks`) run on a thread pool, with
-    the same output bits as one chunk. Returns (values, argmax, interior
-    node values, node values); attainment tests must compare the last two
-    (refined values exceed node suprema off the lattice).
+    of the polish calls changes an output bit. Returns (values, argmax,
+    interior node values, node values); attainment tests must compare the
+    last two (refined values exceed node suprema off the lattice).
     """
     vals, arg, vals_in = sup_with_argmax(f, slopes)
     jets, lookup = _field_jets(f)
@@ -682,22 +666,9 @@ def refined_sup(f: PotentialField, slopes: GridSpec):
     steps = offsets @ (np.array(lookup.strides) // lookup.itemsize)
     ring = np.abs(offsets).max(axis=1)
     rings = [steps[ring == r] for r in range(_REFINE_WINDOW + 1)]
-    flat = lookup.ravel()
     ys = slopes.coords().reshape(-1, f.grid.dim)
     best = vals.copy()
-    n = best.size
-    chunks = _row_chunks(n)
-    ends = [n * i // chunks for i in range(chunks + 1)]
-
-    def refine(lo: int, hi: int) -> None:
-        _refine_rows(jets, flat, rings, anchors[lo:hi], ys[lo:hi],
-                     best[lo:hi])
-
-    if chunks == 1:
-        refine(0, n)
-    else:
-        with ThreadPoolExecutor(chunks) as pool:
-            list(pool.map(refine, ends[:-1], ends[1:]))
+    _refine_rows(jets, lookup.ravel(), rings, anchors, ys, best)
     return best, arg, vals_in, vals
 
 
@@ -779,6 +750,8 @@ def subdifferential(f: PotentialField, a, tol: float | None = None) -> SlopeSet:
     result on any auto-sized slope grid; pass a tighter tolerance to localize
     smooth-point gradients.
     """
+    if tol is not None:
+        _require_tolerance("tol", tol)
     star = conjugate_fast(f)
     ys = _slope_coords(star)
     idx, anchor, gap = _fenchel_gap(f, star, ys, a)

@@ -53,7 +53,6 @@ from .operators import ProblemSpec
 from .reports import AuditReport
 from .rotation import RotatedPotential, RotationParams, rotate
 from .solver import solve_dirichlet
-from .workers import max_workers
 
 DEFAULT_SEED = 20240817
 
@@ -657,18 +656,20 @@ def write_artifacts(results, outdir: Path):
 
 def run_all(outdir: Path | None = None, names=None, parallel: int = 1,
             seed: int = DEFAULT_SEED):
-    """Run experiments (sequentially by default); returns (results, passed).
+    """Run experiments on `parallel` threads (one by default); returns
+    (results, passed).
 
     Artifacts are written from the calling thread once every experiment
     has finished.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
     names = list(names or REGISTRY)
     configs = [ExperimentConfig(name=n, seed=seed) for n in names]
-    workers = max_workers(parallel)
-    if workers <= 1:
+    if parallel == 1:
         results = [run_experiment(c) for c in configs]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(run_experiment, configs))
     if outdir is not None:
         write_artifacts(results, outdir)

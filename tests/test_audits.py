@@ -318,6 +318,12 @@ class TestLaplaceBeltrami:
 
 
 class TestCoefficientAudit:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # with tol = 0 this spectrum fails (min margin about -2.6)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            coefficient_audit(np.array([3.0, -0.9]), m=1, tol=tol)
+
     def test_boundary_tuple_zero_minimum(self):
         rep = coefficient_audit(np.array([1.0, 1.0, -1.0]), m=2)
         assert rep.passed
@@ -463,6 +469,12 @@ class TestCoefficientTable:
 
 
 class TestSubharmonicity:
+    @pytest.mark.parametrize("slack", [np.nan, -1.0])
+    def test_slack_must_be_nonnegative(self, grid65, slack):
+        u = sample_potential(quad_form([[0.8, 0.0], [0.0, 0.2]]), grid65)
+        with pytest.raises(ValueError, match="slack must be nonnegative"):
+            subharmonicity_trial(as_rotated(u), m=1, gap_tol=0.1, slack=slack)
+
     def test_constant_hessian_is_exactly_flat(self, grid65):
         u = sample_potential(quad_form([[0.8, 0.0], [0.0, 0.2]]), grid65)
         rep = subharmonicity_trial(as_rotated(u), m=1, gap_tol=0.1)

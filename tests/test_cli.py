@@ -15,7 +15,6 @@ from slag_lab.cli import main
 from slag_lab.experiments import (
     REGISTRY,
     ExperimentConfig,
-    max_workers,
     parse_config,
     run_all,
     run_experiment,
@@ -168,6 +167,27 @@ class TestSubcommands:
         capsys.readouterr()
         assert run_cli("subdiff", "--in", str(u), "--point", "0,0,0") == 2
         assert "has 3 coordinates, the field is 2-D" in capsys.readouterr().err
+        # NaN or negative tolerances and slacks, and --parallel 0, fail
+        # with one line before any work
+        v = str(tmp_path / "v.pf1")
+        for argv, message in (
+                (("conjugate", "--in", str(u), "--out", v, "--tol", "nan"),
+                 "finite and nonnegative"),
+                (("subdiff", "--in", str(u), "--point", "0,0", "--tol", "-1"),
+                 "finite and nonnegative"),
+                (("subdiff", "--in", str(u), "--point", "0,0", "--tol", "nan"),
+                 "finite and nonnegative"),
+                (("audit", "--check", "coeffs", "--spectrum", "3,-0.9",
+                  "--m", "1", "--tol", "nan"), "finite and nonnegative"),
+                (("audit", "--check", "bm", "--in", str(u), "--slack", "nan"),
+                 "slack must be nonnegative"),
+                (("run", "--all", "--parallel", "0"),
+                 "parallel must be at least 1")):
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
+        assert not (tmp_path / "v.pf1").exists()
 
     @pytest.mark.parametrize("alpha", ["2", "0", "-0.5", str(np.pi / 2), "nan"])
     def test_angle_outside_the_open_quarter_turn_exits_2(self, tmp_path,
@@ -354,32 +374,9 @@ class TestExperimentRunner:
             summaries.append((out / "summary.csv").read_bytes())
         assert summaries[0] == summaries[1]
 
-    def test_parallel_run_writes_one_summary_header(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.delenv("SLAG_LAB_THREADS", raising=False)
+    def test_parallel_run_writes_one_summary_header(self, tmp_path):
         results, _ = run_all(outdir=tmp_path, parallel=2,
                              names=["zero-potential", "coefficient-audit"])
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines.count("name,checked_nodes,min_margin,passed") == 1
         assert len(lines) == 1 + sum(len(r.reports) for r in results)
-
-
-class TestThreadCap:
-    def test_cap_applies(self, monkeypatch):
-        monkeypatch.delenv("SLAG_LAB_THREADS", raising=False)
-        assert max_workers(4) == 4
-        monkeypatch.setenv("SLAG_LAB_THREADS", "1")
-        assert max_workers(4) == 1
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_cap_rejected_before_any_pool(self, monkeypatch, value):
-        monkeypatch.setenv("SLAG_LAB_THREADS", value)
-        with pytest.raises(ValueError, match="SLAG_LAB_THREADS"):
-            max_workers(2)
-
-        def started(cfg):
-            raise AssertionError("an experiment started")
-
-        monkeypatch.setitem(REGISTRY, "zero-potential", started)
-        with pytest.raises(ValueError, match="SLAG_LAB_THREADS"):
-            run_all(names=["zero-potential"], parallel=2)

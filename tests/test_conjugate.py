@@ -1,7 +1,6 @@
 """Legendre-Fenchel transforms, subdifferentials, slope domains, sum rule."""
 
 import math
-import sys
 from itertools import combinations_with_replacement, permutations, product
 from unittest import mock
 
@@ -24,7 +23,6 @@ from slag_lab import (
 )
 from slag_lab import conjugate
 from slag_lab.conjugate import (
-    _CHUNK_ROWS,
     _REFINE_WINDOW,
     _box_bound,
     _column_blocks,
@@ -32,7 +30,6 @@ from slag_lab.conjugate import (
     _hull_transform,
     _model_jets,
     _polish,
-    _row_chunks,
     _slope_terms,
     _sup_brute,
     _tight_members,
@@ -51,7 +48,6 @@ from slag_lab.formulas import (
     random_spd_matrix,
 )
 from slag_lab.hessians import directional_convexity_deficit, symmetric_slots
-from slag_lab.workers import usable_cores
 
 
 def attained_interior(f, star_grid):
@@ -92,6 +88,15 @@ class TestConjugateBrute:
             conjugate_brute(u)
         assert err.value.node is not None
         assert err.value.modulus == pytest.approx(-0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("transform", [conjugate_brute, conjugate_fast])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, grid65,
+                                                      transform, tol):
+        # a NaN or infinite tolerance would let a concave field through
+        u = sample_potential(iso_quad(-2.0), grid65)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            transform(u, convexity_tol=tol)
 
     def test_accepts_kinked_convex_input(self, grid65):
         # creases make the assembled FD Hessian indefinite; the directional
@@ -748,48 +753,18 @@ class TestPackedPolish:
                 assert np.array_equal(got, ref)
 
 
-class TestRefinedSupChunks:
-    """Slope-row chunks on a thread pool change no output bit."""
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
-           box=st.booleans())
-    def test_one_two_and_three_chunks_agree(self, seed, dim, box):
-        # three chunks on two cores, with a short switch interval so that
-        # the threads interleave often: a lost write to `best` would show
-        f = _random_convex_field(seed, dim, box)
-        slopes = auto_slope_grid(f)
-        outs = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for chunks in (1, 2, 3):
-                with mock.patch.object(conjugate, "_row_chunks",
-                                       lambda rows: chunks):
-                    outs.append(refined_sup(f, slopes))
-        finally:
-            sys.setswitchinterval(interval)
-        for out in outs[1:]:
-            for got, want in zip(out, outs[0]):
-                assert np.array_equal(got, want)
-
-    def test_a_thread_cap_of_one_changes_no_bit(self, monkeypatch):
+class TestRefinedSupThreads:
+    def test_a_large_slope_grid_starts_no_thread(self):
+        # 37 249 slope rows: enough to tempt a split of the rows across
+        # cores, which measured no faster (BENCH_23.json)
         f = sample_potential(quartic(1.0), GridSpec.ball_box(2, 193))
         slopes = auto_slope_grid(f)
-        rows = slopes.n_nodes()
-        assert rows >= 2 * _CHUNK_ROWS
-        monkeypatch.delenv("SLAG_LAB_THREADS", raising=False)
-        assert _row_chunks(rows) == min(usable_cores(), rows // _CHUNK_ROWS)
-        default = refined_sup(f, slopes)
-        monkeypatch.setenv("SLAG_LAB_THREADS", "1")
-        assert _row_chunks(rows) == 1
-        for got, want in zip(refined_sup(f, slopes), default):
-            assert np.array_equal(got, want)
 
-    def test_small_grids_run_in_one_chunk(self, monkeypatch):
-        monkeypatch.delenv("SLAG_LAB_THREADS", raising=False)
-        assert _row_chunks(2 * _CHUNK_ROWS - 1) == 1
-        assert _row_chunks(0) == 1
+        def started(thread):
+            raise AssertionError("refined_sup started a thread")
+
+        with mock.patch("threading.Thread.start", started):
+            refined_sup(f, slopes)
 
 
 class TestTransformLaws:
@@ -1117,6 +1092,12 @@ class TestSubdifferential:
         dist = np.abs(sd.members).max(axis=1)
         assert dist.max() <= spacing + 1e-12
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan])
+    def test_tolerance_must_be_finite_and_nonnegative(self, grid65, tol):
+        u = sample_potential(iso_quad(1.0), grid65)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            subdifferential(u, (0.0, 0.0), tol=tol)
+
     def test_norm_kink_covers_unit_ball(self, grid65):
         u = sample_potential(norm, grid65)
         sd = subdifferential(u, (0.0, 0.0))
@@ -1148,9 +1129,11 @@ class TestSubdifferential:
             assert gap <= 2 * spacing
 
     def test_empty_result_reports_internal_error(self, grid65):
-        u = sample_potential(iso_quad(1.0), grid65)
+        # slope nodes lie 2h apart on axis 0, and the node x = (h, 0) attains
+        # the sup only for y_0 in [h/2, 3h/2]: every gap is at least h^2/2
+        u = sample_potential(quad_form([[1.0, 0.0], [0.0, 2.0]]), grid65)
         with pytest.raises(ConvexityError):
-            subdifferential(u, (0.0, 0.0), tol=-1.0)
+            subdifferential(u, (grid65.spacing, 0.0), tol=0.0)
 
 
 def _tight_members_per_call(f, star, a):

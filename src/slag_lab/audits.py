@@ -21,7 +21,7 @@ from .errors import ConvexityError, GridError
 from .fields import GridSpec, PotentialField, dilate_mask, erode_mask, osc
 from .hessians import (
     HessianField,
-    _shift,
+    _combine,
     _unit,
     hessian_field,
     hessian_matrices,
@@ -330,21 +330,26 @@ def laplace_beltrami(values: np.ndarray, valid: np.ndarray,
     w[usable] = adj / sqrt_det[usable][..., None, None]
     f = np.where(usable, values, np.nan)
 
+    # fluxes through the faces at x +- e_i/2; j != i differences one node off
+    zero = (0,) * d
     acc = np.zeros(grid.shape)
     for i in range(d):
         e, ne = _unit(d, i), _unit(d, i, -1)
-        w_p = 0.5 * (w[..., i, i] + _shift(w[..., i, i], e))
-        w_m = 0.5 * (w[..., i, i] + _shift(w[..., i, i], ne))
-        f_p, f_m = _shift(f, e), _shift(f, ne)
-        acc += (w_p * (f_p - f) - w_m * (f - f_m)) / h**2
+        w_p = 0.5 * _combine(w[..., i, i], [(zero, 1.0), (e, 1.0)])
+        w_m = 0.5 * _combine(w[..., i, i], [(zero, 1.0), (ne, 1.0)])
+        df_p = _combine(f, [(e, 1.0), (zero, -1.0)])
+        df_m = _combine(f, [(zero, 1.0), (ne, -1.0)])
+        acc += (w_p * df_p - w_m * df_m) / h**2
         for j in range(d):
             if j == i:
                 continue
-            ej, nej = _unit(d, j), _unit(d, j, -1)
-            dj_p = (_shift(f_p, ej) - _shift(f_p, nej)) / (2 * h)
-            dj_m = (_shift(f_m, ej) - _shift(f_m, nej)) / (2 * h)
-            acc += (_shift(w[..., i, j], e) * dj_p
-                    - _shift(w[..., i, j], ne) * dj_m) / (2 * h)
+            ej = _unit(d, j)
+            dj_p = _combine(f, [(np.add(e, ej), 1.0),
+                                (np.subtract(e, ej), -1.0)]) / (2 * h)
+            dj_m = _combine(f, [(np.add(ne, ej), 1.0),
+                                (np.subtract(ne, ej), -1.0)]) / (2 * h)
+            acc += (_combine(w[..., i, j], [(e, 1.0)]) * dj_p
+                    - _combine(w[..., i, j], [(ne, 1.0)]) * dj_m) / (2 * h)
     result = np.full(grid.shape, np.nan)
     result[out_valid] = acc[out_valid] / sqrt_det[out_valid]
     out_valid &= np.isfinite(result)

@@ -216,6 +216,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {args.parallel}")
     outdir = Path(args.outdir) if args.outdir else None
     if args.config:
         cfg = parse_config(Path(args.config).read_text())

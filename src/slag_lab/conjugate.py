@@ -405,11 +405,12 @@ def _field_jets(f: PotentialField) -> tuple[_Jets, np.ndarray]:
     mats, _ = hessian_matrices(f, stride=1)
     tens3, tens4, _ = taylor_tensors(f)
     g4, h4, valid2 = fourth_order_jet(f)
-    grads = np.where(valid2[..., None], g4, grads)
-    mats = np.where(valid2[..., None, None], h4, mats)
-    jets = _model_jets(f.grid.coords()[valid], f.values[valid], grads[valid],
-                       mats[valid], tens3[valid], tens4[valid],
-                       f.grid.spacing / 2.0)
+    grads, mats = grads[valid], mats[valid]
+    quartic = valid2[valid]
+    grads[quartic] = g4[valid2]
+    mats[quartic] = h4[valid2]
+    jets = _model_jets(f.grid.coords()[valid], f.values[valid], grads, mats,
+                       tens3[valid], tens4[valid], f.grid.spacing / 2.0)
     rows = np.full(f.grid.shape, -1)
     rows[valid] = np.where(jets.usable, np.arange(jets.usable.size), -1)
     return jets, np.pad(rows, _REFINE_WINDOW, constant_values=-1)
@@ -748,7 +749,8 @@ def subdifferential(f: PotentialField, a, tol: float | None = None) -> SlopeSet:
 
     The default tol = 2h(1 + local Lipschitz estimate) guarantees a nonempty
     result on any auto-sized slope grid; pass a tighter tolerance to localize
-    smooth-point gradients.
+    smooth-point gradients. An explicit tol below every slope node's gap
+    raises ValueError.
     """
     if tol is not None:
         _require_tolerance("tol", tol)
@@ -757,6 +759,9 @@ def subdifferential(f: PotentialField, a, tol: float | None = None) -> SlopeSet:
     idx, anchor, gap = _fenchel_gap(f, star, ys, a)
     if tol is None:
         tol = 2.0 * f.grid.spacing * (1.0 + _lipschitz_at(f, idx))
+    elif not (gap <= tol).any():
+        raise ValueError(f"tol {tol:.6g} leaves no slope node: the smallest "
+                         f"Fenchel gap is {float(gap.min()):.6g}")
     members = ys[gap <= tol]
     return SlopeSet(anchor=anchor, members=members, tolerance=float(tol))
 

@@ -1,17 +1,22 @@
 """Finite-difference Hessians of masked potentials.
 
+Every finite-difference sum of the package, the Laplace-Beltrami fluxes
+and the mollifier included, is a list of (offset, weight) terms that one
+function, `_combine`, applies as slices of the box where every offset stays
+on the grid. Its 1-D stencils come from one table (`_PURE_STENCILS`).
+
 Diagonal entries use the centered second difference, off-diagonals the
 4-point cross stencil; both are exact on quadratics. Hessians exist only at
 nodes whose full 3^dim stencil lies in the mask (no one-sided fallbacks).
-The same stencil table, stacked term by term over the interior unknowns
-(`stencil_terms`), gives the Dirichlet solver its Poisson and Newton
+The same stencils, stacked term by term over the interior unknowns
+(`stencil_terms`), give the Dirichlet solver its Poisson and Newton
 systems. The module needs numpy alone.
 
 The third and fourth derivatives of the quartic Taylor models come packed,
-one column per distinct entry of the symmetric tensor, from one table of
-1-D pure-derivative stencils (`taylor_tensors`); `symmetric_slots` expands
-them. These and the fourth-order jet need two cells of mask around a node,
-and return an all-false validity mask, not an error, where none has them.
+one column per distinct entry of the symmetric tensor (`taylor_tensors`);
+`symmetric_slots` expands them. These and the fourth-order jet need two
+cells of mask around a node, and return an all-false validity mask, not an
+error, where none has them.
 """
 
 from __future__ import annotations
@@ -54,49 +59,60 @@ class HessianField:
         return out
 
 
-def _shift(values: np.ndarray, offset: tuple[int, ...]) -> np.ndarray:
-    """values[x + offset] with NaN where the shifted index leaves the grid."""
-    out = np.full_like(values, np.nan)
-    src = []
-    dst = []
-    for o, n in zip(offset, values.shape):
-        if o >= 0:
-            src.append(slice(o, n))
-            dst.append(slice(0, n - o))
-        else:
-            src.append(slice(0, n + o))
-            dst.append(slice(-o, n))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
 def _unit(d: int, i: int, s: int = 1) -> tuple[int, ...]:
     """Offset of s steps along axis i of a d-dimensional grid."""
     return tuple(s if k == i else 0 for k in range(d))
 
 
 def _combine(values: np.ndarray, terms) -> np.ndarray:
-    """Sum of w * values[x + offset] over (offset, w) in `terms`, in order."""
-    acc = None
-    for off, w in terms:
-        t = w * _shift(values, off)
-        acc = t if acc is None else acc + t
-    return acc
+    """Sum of w * values[x + offset] over (offset, w) in `terms`, in order,
+    one slice of `values` per term over the core box, where every offset
+    stays on the grid; NaN outside the core (everywhere when it is empty)."""
+    terms = list(terms)
+    reach = list(zip(*(off for off, _ in terms)))
+    lo = [max(0, -min(r)) for r in reach]
+    hi = [n - max(0, max(r)) for n, r in zip(values.shape, reach)]
+    out = np.full(values.shape, np.nan)
+    if all(a < b for a, b in zip(lo, hi)):
+        acc = None
+        for off, w in terms:
+            term = values[tuple(slice(a + o, b + o) for a, b, o in zip(lo, hi, off))]
+            # x + 1.0 * y and x + -1.0 * y round as x + y and x - y
+            if acc is None:
+                acc = w * term
+            elif w == 1.0:
+                acc += term
+            elif w == -1.0:
+                acc -= term
+            else:
+                acc += w * term
+        out[tuple(map(slice, lo, hi))] = acc
+    return out
 
 
-# 1-D stencils of the pure derivatives, keyed by order: offsets, +-integer
-# weights and divisor in units of h^order. Summing the terms in this order
-# reproduces the plain difference formulas bit for bit.
+# 1-D stencils of the pure derivatives, keyed by (order, accuracy) as in
+# Fornberg's tables (Math. Comp. 51, 1988): offsets, integer-valued weights,
+# and the divisor at step h as each difference formula writes it (12 * h * h
+# and 12 * h**2 round differently). Summing the terms in this order
+# reproduces the difference formulas bit for bit.
 _PURE_STENCILS = {
-    2: ((1, 0, -1), (1.0, -2.0, 1.0), 1.0),
-    3: ((2, 1, -1, -2), (1.0, -2.0, 2.0, -1.0), 2.0),
-    4: ((2, 1, 0, -1, -2), (1.0, -4.0, 6.0, -4.0, 1.0), 1.0),
+    (1, 4): ((2, 1, -1, -2), (-1.0, 8.0, -8.0, 1.0), lambda h: 12 * h),
+    (2, 2): ((1, 0, -1), (1.0, -2.0, 1.0), lambda h: 1.0 * h**2),
+    (2, 4): ((2, 1, 0, -1, -2), (-1.0, 16.0, -30.0, 16.0, -1.0), lambda h: 12 * h * h),
+    (3, 2): ((2, 1, -1, -2), (1.0, -2.0, 2.0, -1.0), lambda h: 2.0 * h**3),
+    (4, 2): ((2, 1, 0, -1, -2), (1.0, -4.0, 6.0, -4.0, 1.0), lambda h: 1.0 * h**4),
 }
 
 
 def _line(d: int, i: int, offsets, weights) -> list:
     """Terms of a 1-D stencil along axis i."""
     return [(_unit(d, i, o), w) for o, w in zip(offsets, weights)]
+
+
+def _pure(values: np.ndarray, i: int, key, h: float) -> np.ndarray:
+    """The `_PURE_STENCILS[key]` derivative of `values` along axis i, step h."""
+    offsets, weights, divisor = _PURE_STENCILS[key]
+    return _combine(values, _line(values.ndim, i, offsets, weights)) / divisor(h)
 
 
 def _corners(d: int, axes) -> list:
@@ -107,16 +123,16 @@ def _corners(d: int, axes) -> list:
             for s in product((1, -1), repeat=len(axes))]
 
 
-def _stencil(d: int, i: int, j: int) -> tuple[list, float]:
-    """Offsets and weights of the (i, j) entry, and its divisor in units of h^2.
+def _stencil(d: int, i: int, j: int):
+    """Offsets and weights of the (i, j) entry, and its divisor at step h.
 
     The diagonal is the centered second difference, the off-diagonal the
     4-point cross stencil.
     """
     if i == j:
-        offsets, weights, div = _PURE_STENCILS[2]
-        return _line(d, i, offsets, weights), div
-    return _corners(d, (i, j)), 4.0
+        offsets, weights, divisor = _PURE_STENCILS[(2, 2)]
+        return _line(d, i, offsets, weights), divisor
+    return _corners(d, (i, j)), lambda h: 4.0 * h**2
 
 
 def hessian_matrices(u: PotentialField, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -135,9 +151,9 @@ def hessian_matrices(u: PotentialField, stride: int = 1) -> tuple[np.ndarray, np
         raise GridError("domain too small: no interior node carries a full stencil")
     for i in range(d):
         for j in range(i, d):
-            terms, div = _stencil(d, i, j)
+            terms, divisor = _stencil(d, i, j)
             scaled = [(tuple(stride * o for o in off), w) for off, w in terms]
-            mats[..., i, j] = mats[..., j, i] = _combine(v, scaled) / (div * h**2)
+            mats[..., i, j] = mats[..., j, i] = _combine(v, scaled) / divisor(h)
     mats[~valid] = 0.0
     return mats, valid
 
@@ -145,7 +161,7 @@ def hessian_matrices(u: PotentialField, stride: int = 1) -> tuple[np.ndarray, np
 def stencil_terms(mask: np.ndarray, spacing: float):
     """The FD Hessian stencil terms that join two one-cell interior nodes.
 
-    Returns `(row, col, pair, weight)`: each term adds `weight` = w / (div h^2)
+    Returns `(row, col, pair, weight)`: each term adds `weight` = w / divisor
     times the value at interior node `col` to entry `pair` = (i, j), i <= j,
     of the Hessian at interior node `row`; interior nodes are numbered in
     row-major order. Terms come pair by pair, (0, 0), (0, 1), ..., then in
@@ -162,14 +178,14 @@ def stencil_terms(mask: np.ndarray, spacing: float):
     rows, cols, pairs, weights = [], [], [], []
     for i in range(d):
         for j in range(i, d):
-            terms, div = _stencil(d, i, j)
+            terms, divisor = _stencil(d, i, j)
             for off, w in terms:
                 col = index[tuple((nodes + np.array(off)).T)]
                 row = np.flatnonzero(col >= 0)
                 rows.append(row)
                 cols.append(col[row])
                 pairs.append(np.full((len(row), 2), (i, j)))
-                weights.append(np.full(len(row), w / (div * spacing**2)))
+                weights.append(np.full(len(row), w / divisor(spacing)))
     return tuple(np.concatenate(a) for a in (rows, cols, pairs, weights))
 
 
@@ -220,9 +236,7 @@ def taylor_tensors(u: PotentialField) -> tuple[np.ndarray, np.ndarray, np.ndarra
             acc = u.values
             for a in sorted(range(d), key=lambda a: -counts[a]):
                 if counts[a] >= 2:
-                    offsets, weights, div = _PURE_STENCILS[counts[a]]
-                    acc = (_combine(acc, _line(d, a, offsets, weights))
-                           / (div * h ** counts[a]))
+                    acc = _pure(acc, a, (counts[a], 2), h)
             ones = [a for a in range(d) if counts[a] == 1]
             if ones:
                 acc = _combine(acc, _corners(d, ones)) / (2 ** len(ones) * h ** len(ones))
@@ -235,11 +249,12 @@ def taylor_tensors(u: PotentialField) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def fourth_order_jet(u: PotentialField):
-    """Gradient and Hessian from 4th-order stencils on the two-cell interior.
-
-    Exact on polynomials of total degree four (the plain centered stencils
-    are not: e.g. the centered first difference of x^4 is 4x^3 + 4xh^2),
-    which the quartic local models of the refined transform rely on.
+    """Gradient and Hessian from the table's 5-point first and second
+    derivatives on the two-cell interior; mixed entries are 5-point first
+    derivatives of gradient components. Exact on polynomials of total
+    degree four (the plain centered stencils are not: e.g. the centered
+    first difference of x^4 is 4x^3 + 4xh^2), which the quartic local
+    models of the refined transform rely on.
     Returns (gradients, hessians, validity mask); the mask is all false when
     no node has a two-cell stencil.
     """
@@ -248,19 +263,14 @@ def fourth_order_jet(u: PotentialField):
     h = grid.spacing
     v = u.values
     valid = erode_mask(u.mask, 2)
-
-    def d4_first(arr, i):
-        return _combine(arr, _line(d, i, (2, 1, -1, -2), (-1, 8, -8, 1))) / (12 * h)
-
     grads = np.zeros(grid.shape + (d,))
     hess = np.zeros(grid.shape + (d, d))
     for i in range(d):
-        grads[..., i] = d4_first(v, i)
-        hess[..., i, i] = _combine(v, _line(d, i, (2, 1, 0, -1, -2),
-                                            (-1, 16, -30, 16, -1))) / (12 * h * h)
+        grads[..., i] = _pure(v, i, (1, 4), h)
+        hess[..., i, i] = _pure(v, i, (2, 4), h)
     for i in range(d):
         for j in range(i + 1, d):
-            hess[..., i, j] = hess[..., j, i] = d4_first(grads[..., j], i)
+            hess[..., i, j] = hess[..., j, i] = _pure(grads[..., j], i, (1, 4), h)
     grads[~valid] = 0.0
     hess[~valid] = 0.0
     bad = ~np.isfinite(grads).all(axis=-1) | ~np.isfinite(hess).all(axis=(-2, -1))
@@ -271,21 +281,14 @@ def fourth_order_jet(u: PotentialField):
 
 
 def gradient_field(u: PotentialField) -> tuple[np.ndarray, np.ndarray]:
-    """Centered first differences: (gradients (*shape, dim), validity mask).
-
-    The differences are taken on the box one cell in from the grid border,
-    which holds every interior node.
-    """
+    """Centered first differences: (gradients (*shape, dim), validity mask)."""
     grid = u.grid
     d = grid.dim
     h = grid.spacing
     grads = np.zeros(grid.shape + (d,))
     valid = erode_mask(u.mask, 1)
-    inner = (slice(1, -1),) * d
     for i in range(d):
-        ahead = inner[:i] + (slice(2, None),) + inner[i + 1:]
-        behind = inner[:i] + (slice(None, -2),) + inner[i + 1:]
-        grads[inner + (i,)] = (u.values[ahead] - u.values[behind]) / (2.0 * h)
+        grads[..., i] = _combine(u.values, _corners(d, (i,))) / (2.0 * h)
     grads[~valid] = 0.0
     return grads, valid
 
@@ -312,31 +315,25 @@ def directional_convexity_deficit(u: PotentialField):
 
     Sampled convex functions (kinks included) have every directional second
     difference >= 0, which makes this the right discrete convexity test; the
-    assembled FD Hessian matrix can be indefinite at creases. Interior
-    nodes never sit on the grid border, so the differences are taken on the
-    box one cell in from it, where every neighbour exists.
+    assembled FD Hessian matrix can be indefinite at creases. Each
+    direction's difference is the 3-point line along it.
     """
     grid = u.grid
+    d = grid.dim
     h = grid.spacing
     valid = erode_mask(u.mask, 1)
     if not valid.any():
         raise GridError("domain too small for a convexity check")
-    inner = (slice(1, -1),) * grid.dim
-    centre = u.values[inner]
-    valid = valid[inner]
     worst = np.inf
     best = None
-    for v in _direction_set(grid.dim):
+    for v in _direction_set(d):
         step2 = float(np.dot(v, v)) * h * h
-        ahead = tuple(slice(1 + c, n - 1 + c) for c, n in zip(v, grid.shape))
-        behind = tuple(slice(1 - c, n - 1 - c) for c, n in zip(v, grid.shape))
-        second = (u.values[ahead] - 2.0 * centre + u.values[behind]) / step2
-        vals = second[valid]
+        line = [(v, 1.0), ((0,) * d, -2.0), (tuple(-c for c in v), 1.0)]
+        vals = _combine(u.values, line)[valid] / step2
         k = int(np.nanargmin(vals))
         if vals[k] < worst:
             worst = float(vals[k])
             best = k
     if best is None:
         return worst, None
-    node = np.unravel_index(np.flatnonzero(valid)[best], valid.shape)
-    return worst, tuple(int(i) + 1 for i in node)
+    return worst, tuple(int(i) for i in np.argwhere(valid)[best])

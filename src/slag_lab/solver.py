@@ -50,7 +50,7 @@ from .conjugate import _max_plus
 from .eigen import eigvals_sym
 from .errors import ConvexityError, GridError, LinearSolveError
 from .fields import GridSpec, PotentialField, erode_mask, evaluate_formula
-from .hessians import gradient_field, hessian_matrices, stencil_terms
+from .hessians import _combine, gradient_field, hessian_matrices, stencil_terms
 from .operators import ProblemSpec, slag_linearization_batch
 from .reports import AuditReport, SolveReport
 
@@ -437,31 +437,21 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
 def mollify(u: PotentialField, m: MollifierSpec | float) -> PotentialField:
     """Convolve with the normalized bump; the mask shrinks by the stencil.
 
+    The kernel sum is one `hessians._combine` stencil of the kernel's
+    (offset, weight) terms, in order, over the values with NaN outside the
+    mask; as mask values are finite and the weights sum to 1, the sum is
+    finite exactly where every offset lands on a masked node, the new mask.
     Affine fields pass through unchanged; quadratics shift by a constant.
     """
     if not isinstance(m, MollifierSpec):
         m = MollifierSpec.build(float(m), u.grid)
-    # erosion by the footprint: a node stays where every offset lands on a
-    # masked node; the padding is false, so nothing enters from outside
-    reach = int(np.abs(m.offsets).max())
-    padded = np.pad(u.mask, reach)
-    valid = u.mask.copy()
-    for off in m.offsets:
-        valid &= padded[tuple(slice(reach + o, reach + o + n)
-                              for o, n in zip(off, u.grid.shape))]
+    values = _combine(np.where(u.mask, u.values, np.nan), zip(m.offsets, m.weights))
+    valid = np.isfinite(values)
     if not valid.any():
         raise GridError("mollifier stencil exceeds the masked data everywhere")
     if valid.sum() < u.mask.sum():
         logger.debug("mollified mask shrank from %d to %d nodes",
                      int(u.mask.sum()), int(valid.sum()))
-    filled = np.where(u.mask, u.values, 0.0)
-    out = np.zeros_like(filled)
-    for w, off in zip(m.weights, m.offsets):
-        shifted = filled
-        for k, o in enumerate(off):
-            shifted = np.roll(shifted, -int(o), axis=k)
-        out += w * shifted
-    values = np.where(valid, out, np.nan)
     return PotentialField(u.grid, values, valid)
 
 

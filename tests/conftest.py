@@ -31,3 +31,17 @@ def make_iso_quad(grid, k):
 def make_quad(grid, matrix):
     return sample_potential(quad_form(matrix), grid)
 
+
+def nan_shift(values, offset):
+    """values[x + offset] on a NaN-filled copy of the whole grid, NaN where
+    the shifted index leaves it: the one shifted-copy reference of the
+    slice-based stencil sums."""
+    out = np.full_like(values, np.nan)
+    if any(abs(o) >= n for o, n in zip(offset, values.shape)):
+        return out
+    src, dst = [], []
+    for o, n in zip(offset, values.shape):
+        src.append(slice(max(o, 0), n + min(o, 0)))
+        dst.append(slice(max(-o, 0), n - max(o, 0)))
+    out[tuple(dst)] = values[tuple(src)]
+    return out

@@ -167,9 +167,13 @@ class TestSubcommands:
         capsys.readouterr()
         assert run_cli("subdiff", "--in", str(u), "--point", "0,0,0") == 2
         assert "has 3 coordinates, the field is 2-D" in capsys.readouterr().err
-        # NaN or negative tolerances and slacks, and --parallel 0, fail
-        # with one line before any work
+        # NaN or negative tolerances and slacks, and --parallel 0 in every
+        # form of `run`, fail with one line before any work; so does a
+        # tolerance below every Fenchel gap, here at least h^2/2 at (h, 0)
         v = str(tmp_path / "v.pf1")
+        q = str(tmp_path / "q.pf1")
+        run_cli("sample", "--formula", "quad:1,0,2", "--grid", "17", "--out", q)
+        capsys.readouterr()
         for argv, message in (
                 (("conjugate", "--in", str(u), "--out", v, "--tol", "nan"),
                  "finite and nonnegative"),
@@ -181,8 +185,14 @@ class TestSubcommands:
                   "--m", "1", "--tol", "nan"), "finite and nonnegative"),
                 (("audit", "--check", "bm", "--in", str(u), "--slack", "nan"),
                  "slack must be nonnegative"),
+                (("subdiff", "--in", q, "--point", "0.125,0", "--tol", "0"),
+                 "leaves no slope node"),
                 (("run", "--all", "--parallel", "0"),
-                 "parallel must be at least 1")):
+                 "parallel must be at least 1"),
+                (("run", "--experiment", "zero-potential", "--parallel", "0"),
+                 "parallel must be at least 1"),
+                (("run", "--config", str(tmp_path / "absent.cfg"),
+                  "--parallel", "-2"), "parallel must be at least 1")):
             assert run_cli(*argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1

@@ -24,6 +24,7 @@ from slag_lab import (
 from slag_lab import conjugate
 from slag_lab.conjugate import (
     _REFINE_WINDOW,
+    SlopeSet,
     _box_bound,
     _column_blocks,
     _field_jets,
@@ -48,6 +49,8 @@ from slag_lab.formulas import (
     random_spd_matrix,
 )
 from slag_lab.hessians import directional_convexity_deficit, symmetric_slots
+
+from conftest import nan_shift
 
 
 def attained_interior(f, star_grid):
@@ -1015,13 +1018,14 @@ def _auto_slope_grid_reference(f):
     """`auto_slope_grid` as it read the gradients and coordinates through
     full (N, dim) arrays: the oracle of the per-component reductions."""
     from slag_lab.errors import SlopeGridError
-    from slag_lab.hessians import _combine, _corners
 
     d, h = f.grid.dim, f.grid.spacing
     valid = erode_mask(f.mask, 1)
     grads = np.zeros(f.grid.shape + (d,))
     for i in range(d):
-        grads[..., i] = _combine(f.values, _corners(d, (i,))) / (2.0 * h)
+        e = tuple(int(k == i) for k in range(d))
+        grads[..., i] = ((nan_shift(f.values, e) - nan_shift(f.values, tuple(-c for c in e)))
+                         / (2.0 * h))
     if not valid.any():
         raise SlopeGridError("no interior node to estimate the slope range")
     g = grads[valid]
@@ -1128,12 +1132,23 @@ class TestSubdifferential:
             gap = np.linalg.norm(sd.members - s, axis=1).min()
             assert gap <= 2 * spacing
 
-    def test_empty_result_reports_internal_error(self, grid65):
+    def test_explicit_tolerance_below_every_gap_is_a_value_error(self, grid65):
         # slope nodes lie 2h apart on axis 0, and the node x = (h, 0) attains
         # the sup only for y_0 in [h/2, 3h/2]: every gap is at least h^2/2
+        h = grid65.spacing
         u = sample_potential(quad_form([[1.0, 0.0], [0.0, 2.0]]), grid65)
-        with pytest.raises(ConvexityError):
-            subdifferential(u, (grid65.spacing, 0.0), tol=0.0)
+        with pytest.raises(ValueError, match="tol 0 leaves no slope node") as err:
+            subdifferential(u, (h, 0.0), tol=0.0)
+        assert not isinstance(err.value, ConvexityError)
+        gap = float(str(err.value).rsplit(" ", 1)[1])
+        assert gap == pytest.approx(0.5 * h * h, rel=1e-5)
+        # the default tolerance keeps members at the same point
+        assert len(subdifferential(u, (h, 0.0)).members) > 0
+
+    def test_empty_member_set_reports_internal_error(self):
+        # only the guaranteed default tolerance can reach this check
+        with pytest.raises(ConvexityError, match="internal error"):
+            SlopeSet(anchor=(0.0, 0.0), members=np.empty((0, 2)), tolerance=1.0)
 
 
 def _tight_members_per_call(f, star, a):

@@ -24,7 +24,7 @@ from slag_lab.fields import (PotentialField, connected_components, dilate_mask, 
 from slag_lab.formulas import bilinear, iso_quad, pure_quartic, quad_form
 from slag_lab.hessians import directional_convexity_deficit, gradient_field
 
-from conftest import make_iso_quad
+from conftest import make_iso_quad, nan_shift
 
 
 def quartic_hessian(x):
@@ -221,7 +221,7 @@ class TestHessianField:
 def _deficit_reference(u):
     """`directional_convexity_deficit` on NaN-filled shifted copies of the
     whole grid, with one `argwhere` per improving direction."""
-    from slag_lab.hessians import _direction_set, _shift
+    from slag_lab.hessians import _direction_set
 
     valid = erode_mask(u.mask, 1)
     if not valid.any():
@@ -229,8 +229,8 @@ def _deficit_reference(u):
     h = u.grid.spacing
     worst, node = np.inf, None
     for v in _direction_set(u.grid.dim):
-        second = (_shift(u.values, v) - 2.0 * u.values
-                  + _shift(u.values, tuple(-c for c in v))) / (np.dot(v, v) * h * h)
+        second = (nan_shift(u.values, v) - 2.0 * u.values
+                  + nan_shift(u.values, tuple(-c for c in v))) / (np.dot(v, v) * h * h)
         vals = second[valid]
         k = int(np.nanargmin(vals))
         if vals[k] < worst:
@@ -241,19 +241,70 @@ def _deficit_reference(u):
 
 def _gradient_reference(u):
     """`gradient_field` from NaN-filled shifted copies of the whole grid."""
-    from slag_lab.hessians import _combine, _corners
-
     d = u.grid.dim
     grads = np.zeros(u.grid.shape + (d,))
     valid = erode_mask(u.mask, 1)
     for i in range(d):
-        grads[..., i] = _combine(u.values, _corners(d, (i,))) / (2.0 * u.grid.spacing)
+        e = tuple(int(k == i) for k in range(d))
+        grads[..., i] = ((nan_shift(u.values, e) - nan_shift(u.values, tuple(-c for c in e)))
+                         / (2.0 * u.grid.spacing))
     grads[~valid] = 0.0
     return grads, valid
 
 
+def _shifted_sum(values, terms):
+    """Sum of w * nan_shift(values, offset) over (offset, w) in `terms`."""
+    acc = None
+    for off, w in terms:
+        t = w * nan_shift(values, off)
+        acc = t if acc is None else acc + t
+    return acc
+
+
 class TestSliceStencils:
     """Interior-slice differences against the shifted-copy references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([2, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_combine_equals_the_shifted_copy_sum(self, data, dim, seed):
+        from slag_lab.hessians import _combine
+
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(1, 9 if dim == 2 else 7, size=dim))
+        values = rng.normal(size=shape) * 10.0 ** int(rng.integers(-3, 4))
+        values[rng.random(shape) < 0.05] = -0.0
+        # np.nan, the NaN that masks write: off the grid both sums are NaN,
+        # and which NaN would otherwise depend on the order of the terms
+        values[rng.random(shape) < 0.2] = np.nan
+        offset = st.tuples(*[st.integers(-3, 3)] * dim)
+        weight = st.one_of(st.sampled_from([1.0, -1.0, -2.0, 0.5, 8.0, -30.0]),
+                           st.floats(-64.0, 64.0, allow_nan=False, allow_subnormal=False))
+        terms = data.draw(st.lists(st.tuples(offset, weight), min_size=1, max_size=8))
+        got = _combine(values, terms)
+        # every bit, NaN signs and payloads and the sign of zero included
+        assert np.array_equal(got.view(np.uint64),
+                              _shifted_sum(values, terms).view(np.uint64))
+        reach = [max(o[k] for o, _ in terms) - min(o[k] for o, _ in terms)
+                 for k in range(dim)]
+        if any(r >= n for r, n in zip(reach, shape)):
+            assert np.isnan(got).all()
+
+    @pytest.mark.parametrize("shape", [(5, 7), (7, 6), (5, 9, 9), (9, 9, 6)])
+    def test_combine_reaching_across_the_box_is_all_nan(self, shape):
+        from slag_lab.hessians import _combine
+
+        values = np.random.default_rng(7).normal(size=shape)
+        d = len(shape)
+        k = int(np.argmin(shape))
+        ahead = tuple(3 * (a == k) for a in range(d))
+        behind = tuple(-3 * (a == k) for a in range(d))
+        terms = [(ahead, 1.0), ((0,) * d, -2.0), (behind, 1.0)]
+        assert np.isnan(_combine(values, terms)).all()
+        wide = np.random.default_rng(7).normal(size=tuple(n + 2 for n in shape))
+        got = _combine(wide, terms)
+        assert np.array_equal(got, _shifted_sum(wide, terms), equal_nan=True)
+        assert np.isfinite(got).any()
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),

@@ -15,9 +15,11 @@ max-affine fields), which hypothesis tests check on random masks in 2-D
 and 3-D. `sup_with_argmax` (both masks in one call per pass)
 and `conjugate_fast` are its entry points; `refined_sup` polishes its node
 suprema with local quartic Taylor models and the rotation operator builds
-on that. The O(N*M) references survive for the tests (contract: equal to
-1e-12): values-only `conjugate_brute` on the max kernel `_max_plus`, and
-`_sup_brute`, the argmax and interior oracle of `sup_with_argmax`.
+on that, asking for the polish only on the slope rows whose sup is
+attained inside the mask (the rest keep their node suprema). The O(N*M)
+references survive for the tests (contract: equal to 1e-12): values-only
+`conjugate_brute` on the max kernel `_max_plus`, and `_sup_brute`, the
+argmax and interior oracle of `sup_with_argmax`.
 
 The polish visits the candidate nodes around each node argmax ring by ring
 (offset infinity norm 0, 1, 2) and skips every candidate whose upper
@@ -25,7 +27,9 @@ bound over its half-cell box (node value, a closed-form quadratic term per
 axis and the cubic and quartic terms at their largest on the box; cf.
 Moore, Interval Analysis, 1966) falls below the best value found in the
 earlier rings. The maximum is unchanged bit for bit; in 3-D about 3 % of
-the candidates are left to polish. The candidates of a ring that pass are
+the candidates are left to polish. Each ring is screened in blocks of
+offsets, about `_SCREEN_PAIRS` (slope row, offset) pairs per bound call,
+in offset-major order. The candidates of a ring that pass are
 polished together, in calls of up to `_POLISH_ROWS`. The models are
 one per one-cell interior node, and a padded copy of the grid maps nodes
 to them, so each offset's candidates are one gather. They form one
@@ -89,6 +93,13 @@ _PSD_FLOOR = 1e-10
 # 64 floats per candidate at its peak, 4 MB at this size; calls of 2048
 # made a 129^2 rotation about 18 % slower
 _POLISH_ROWS = 8192
+# refined_sup: most (slope row, offset) pairs per screen block of a ring.
+# In-process rotations on a shared two-core host (both seed-1 items of the
+# rotate-2d and rotate-3d workloads, and a quartic at 257^2 and 33^3;
+# median of five 4 s loops, in ms) at 16 384 / 32 768 / 65 536 pairs:
+# 80 / 69 / 68, 68 / 65 / 68, 153 / 150 / 161 and 178 / 149 / 176;
+# screening offset by offset read 69, 90, 203 and 185
+_SCREEN_PAIRS = 32768
 # auto_slope_grid: node quotients this close to an integer (relative) are
 # snapped to it; FD round-off leaves them up to ~50 ulps off, while
 # genuinely fractional quotients lie ~1e13 ulps away
@@ -141,7 +152,9 @@ def auto_slope_grid(f: PotentialField) -> GridSpec:
     The spacing is h times the largest attained slope-to-coordinate range
     ratio, and the grid is aligned so that 0 is a node. Each gradient
     component is reduced as its own contiguous array, and each coordinate
-    range is read off the axis at the first and last index of the interior.
+    range is read off the axis at the first and last index of the interior;
+    an interior one node thick along some axis has no range there and is
+    rejected with SlopeGridError.
     """
     grads, valid = gradient_field(f)
     if not valid.any():
@@ -156,6 +169,10 @@ def auto_slope_grid(f: PotentialField) -> GridSpec:
     span = np.empty(d)
     for k, axis in enumerate(f.grid.axes()):
         used = np.flatnonzero(valid.any(axis=tuple(j for j in range(d) if j != k)))
+        if used.size < 2:
+            raise SlopeGridError(
+                f"the one-cell interior is one node thick along axis {k}: "
+                "no coordinate span to scale the slope range by")
         span[k] = axis[used[-1]] - axis[used[0]]
     spacing = float(((hi - lo) / span).max()) * f.grid.spacing
     if not spacing > 0:
@@ -609,36 +626,51 @@ def _polish(jets: _Jets, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _refine_rows(jets: _Jets, lookup: np.ndarray, rings: list[np.ndarray],
                  anchors: np.ndarray, ys: np.ndarray,
-                 best: np.ndarray) -> None:
+                 best: np.ndarray) -> list[tuple[int, int]]:
     """Raise `best` in place to the polished maxima of its slope rows.
 
     `anchors` are the rows' node argmaxes as flat indices into the flat
-    padded `lookup`, and `rings` the flat offsets of each ring. Every
-    offset of a ring is screened against `best` as it stood when the ring
-    started; the candidates that pass are polished in calls of at most
-    `_POLISH_ROWS` and folded in by `np.maximum.at`. The slope terms of
-    the bound are formed once for all offsets.
+    padded `lookup`, and `rings` the flat offsets of each ring. Only the
+    rows given are polished. Every offset of a ring is screened against
+    `best` as it stood when the ring started, in blocks of
+    `_SCREEN_PAIRS // len(anchors)` offsets: one lookup take and one bound
+    per block, in offset-major order, which is the order of the candidates
+    offset by offset. The candidates that pass are polished in calls of at
+    most `_POLISH_ROWS` and folded in by `np.maximum.at`. The slope terms
+    of the bound are formed once for all offsets. Returns the number of
+    candidates screened and passed, ring by ring.
     """
+    n = len(anchors)
+    if not n:
+        return [(0, 0)] * len(rings)
     yt, slack = _slope_terms(jets, ys)
+    per = max(1, _SCREEN_PAIRS // n)
+    counts = []
     for ring in rings:
         sels, cands = [], []
-        for step in ring:
-            rows = np.take(lookup, anchors + step)
+        screened = 0
+        for a in range(0, ring.size, per):
+            rows = np.take(lookup, (ring[a:a + per, None] + anchors).ravel())
             sel = np.flatnonzero(rows >= 0)
             rows = np.take(rows, sel)
+            sel %= n
+            screened += sel.size
             live = np.flatnonzero(_box_bound(jets, yt, slack, sel, rows)
                                   >= np.take(best, sel))
             sels.append(np.take(sel, live))
             cands.append(np.take(rows, live))
         sel = np.concatenate(sels)
         rows = np.concatenate(cands)
+        counts.append((screened, sel.size))
         for a in range(0, sel.size, _POLISH_ROWS):
             part = sel[a:a + _POLISH_ROWS]
             np.maximum.at(best, part,
                           _polish(jets, ys[part], rows[a:a + _POLISH_ROWS]))
+    return counts
 
 
-def refined_sup(f: PotentialField, slopes: GridSpec):
+def refined_sup(f: PotentialField, slopes: GridSpec, *,
+                attained_only: bool = False):
     """Sup of y.x - f over local quartic Taylor-model node maxima.
 
     Around each slope node's node argmax, every interior node within
@@ -647,6 +679,12 @@ def refined_sup(f: PotentialField, slopes: GridSpec):
     box (`_polish`). Exact on polynomial fields of degree four, where plain
     node suprema carry quantization ripple whose repeated second
     differences do not vanish.
+
+    Every slope row is polished by default. With `attained_only` only the
+    rows whose node sup is attained inside the mask (`_attained_inside`)
+    are, and every other row keeps its node sup; a row's polish reads only
+    its own candidates and its own node sup, so the polished rows get the
+    same bits either way.
 
     Candidates are visited ring by ring (infinity norm 0, 1, 2 of the
     offset), and one is polished only if the upper bound of its model over
@@ -668,8 +706,16 @@ def refined_sup(f: PotentialField, slopes: GridSpec):
     ring = np.abs(offsets).max(axis=1)
     rings = [steps[ring == r] for r in range(_REFINE_WINDOW + 1)]
     ys = slopes.coords().reshape(-1, f.grid.dim)
+    live = (np.flatnonzero(_attained_inside(vals, vals_in)) if attained_only
+            else np.arange(vals.size))
+    part = vals[live]
+    counts = _refine_rows(jets, lookup.ravel(), rings, anchors[live],
+                          ys[live], part)
     best = vals.copy()
-    _refine_rows(jets, lookup.ravel(), rings, anchors, ys, best)
+    best[live] = part
+    logger.debug("refined_sup: %d of %d slope rows polished; candidates "
+                 "(screened, passed) by ring: %s", live.size, best.size,
+                 counts)
     return best, arg, vals_in, vals
 
 

@@ -14,6 +14,7 @@ from scipy. scipy loads only where a sparse system is built or solved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -51,12 +52,14 @@ class GridSpec:
             raise GridError("shape/origin length must equal dim")
         if min(self.shape) < 3:
             raise GridError(f"need at least 3 nodes per axis, got {self.shape}")
-        if not self.spacing > 0:
-            raise GridError(f"spacing must be positive, got {self.spacing}")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise GridError(f"spacing must be finite and positive, got {self.spacing}")
+        if not all(math.isfinite(x) for x in self.origin):
+            raise GridError(f"origin must be finite, got {self.origin}")
         if self.ball_radius is not None:
             r = float(self.ball_radius)
-            if not r > 0:
-                raise GridError("ball_radius must be positive or None")
+            if not (math.isfinite(r) and r > 0):
+                raise GridError("ball_radius must be finite and positive, or None")
             for k in range(self.dim):
                 lo = self.origin[k]
                 hi = self.origin[k] + (self.shape[k] - 1) * self.spacing

@@ -55,7 +55,8 @@ class RotatedPotential:
     """Rotated potential on a slope grid together with its domain mask.
 
     Values exist at every slope node; only nodes inside `domain` are
-    meaningful (the field mask equals the domain)."""
+    meaningful (the field mask equals the domain), and outside it they come
+    from unpolished node suprema."""
 
     field: PotentialField
     domain: DomainMask
@@ -85,7 +86,9 @@ def rotate(u: PotentialField, params: RotationParams,
 
     delta defaults to cot(a), the right margin for convex input. The
     conjugate of the uniformly convex core is evaluated with the
-    quartic-exact local-model sup (`refined_sup`).
+    quartic-exact local-model sup (`refined_sup`), polished only on the
+    slope rows whose sup is attained inside the mask: the domain is a
+    subset of them, and outside it the values are built from node suprema.
     """
     if delta is None:
         delta = params.cot
@@ -98,7 +101,8 @@ def rotate(u: PotentialField, params: RotationParams,
     tilde = _tilde_field(u, params)
     if slopes is None:
         slopes = auto_slope_grid(tilde)
-    vals, _, vals_in, node_vals = refined_sup(tilde, slopes)
+    vals, _, vals_in, node_vals = refined_sup(tilde, slopes,
+                                              attained_only=True)
     # attainment is a node-sup notion; refined values exceed node suprema
     inside = _main_component(
         _attained_inside(node_vals, vals_in).reshape(slopes.shape))

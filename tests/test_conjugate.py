@@ -756,6 +756,138 @@ class TestPackedPolish:
                 assert np.array_equal(got, ref)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestAttainedRowsAndScreenBlocks:
+    """`refined_sup(..., attained_only=True)` and the blocked ring screen
+    against the full, unblocked refine."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           box=st.booleans())
+    def test_attained_rows_equal_the_full_refine(self, seed, dim, box):
+        f = _random_convex_field(seed, dim, box)
+        slopes = auto_slope_grid(f)
+        full = refined_sup(f, slopes)
+        best, arg, vals_in, vals = refined_sup(f, slopes, attained_only=True)
+        inside = conjugate._attained_inside(vals, vals_in)
+        assert np.array_equal(_bits(best[inside]), _bits(full[0][inside]))
+        assert np.array_equal(_bits(best[~inside]), _bits(vals[~inside]))
+        for got, want in zip((arg, vals_in, vals), full[1:]):
+            assert np.array_equal(got, want)
+
+    def test_no_attained_row_keeps_every_node_sup(self):
+        # slopes far beyond the gradient range are all attained on the rim
+        from slag_lab.errors import SlopeGridError
+        from slag_lab.rotation import RotationParams, rotate
+
+        f = sample_potential(quartic(1.0), GridSpec.ball_box(2, 17))
+        slopes = GridSpec(2, (7, 7), 0.5, (40.0, 40.0), None)
+        best, _, vals_in, vals = refined_sup(f, slopes, attained_only=True)
+        assert not conjugate._attained_inside(vals, vals_in).any()
+        assert np.array_equal(best, vals)
+        with pytest.raises(SlopeGridError, match="slope domain is empty"):
+            rotate(f, RotationParams.from_alpha(0.7), slopes=slopes)
+
+    @pytest.mark.parametrize("dim, nodes", [(2, 33), (3, 13)])
+    @pytest.mark.parametrize("attained_only", [False, True])
+    def test_screen_block_size_changes_no_bit(self, dim, nodes,
+                                              attained_only, monkeypatch):
+        f = sample_potential(quartic(1.0), GridSpec.ball_box(dim, nodes))
+        slopes = auto_slope_grid(f)
+        want = refined_sup(f, slopes, attained_only=attained_only)
+        n = slopes.n_nodes()
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[3]))
+            return _box_bound(*args)
+
+        monkeypatch.setattr(conjugate, "_box_bound", counting)
+        # one offset per block; three (less than any ring past the first);
+        # every offset of a ring in one block
+        for pairs, per in ((1, 1), (3 * n, 3), (5**dim * n + 1, 5**dim)):
+            monkeypatch.setattr(conjugate, "_SCREEN_PAIRS", pairs)
+            calls.clear()
+            got = refined_sup(f, slopes, attained_only=attained_only)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            if not attained_only:
+                rings = [1, 3**dim - 1, 5**dim - 3**dim]
+                assert len(calls) == sum(-(-r // per) for r in rings)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
+    def test_rotate_domain_equals_the_full_refine(self, seed, dim):
+        from slag_lab import rotation
+
+        # against the rotation with every row polished (on the domain) and
+        # with none (off the rows attained inside)
+        u = _random_convex_field(seed, dim)
+        params = rotation.RotationParams.from_alpha(0.25 * math.pi)
+        got = rotation.rotate(u, params)
+
+        def node_sups(f, slopes, **_):
+            _, arg, vals_in, vals = refined_sup(f, slopes)
+            return vals, arg, vals_in, vals
+
+        with mock.patch.object(rotation, "refined_sup",
+                               lambda f, slopes, **_: refined_sup(f, slopes)):
+            want = rotation.rotate(u, params)
+        with mock.patch.object(rotation, "refined_sup", node_sups):
+            bare = rotation.rotate(u, params)
+        inside = want.domain.inside
+        assert np.array_equal(got.domain.inside, inside)
+        assert np.array_equal(got.field.mask, want.field.mask)
+        assert np.array_equal(_bits(got.field.values[inside]),
+                              _bits(want.field.values[inside]))
+        vals, _, vals_in = sup_with_argmax(
+            rotation._tilde_field(u, params), got.field.grid)
+        off = ~conjugate._attained_inside(vals, vals_in).reshape(inside.shape)
+        assert np.array_equal(_bits(got.field.values[off]),
+                              _bits(bare.field.values[off]))
+
+    @pytest.mark.parametrize("attained_only", [False, True])
+    def test_one_debug_line_per_call(self, caplog, monkeypatch,
+                                     attained_only):
+        f = sample_potential(quartic(1.0), GridSpec.ball_box(2, 33))
+        slopes = auto_slope_grid(f)
+        polished = []
+
+        def counting(jets, ys, cand):
+            polished.append(len(ys))
+            return _polish(jets, ys, cand)
+
+        monkeypatch.setattr(conjugate, "_polish", counting)
+        caplog.set_level("DEBUG", logger="slag_lab.conjugate")
+        _, arg, vals_in, vals = refined_sup(f, slopes,
+                                            attained_only=attained_only)
+        lines = [r for r in caplog.records
+                 if r.getMessage().startswith("refined_sup:")]
+        assert len(lines) == 1
+        rows = (int(conjugate._attained_inside(vals, vals_in).sum())
+                if attained_only else slopes.n_nodes())
+        assert (f"{rows} of {slopes.n_nodes()} slope rows polished"
+                in lines[0].getMessage())
+        counts = lines[0].args[-1]
+        assert len(counts) == _REFINE_WINDOW + 1
+        assert sum(passed for _, passed in counts) == sum(polished)
+        # every candidate whose slot holds a usable jet is screened
+        jets, _ = _field_jets(f)
+        anchors = np.argwhere(f.mask)[arg]
+        if attained_only:
+            anchors = anchors[conjugate._attained_inside(vals, vals_in)]
+        window = range(-_REFINE_WINDOW, _REFINE_WINDOW + 1)
+        want = [0] * (_REFINE_WINDOW + 1)
+        for offset in product(window, repeat=2):
+            want[max(map(abs, offset))] += _reference_candidates(
+                f, jets, anchors, offset)[0].size
+        assert [screened for screened, _ in counts] == want
+        assert all(0 <= passed <= screened for screened, passed in counts)
+
+
 class TestRefinedSupThreads:
     def test_a_large_slope_grid_starts_no_thread(self):
         # 37 249 slope rows: enough to tempt a split of the rows across
@@ -1013,6 +1145,23 @@ class TestAutoSlopeGrid:
         with pytest.raises(SlopeGridError):
             auto_slope_grid(flat)
 
+    @pytest.mark.parametrize("cross", [0.0, 0.5])
+    def test_one_node_thick_interior_is_named(self, cross):
+        # on a 3 x 7 box the one-cell interior is the single column x_0 =
+        # 0.5, so axis 0 has no coordinate span: without the cross term the
+        # slope range along it is 0 as well (0 / 0), with it the range is
+        # positive (an infinite spacing)
+        from slag_lab.errors import SlopeGridError
+
+        grid = GridSpec(2, (3, 7), 0.5, (0.0, 0.0), None)
+        f = sample_potential(lambda x: (x[..., 0]**2 + x[..., 1]**2
+                                        + cross * x[..., 0] * x[..., 1]),
+                             grid)
+        for transform in (auto_slope_grid, conjugate_fast):
+            with pytest.raises(SlopeGridError,
+                               match="one node thick along axis 0"):
+                transform(f)
+
 
 def _auto_slope_grid_reference(f):
     """`auto_slope_grid` as it read the gradients and coordinates through
@@ -1034,6 +1183,11 @@ def _auto_slope_grid_reference(f):
         raise SlopeGridError("attained slope range is degenerate")
     coords = f.grid.coords()[valid]
     span = coords.max(axis=0) - coords.min(axis=0)
+    if (span == 0).any():
+        k = int(np.argmax(span == 0))
+        raise SlopeGridError(
+            f"the one-cell interior is one node thick along axis {k}: "
+            "no coordinate span to scale the slope range by")
     spacing = float(((hi - lo) / span).max()) * h
     shape, origin = [], []
     for k in range(d):

@@ -1,5 +1,7 @@
 """Grid substrate: sampling, oscillation, Hessians, eigensolvers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -86,6 +88,19 @@ class TestGridSpec:
             # before dividing the diameter by nodes - 1
             with pytest.raises(GridError, match="at least 3 nodes"):
                 GridSpec.ball_box(2, nodes)
+
+    @pytest.mark.parametrize("spacing, origin, radius", [
+        (math.inf, (0.0, 0.0), None),
+        (math.nan, (0.0, 0.0), None),
+        (0.5, (0.0, math.nan), None),
+        (0.5, (-math.inf, 0.0), None),
+        (0.5, (-1.0, -1.0), math.inf),
+    ])
+    def test_rejects_non_finite_geometry(self, spacing, origin, radius):
+        # an infinite spacing passes `> 0`, and infinite origins or radii
+        # pass the ball-containment test
+        with pytest.raises(GridError, match="finite"):
+            GridSpec(2, (5, 5), spacing, origin, radius)
 
     def test_slope_grid_mask_covers_box(self):
         g = GridSpec(2, (7, 9), 0.5, (-1.5, -2.0), None)

@@ -34,10 +34,12 @@ polished together, in calls of up to `_POLISH_ROWS`. The models are
 one per one-cell interior node, and a padded copy of the grid maps nodes
 to them, so each offset's candidates are one gather. They form one
 component-major table, a contiguous row per component and a column per
-node: the polish reads the gradient, the Hessian, its inverse and the
-third and fourth derivatives, kept as their packed symmetric entries
-(`hessians.symmetric_slots`), and the position and value; the bound reads
-the position, the gradient and three rows of its own. The bound takes
+node, whose jet rows `hessians.fourth_order_jet` and `taylor_tensors`
+build in that layout: the polish reads the gradient, the Hessian, its
+inverse and the third and fourth derivatives, kept as their packed
+symmetric entries (`hessians.symmetric_slots`), and the position and
+value; the bound reads the position, the gradient and three rows of its
+own (`_column_blocks` names them all). The bound takes
 each row it needs with one 1-D gather per offset, and the terms that
 depend on the slope row alone are formed once per transform. The polish
 contracts the packed entries directly, elementwise over candidates, so a
@@ -60,7 +62,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import comb
 from typing import NamedTuple
 
@@ -73,8 +75,8 @@ from .hessians import (
     directional_convexity_deficit,
     fourth_order_jet,
     gradient_field,
-    hessian_matrices,
     semiconvexity_modulus,
+    symmetric_pairs,
     symmetric_slots,
     taylor_tensors,
 )
@@ -350,30 +352,18 @@ def conjugate_fast(f: PotentialField, slopes: GridSpec | None = None,
 class _Jets(NamedTuple):
     """Local quartic Taylor models, one column of `cols` per node."""
 
-    cols: np.ndarray        # one contiguous row per component, one
-                            # column per node (`_column_blocks`): g_c, H_c,
-                            # packed t3 and t4, H_c^-1 (where usable, else
-                            # 0), x_c, f_c for `_polish`, then lam_min h/2,
-                            # 1/(2 lam_min), c_c, which `_box_bound` reads
-                            # with x_c and g_c; H_c and H_c^-1 as their
-                            # symmetric entries
+    cols: np.ndarray        # one contiguous row per component, in the
+                            # blocks of `_column_blocks`
     usable: np.ndarray      # rows with lam_min > _PSD_FLOOR
     reach: float            # max |x_ck| + h/2
     half: float             # h/2, the half-width of each node's box
-
-
-@lru_cache(maxsize=None)
-def _sym_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i <= j, of the symmetric entries of a d x d
-    matrix, in `symmetric_slots(d, 2)` column order (read-only)."""
-    pairs = np.array(list(combinations_with_replacement(range(d), 2))).T
-    pairs.flags.writeable = False
-    return pairs[0], pairs[1]
+    quartic: int = 0        # degree-4-exact rows (`_field_jets`)
 
 
 def _column_blocks(cols: np.ndarray, d: int) -> list[np.ndarray]:
-    """The blocks g, H, t3, t4, H^-1, x, f, lam_min h/2, 1/(2 lam_min), c
-    of `_Jets.cols`, as views."""
+    """The blocks of `_Jets.cols` as views: g_c, H_c, packed t3 and t4,
+    H_c^-1 (0 where not usable), x_c, f_c, lam_min h/2, 1/(2 lam_min) and
+    c_c; H_c and H_c^-1 as their entries (i, j) of `symmetric_pairs`."""
     p = d * (d + 1) // 2
     sizes = [d, p, comb(d + 2, 3), comb(d + 3, 4), p, d, 1, 1, 1]
     return np.split(cols, np.cumsum(sizes))
@@ -381,56 +371,54 @@ def _column_blocks(cols: np.ndarray, d: int) -> list[np.ndarray]:
 
 def _model_jets(coords, values, grads, mats, tens3, tens4,
                 half: float) -> _Jets:
-    """Screen rows of raw jets by `_PSD_FLOOR`; add inverses and bound terms.
+    """Screen jet columns by `_PSD_FLOOR`; add inverses and bound terms.
 
-    Inputs are row-major, one row per node. `tens3` and `tens4` are packed
-    (`hessians.symmetric_slots`); each column's absolute value counts once
-    per dense slot it fills. Besides the polish's components, the column
-    of node c holds lam_min h/2, 1/(2 lam_min) and c_c = -f_c + tail_c +
-    `_BOUND_SLACK` (1 + |f_c| + (h/2) sum|g_c|), with tail_c = (h/2)^3
-    sum|t3| / 6 + (h/2)^4 sum|t4| / 24. The columns keep the entries
-    (i, j), i <= j, of H_c and H_c^-1.
+    Inputs hold one row per component and one column per node: `mats`
+    the entries of `symmetric_pairs`, `tens3` and `tens4` packed
+    (`hessians.symmetric_slots`), each entry counting once per dense slot
+    it fills. c_c = -f_c + tail_c + `_BOUND_SLACK` (1 + |f_c| + (h/2)
+    sum|g_c|), with tail_c = (h/2)^3 sum|t3| / 6 + (h/2)^4 sum|t4| / 24.
     """
-    d = coords.shape[-1]
-    lam_min = eigvals_sym(mats)[:, -1]
+    d = len(coords)
+    i, j = symmetric_pairs(d)
+    dense = np.moveaxis(mats[symmetric_slots(d, 2)], -1, 0)
+    lam_min = eigvals_sym(dense)[:, -1]
     usable = lam_min > _PSD_FLOOR
-    adj, det = adjugate(mats[usable])
+    adj, det = adjugate(dense[usable])
     inv = np.zeros_like(mats)
-    inv[usable] = adj / det[:, None, None]
+    inv[:, usable] = adj[:, i, j].T / det
     mult3, mult4 = (np.bincount(symmetric_slots(d, k).ravel()).astype(float)
                     for k in (3, 4))
-    tail = (half**3 * (np.abs(tens3) @ mult3) / 6.0
-            + half**4 * (np.abs(tens4) @ mult4) / 24.0)
+    # node-major copies: BLAS sums the other layout in another order
+    tail = (half**3 * (np.abs(tens3.T.copy()) @ mult3) / 6.0
+            + half**4 * (np.abs(tens4.T.copy()) @ mult4) / 24.0)
     offset = -values + tail + _BOUND_SLACK * (
-        1.0 + np.abs(values) + half * np.abs(grads).sum(axis=1))
+        1.0 + np.abs(values) + half * np.abs(grads).sum(axis=0))
     inv_2lam = np.divide(0.5, lam_min, out=np.zeros_like(lam_min),
                          where=usable)
     reach = float(np.abs(coords).max(initial=0.0)) + half
-    i, j = _sym_pairs(d)
-    cols = np.concatenate([grads.T, mats[:, i, j].T, tens3.T, tens4.T,
-                           inv[:, i, j].T, coords.T, values[None],
-                           lam_min[None] * half, inv_2lam[None], offset[None]])
+    cols = np.vstack([grads, mats, tens3, tens4, inv, coords, values,
+                      lam_min * half, inv_2lam, offset])
     return _Jets(cols, usable, reach, half)
 
 
 def _field_jets(f: PotentialField) -> tuple[_Jets, np.ndarray]:
-    """Jet rows of `f`, one per one-cell-interior node in row-major order,
-    and the grid padded by `_REFINE_WINDOW` cells holding each usable
-    node's row (-1 elsewhere). Rows are degree-4-exact where the two-cell
-    stencils fit and plain quadratic models (zero t3, t4) elsewhere."""
-    grads, valid = gradient_field(f)
-    mats, _ = hessian_matrices(f, stride=1)
-    tens3, tens4, _ = taylor_tensors(f)
-    g4, h4, valid2 = fourth_order_jet(f)
-    grads, mats = grads[valid], mats[valid]
-    quartic = valid2[valid]
-    grads[quartic] = g4[valid2]
-    mats[quartic] = h4[valid2]
-    jets = _model_jets(f.grid.coords()[valid], f.values[valid], grads, mats,
-                       tens3[valid], tens4[valid], f.grid.spacing / 2.0)
+    """Jet columns of `f`, one per one-cell-interior node in row-major
+    order, and the grid padded by `_REFINE_WINDOW` cells holding each
+    usable node's column (-1 elsewhere); degree-4-exact columns where the
+    two-cell stencils fit, plain quadratic models (zero t3, t4) elsewhere."""
+    d = f.grid.dim
+    jet, quartic = fourth_order_jet(f)
+    tens3, tens4 = taylor_tensors(f)
+    inner = erode_mask(f.mask, 1)
+    coords = np.stack([axis[k] for axis, k in zip(f.grid.axes(),
+                                                  np.nonzero(inner))])
+    jets = _model_jets(coords, f.values[inner], jet[:d], jet[d:], tens3,
+                       tens4, f.grid.spacing / 2.0)
     rows = np.full(f.grid.shape, -1)
-    rows[valid] = np.where(jets.usable, np.arange(jets.usable.size), -1)
-    return jets, np.pad(rows, _REFINE_WINDOW, constant_values=-1)
+    rows[inner] = np.where(jets.usable, np.arange(jets.usable.size), -1)
+    return (jets._replace(quartic=int(quartic.sum())),
+            np.pad(rows, _REFINE_WINDOW, constant_values=-1))
 
 
 def _slope_terms(jets: _Jets, ys: np.ndarray):
@@ -460,23 +448,21 @@ def _box_bound(jets: _Jets, yt: np.ndarray, slack: np.ndarray,
     row at a time, by 1-D takes, and sums the axes in order.
     """
     d = len(yt)
-    cols = jets.cols
-    # the rows of `_column_blocks` by position: g_c first, x_c before f_c
-    # and the last three
-    x = len(cols) - d - 4
-    lam_half, inv_2lam, offset = cols[-3:]
+    blocks = _column_blocks(jets.cols, d)
+    g, x = blocks[0], blocks[5]
+    lam_half, inv_2lam, offset = (b[0] for b in blocks[7:])
     cap = np.take(lam_half, rows)
     dot = quad = None
     for k in range(d):
         y = np.take(yt[k], sel)
-        a = np.take(cols[k], rows)
+        a = np.take(g[k], rows)
         a -= y
         np.abs(a, out=a)
         m = np.minimum(a, cap)
         a *= 2.0
         a -= m
         a *= m
-        y *= np.take(cols[x + k], rows)
+        y *= np.take(x[k], rows)
         if k == 0:
             dot, quad = y, a
         else:
@@ -492,11 +478,11 @@ def _box_bound(jets: _Jets, yt: np.ndarray, slack: np.ndarray,
 @lru_cache(maxsize=None)
 def _polish_tables(d: int):
     """Index tables of `_polish` in dimension d, over the symmetric pairs
-    (i, j) of `_sym_pairs`: `full[r, c]` is the pair of entry (r, c),
+    (i, j) of `symmetric_pairs`: `full[r, c]` is the pair of entry (r, c),
     `of3[a, l]` the packed t3 column of (i_a, j_a, l), `of4[a, b]` the
     packed t4 column of (i_a, j_a, i_b, j_b), and `cross` the pairs with
     i < j (read-only)."""
-    i, j = _sym_pairs(d)
+    i, j = symmetric_pairs(d)
     of3 = symmetric_slots(d, 3)[i, j]
     of4 = symmetric_slots(d, 4)[i, j][:, i, j]
     cross = np.flatnonzero(i < j)
@@ -713,8 +699,10 @@ def refined_sup(f: PotentialField, slopes: GridSpec, *,
                           ys[live], part)
     best = vals.copy()
     best[live] = part
-    logger.debug("refined_sup: %d of %d slope rows polished; candidates "
+    logger.debug("refined_sup: %d of %d slope rows polished; jet rows: %d "
+                 "one-cell interior, %d degree-4, %d usable; candidates "
                  "(screened, passed) by ring: %s", live.size, best.size,
+                 jets.usable.size, jets.quartic, int(jets.usable.sum()),
                  counts)
     return best, arg, vals_in, vals
 

@@ -12,11 +12,11 @@ The same stencils, stacked term by term over the interior unknowns
 (`stencil_terms`), give the Dirichlet solver its Poisson and Newton
 systems. The module needs numpy alone.
 
-The third and fourth derivatives of the quartic Taylor models come packed,
-one column per distinct entry of the symmetric tensor (`taylor_tensors`);
-`symmetric_slots` expands them. These and the fourth-order jet need two
-cells of mask around a node, and return an all-false validity mask, not an
-error, where none has them.
+The jets of the quartic Taylor models (`fourth_order_jet`, `taylor_tensors`)
+come as one column per one-cell interior node in row-major order and one
+row per component, the layout the refined transform reads: degree-4-exact
+where two cells of mask surround the node, plain elsewhere. Symmetric
+tensors keep one row per distinct entry; `symmetric_slots` expands them.
 """
 
 from __future__ import annotations
@@ -149,11 +149,10 @@ def hessian_matrices(u: PotentialField, stride: int = 1) -> tuple[np.ndarray, np
     valid = erode_mask(u.mask, stride)
     if not valid.any():
         raise GridError("domain too small: no interior node carries a full stencil")
-    for i in range(d):
-        for j in range(i, d):
-            terms, divisor = _stencil(d, i, j)
-            scaled = [(tuple(stride * o for o in off), w) for off, w in terms]
-            mats[..., i, j] = mats[..., j, i] = _combine(v, scaled) / divisor(h)
+    for i, j in zip(*symmetric_pairs(d)):
+        terms, divisor = _stencil(d, i, j)
+        scaled = [(tuple(stride * o for o in off), w) for off, w in terms]
+        mats[..., i, j] = mats[..., j, i] = _combine(v, scaled) / divisor(h)
     mats[~valid] = 0.0
     return mats, valid
 
@@ -176,16 +175,15 @@ def stencil_terms(mask: np.ndarray, spacing: float):
     index = np.full(mask.shape, -1, dtype=np.int64)
     index[interior] = np.arange(len(nodes))
     rows, cols, pairs, weights = [], [], [], []
-    for i in range(d):
-        for j in range(i, d):
-            terms, divisor = _stencil(d, i, j)
-            for off, w in terms:
-                col = index[tuple((nodes + np.array(off)).T)]
-                row = np.flatnonzero(col >= 0)
-                rows.append(row)
-                cols.append(col[row])
-                pairs.append(np.full((len(row), 2), (i, j)))
-                weights.append(np.full(len(row), w / divisor(spacing)))
+    for i, j in zip(*symmetric_pairs(d)):
+        terms, divisor = _stencil(d, i, j)
+        for off, w in terms:
+            col = index[tuple((nodes + np.array(off)).T)]
+            row = np.flatnonzero(col >= 0)
+            rows.append(row)
+            cols.append(col[row])
+            pairs.append(np.full((len(row), 2), (i, j)))
+            weights.append(np.full(len(row), w / divisor(spacing)))
     return tuple(np.concatenate(a) for a in (rows, cols, pairs, weights))
 
 
@@ -197,10 +195,11 @@ def hessian_field(u: PotentialField) -> HessianField:
 
 @lru_cache(maxsize=None)
 def symmetric_slots(d: int, k: int) -> np.ndarray:
-    """Packed column of every slot of a symmetric d^k tensor (read-only).
+    """Packed entry of every slot of a symmetric d^k tensor (read-only).
 
-    Packed tensors keep one column per sorted multi-index, in the order of
-    `combinations_with_replacement(range(d), k)`; `packed[..., slots]`
+    Packed tensors keep one entry per sorted multi-index, in the order of
+    `combinations_with_replacement(range(d), k)`; indexing the packed axis
+    with the slots (`packed[slots]` for the jet rows of `taylor_tensors`)
     expands them to the dense form.
     """
     column = {m: c for c, m in
@@ -212,22 +211,32 @@ def symmetric_slots(d: int, k: int) -> np.ndarray:
     return slots
 
 
-def taylor_tensors(u: PotentialField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Packed third and fourth FD derivative tensors on the two-cell interior.
+@lru_cache(maxsize=None)
+def symmetric_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i <= j, of the symmetric entries of a d x d
+    matrix, in the packed order of `symmetric_slots(d, 2)` (read-only)."""
+    pairs = np.array(list(combinations_with_replacement(range(d), 2))).T
+    pairs.flags.writeable = False
+    return pairs[0], pairs[1]
 
-    Each column (one per sorted multi-index, see `symmetric_slots`) applies
-    the pure-derivative stencil of the axis of highest multiplicity (>= 2,
-    the lower axis on a tie), then that of the other axis of multiplicity
-    >= 2, then one signed corner sum over the axes of multiplicity 1. All
-    stencils are exact on polynomials of total degree four, so the quartic
-    Taylor models built from them reproduce such fields globally. Returns
-    (T (*shape, C(d+2, 3)), F (*shape, C(d+3, 4)), validity mask); the mask
-    is all false, and T and F zero, when no node has a two-cell stencil.
+
+# both jet passes keep their names: the benchmark's tracer patches them by
+# name (slagbench/tracing.py)
+def taylor_tensors(u: PotentialField) -> tuple[np.ndarray, np.ndarray]:
+    """Packed t3 (C(d+2, 3), n) and t4 (C(d+3, 4), n) at the n one-cell
+    interior nodes in row-major order, one row per sorted multi-index (see
+    `symmetric_slots`).
+
+    Each row applies the pure-derivative stencil of the axis of highest
+    multiplicity (>= 2, the lower axis on a tie), then that of the other
+    axis of multiplicity >= 2, then one signed corner sum over the axes of
+    multiplicity 1: exact at total degree four, so the quartic Taylor
+    models reproduce such fields globally. Each tensor is zero at nodes
+    without the two-cell stencil and where any of its entries is not finite.
     """
-    grid = u.grid
-    d = grid.dim
-    h = grid.spacing
-    valid = erode_mask(u.mask, 2)
+    d, h = u.grid.dim, u.grid.spacing
+    inner = erode_mask(u.mask, 1)
+    two = erode_mask(u.mask, 2)[inner]
     packed = []
     for k in (3, 4):
         columns = []
@@ -240,44 +249,40 @@ def taylor_tensors(u: PotentialField) -> tuple[np.ndarray, np.ndarray, np.ndarra
             ones = [a for a in range(d) if counts[a] == 1]
             if ones:
                 acc = _combine(acc, _corners(d, ones)) / (2 ** len(ones) * h ** len(ones))
-            columns.append(acc)
-        tens = np.stack(columns, axis=-1)
-        tens[~valid] = 0.0
-        tens[~np.isfinite(tens).all(axis=-1)] = 0.0
+            columns.append(acc[inner])
+        tens = np.stack(columns)
+        tens[:, ~two | ~np.isfinite(tens).all(axis=0)] = 0.0
         packed.append(tens)
-    return packed[0], packed[1], valid
+    return packed[0], packed[1]
 
 
-def fourth_order_jet(u: PotentialField):
-    """Gradient and Hessian from the table's 5-point first and second
-    derivatives on the two-cell interior; mixed entries are 5-point first
-    derivatives of gradient components. Exact on polynomials of total
-    degree four (the plain centered stencils are not: e.g. the centered
-    first difference of x^4 is 4x^3 + 4xh^2), which the quartic local
-    models of the refined transform rely on.
-    Returns (gradients, hessians, validity mask); the mask is all false when
-    no node has a two-cell stencil.
+def fourth_order_jet(u: PotentialField) -> tuple[np.ndarray, np.ndarray]:
+    """Columns g, H (entries of `symmetric_pairs`) at the nodes of
+    `taylor_tensors`, and the mask of those exact at total degree four.
+
+    Where the two-cell stencil fits and all are finite, they are the
+    table's 5-point first and second derivatives, mixed entries 5-point
+    first derivatives of gradient components; elsewhere the centered
+    stencils of `gradient_field` and `hessian_matrices`, which are not
+    exact at degree four (the centered first difference of x^4 is 4x^3 +
+    4xh^2), as the quartic models of the refined transform need.
     """
-    grid = u.grid
-    d = grid.dim
-    h = grid.spacing
-    v = u.values
-    valid = erode_mask(u.mask, 2)
-    grads = np.zeros(grid.shape + (d,))
-    hess = np.zeros(grid.shape + (d, d))
-    for i in range(d):
-        grads[..., i] = _pure(v, i, (1, 4), h)
-        hess[..., i, i] = _pure(v, i, (2, 4), h)
-    for i in range(d):
-        for j in range(i + 1, d):
-            hess[..., i, j] = hess[..., j, i] = _pure(grads[..., j], i, (1, 4), h)
-    grads[~valid] = 0.0
-    hess[~valid] = 0.0
-    bad = ~np.isfinite(grads).all(axis=-1) | ~np.isfinite(hess).all(axis=(-2, -1))
-    grads[bad] = 0.0
-    hess[bad] = 0.0
-    valid &= ~bad
-    return grads, hess, valid
+    d, h, v = u.grid.dim, u.grid.spacing, u.values
+    inner = erode_mask(u.mask, 1)
+    if not inner.any():
+        raise GridError("domain too small: no interior node carries a full stencil")
+    g4 = [_pure(v, i, (1, 4), h) for i in range(d)]
+    plain = [_combine(v, _corners(d, (i,)))[inner] / (2.0 * h) for i in range(d)]
+    exact = [g[inner] for g in g4]
+    for i, j in zip(*symmetric_pairs(d)):
+        terms, divisor = _stencil(d, i, j)
+        plain.append(_combine(v, terms)[inner] / divisor(h))
+        exact.append((_pure(v, i, (2, 4), h) if i == j
+                      else _pure(g4[j], i, (1, 4), h))[inner])
+    jet, exact = np.stack(plain), np.stack(exact)
+    quartic = erode_mask(u.mask, 2)[inner] & np.isfinite(exact).all(axis=0)
+    jet[:, quartic] = exact[:, quartic]
+    return jet, quartic
 
 
 def gradient_field(u: PotentialField) -> tuple[np.ndarray, np.ndarray]:

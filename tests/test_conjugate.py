@@ -48,7 +48,17 @@ from slag_lab.formulas import (
     random_max_affine,
     random_spd_matrix,
 )
-from slag_lab.hessians import directional_convexity_deficit, symmetric_slots
+from slag_lab.errors import GridError
+from slag_lab.hessians import (
+    _combine,
+    _corners,
+    _pure,
+    directional_convexity_deficit,
+    gradient_field,
+    hessian_matrices,
+    symmetric_pairs,
+    symmetric_slots,
+)
 
 from conftest import nan_shift
 
@@ -432,6 +442,192 @@ def _random_convex_field(seed, dim, box=False):
     return PotentialField(grid, values, mask)
 
 
+def _component_major(coords, values, grads, mats, tens3, tens4):
+    """The inputs of `_model_jets` from row-major ones, one row per node
+    with dense Hessians: contiguous copies with one row per component and
+    Hessians as their entries (i, j) of `symmetric_pairs`."""
+    i, j = symmetric_pairs(coords.shape[1])
+    return tuple(np.ascontiguousarray(a) for a in
+                 (coords.T, values, grads.T, mats[:, i, j].T, tens3.T,
+                  tens4.T))
+
+
+def _row_major_taylor_tensors(u):
+    """Packed t3 and t4 as full-box row-major arrays (*shape, C), zero off
+    the two-cell interior and at nodes with a non-finite entry, and the
+    two-cell interior: the full-box reference of `taylor_tensors`."""
+    d = u.grid.dim
+    h = u.grid.spacing
+    valid = erode_mask(u.mask, 2)
+    packed = []
+    for k in (3, 4):
+        columns = []
+        for multi in combinations_with_replacement(range(d), k):
+            counts = [multi.count(a) for a in range(d)]
+            acc = u.values
+            for a in sorted(range(d), key=lambda a: -counts[a]):
+                if counts[a] >= 2:
+                    acc = _pure(acc, a, (counts[a], 2), h)
+            ones = [a for a in range(d) if counts[a] == 1]
+            if ones:
+                acc = (_combine(acc, _corners(d, ones))
+                       / (2 ** len(ones) * h ** len(ones)))
+            columns.append(acc)
+        tens = np.stack(columns, axis=-1)
+        tens[~valid] = 0.0
+        tens[~np.isfinite(tens).all(axis=-1)] = 0.0
+        packed.append(tens)
+    return packed[0], packed[1], valid
+
+
+def _row_major_fourth_order_jet(u):
+    """Degree-4 gradients (*shape, d) and Hessians (*shape, d, d) on the
+    whole box, zero where the two-cell stencil does not fit or any entry
+    is not finite, and the mask of the rest: the full-box reference of
+    the degree-4 rows of `fourth_order_jet`."""
+    d = u.grid.dim
+    h = u.grid.spacing
+    valid = erode_mask(u.mask, 2)
+    grads = np.zeros(u.grid.shape + (d,))
+    hess = np.zeros(u.grid.shape + (d, d))
+    for i in range(d):
+        grads[..., i] = _pure(u.values, i, (1, 4), h)
+        hess[..., i, i] = _pure(u.values, i, (2, 4), h)
+    for i in range(d):
+        for j in range(i + 1, d):
+            hess[..., i, j] = hess[..., j, i] = _pure(grads[..., j], i,
+                                                      (1, 4), h)
+    grads[~valid] = 0.0
+    hess[~valid] = 0.0
+    bad = (~np.isfinite(grads).all(axis=-1)
+           | ~np.isfinite(hess).all(axis=(-2, -1)))
+    grads[bad] = 0.0
+    hess[bad] = 0.0
+    return grads, hess, valid & ~bad
+
+
+def _row_major_field_jets(f):
+    """`_field_jets` from full-box row-major passes (test oracle).
+
+    The plain gradients and Hessians, the packed tensors and the degree-4
+    jet each fill the whole box; the one-cell interior rows are taken
+    from them, and the degree-4 rows are blended over the plain ones.
+    Returns the jets, the lookup and the degree-4 row mask."""
+    grads, valid = gradient_field(f)
+    mats, _ = hessian_matrices(f, stride=1)
+    tens3, tens4, _ = _row_major_taylor_tensors(f)
+    g4, h4, valid2 = _row_major_fourth_order_jet(f)
+    grads, mats = grads[valid], mats[valid]
+    quartic = valid2[valid]
+    grads[quartic] = g4[valid2]
+    mats[quartic] = h4[valid2]
+    jets = _model_jets(*_component_major(
+        f.grid.coords()[valid], f.values[valid], grads, mats, tens3[valid],
+        tens4[valid]), f.grid.spacing / 2.0)
+    rows = np.full(f.grid.shape, -1)
+    rows[valid] = np.where(jets.usable, np.arange(jets.usable.size), -1)
+    return (jets, np.pad(rows, _REFINE_WINDOW, constant_values=-1),
+            quartic)
+
+
+def _random_jet_field(seed, dim, kind, thickness, nan_outside, overflow):
+    """A smooth field on a random mask for the jet oracle.
+
+    `kind` is a ball, a ball cut by a plane, or a ball cut to a slab
+    `thickness` nodes thick along a random axis (one node: no one-cell
+    interior; three: a one-cell interior one node thick; up to four: no
+    two-cell interior). Values outside the mask are NaN with
+    `nan_outside`. With `overflow` about one masked node in eight holds
+    a value between 1e300 and 1e308, where the stencil sums overflow:
+    some columns only, some rows entirely."""
+    rng = np.random.default_rng(seed)
+    nodes = int(rng.integers(9, 22) if dim == 2 else rng.integers(7, 14))
+    grid = GridSpec.ball_box(dim, nodes, float(rng.uniform(0.5, 2.0)))
+    x = grid.coords()
+    mask = grid.ball_mask()
+    if kind == "cut":
+        normal = rng.normal(size=dim)
+        mask &= (x @ (normal / np.linalg.norm(normal))
+                 <= rng.uniform(-0.3, 0.8) * grid.ball_radius)
+    elif kind == "slab":
+        axis = int(rng.integers(dim))
+        index = np.indices(grid.shape)[axis]
+        start = (nodes - thickness) // 2
+        mask &= (index >= start) & (index < start + thickness)
+    labels, count = ndimage.label(
+        mask, structure=ndimage.generate_binary_structure(dim, 1))
+    sizes = ndimage.sum_labels(mask, labels, index=np.arange(1, count + 1))
+    mask = labels == 1 + int(np.argmax(sizes))
+    r2 = np.sum(x * x, axis=-1)
+    values = (0.5 * r2 + rng.uniform(0.0, 2.0) * r2 * r2
+              + np.sin(x @ rng.normal(size=dim)) + x @ rng.normal(size=dim))
+    if overflow:
+        spikes = mask & (rng.random(grid.shape) < 0.125)
+        values[spikes] = 10.0 ** rng.uniform(300.0, 308.0, size=spikes.sum())
+    if nan_outside:
+        values = np.where(mask, values, np.nan)
+    return PotentialField(grid, values, mask)
+
+
+class TestNodeListJets:
+    """`_field_jets` on the node-list columns of `fourth_order_jet` and
+    `taylor_tensors` against the full-box row-major passes and blend
+    (`_row_major_field_jets`): the same bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           kind=st.sampled_from(["ball", "cut", "slab"]),
+           thickness=st.integers(1, 5), nan_outside=st.booleans(),
+           overflow=st.booleans())
+    @example(seed=0, dim=3, kind="slab", thickness=1, nan_outside=True,
+             overflow=False)
+    @example(seed=1, dim=2, kind="slab", thickness=3, nan_outside=True,
+             overflow=False)
+    @example(seed=2, dim=3, kind="ball", thickness=1, nan_outside=False,
+             overflow=True)
+    def test_matches_the_row_major_passes(self, seed, dim, kind, thickness,
+                                          nan_outside, overflow):
+        f = _random_jet_field(seed, dim, kind, thickness, nan_outside,
+                              overflow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not erode_mask(f.mask, 1).any():
+                for build in (_field_jets, _row_major_field_jets):
+                    with pytest.raises(GridError, match="domain too small"):
+                        build(f)
+                return
+            jets, lookup = _field_jets(f)
+            want, want_lookup, quartic = _row_major_field_jets(f)
+        assert np.array_equal(jets.cols.view(np.uint64),
+                              want.cols.view(np.uint64))
+        assert np.array_equal(jets.usable, want.usable)
+        assert np.array_equal(lookup, want_lookup)
+        assert jets.reach == want.reach and jets.half == want.half
+        assert jets.quartic == quartic.sum()
+        if not erode_mask(f.mask, 2).any():
+            assert jets.quartic == 0
+
+    def test_overflow_drives_each_fallback(self):
+        # spikes overflow a node's fourth differences before its third
+        # ones, so t4 falls back alone at some nodes; g and H fall back to
+        # the plain stencils where the 5-point sums overflow
+        t4_alone = plain = 0
+        for seed in range(4):
+            f = _random_jet_field(seed, 3, "ball", 5, True, True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                jets, _ = _field_jets(f)
+                _, _, quartic = _row_major_field_jets(f)
+                t3, t4, _ = _row_major_taylor_tensors(f)
+            inner = erode_mask(f.mask, 1)
+            two = erode_mask(f.mask, 2)[inner]
+            blocks = _column_blocks(jets.cols, 3)
+            assert np.array_equal(blocks[2], t3[inner].T)
+            assert np.array_equal(blocks[3], t4[inner].T)
+            t4_alone += np.sum(two & blocks[2].any(axis=0)
+                               & ~blocks[3].any(axis=0))
+            plain += np.sum(two & ~quartic)
+        assert t4_alone > 0 and plain > 0
+
+
 class TestRefinedSupPruning:
     """The box bound and ring order of `refined_sup` change no output bit."""
 
@@ -495,8 +691,8 @@ class TestRefinedSupPruning:
         coords = rng.uniform(-3.0, 3.0, size=(n, dim))
         grads = rng.normal(size=(n, dim)) * 3.0
         values = rng.normal(size=n) * 10.0
-        jets = _model_jets(coords, values, grads, mats, tens[0], tens[1],
-                           half)
+        jets = _model_jets(*_component_major(coords, values, grads, mats,
+                                             *tens), half)
         assert jets.usable.all()
         lam_max = np.linalg.eigvalsh(mats)[:, -1]
         ys = grads + (reach * lam_max * half)[:, None] * rng.normal(size=(n, dim))
@@ -625,7 +821,8 @@ class TestPolish:
                 - np.einsum("nij,ni,nj->n", mats, s, s) / 2.0
                 - np.einsum("nijk,ni,nj,nk->n", t3, s, s, s) / 6.0
                 - np.einsum("nijkl,ni,nj,nk,nl->n", t4, s, s, s, s) / 24.0)
-        jets = _model_jets(coords, values, grads, mats, *packed, half)
+        jets = _model_jets(*_component_major(coords, values, grads, mats,
+                                             *packed), half)
         got = _polish(jets, ys, np.arange(n))
         scale = 1.0 + np.abs(values) + (np.abs(ys) * (np.abs(coords) + half)
                                         ).sum(axis=1)
@@ -701,7 +898,8 @@ def _random_polish_jets(seed, dim, n, reach):
     coords = rng.uniform(-3.0, 3.0, size=(n, dim))
     grads = rng.normal(size=(n, dim)) * 3.0
     values = rng.normal(size=n) * 10.0
-    jets = _model_jets(coords, values, grads, mats, *tens, half)
+    jets = _model_jets(*_component_major(coords, values, grads, mats, *tens),
+                       half)
     return jets, grads + np.einsum("nij,nj->ni", mats, steps)
 
 
@@ -874,8 +1072,13 @@ class TestAttainedRowsAndScreenBlocks:
         counts = lines[0].args[-1]
         assert len(counts) == _REFINE_WINDOW + 1
         assert sum(passed for _, passed in counts) == sum(polished)
+        # the jet rows: one-cell interior nodes, degree-4 rows (every
+        # two-cell interior node of a finite field) and usable rows
+        jets, lookup = _field_jets(f)
+        assert lines[0].args[2:5] == (erode_mask(f.mask, 1).sum(),
+                                      erode_mask(f.mask, 2).sum(),
+                                      (lookup >= 0).sum())
         # every candidate whose slot holds a usable jet is screened
-        jets, _ = _field_jets(f)
         anchors = np.argwhere(f.mask)[arg]
         if attained_only:
             anchors = anchors[conjugate._attained_inside(vals, vals_in)]

@@ -23,8 +23,11 @@ from slag_lab import (
 from slag_lab.fields import PotentialField, erode_mask
 from slag_lab.formulas import iso_quad, quad_form
 from slag_lab.hessians import (
+    fourth_order_jet,
+    gradient_field,
     hessian_matrices,
     stencil_terms,
+    symmetric_pairs,
     symmetric_slots,
     taylor_tensors,
 )
@@ -146,11 +149,9 @@ def _poly_derivative(coeffs, exps, x, axes):
     return out
 
 
-@pytest.mark.parametrize("dim,nodes", [(2, 25), (3, 13)])
-@pytest.mark.parametrize("shape", ["ball", "cut"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_packed_taylor_tensors_match_analytic_derivatives(dim, nodes, shape,
-                                                         seed):
+def _random_quartic_field(dim, nodes, shape, seed):
+    """A random polynomial of degree <= 4 on a ball, or a ball cut by a
+    plane, NaN outside the mask: (field, coefficients, exponents)."""
     rng = np.random.default_rng(seed)
     grid = GridSpec.ball_box(dim, nodes, float(rng.uniform(0.5, 2.0)))
     x = grid.coords()
@@ -160,33 +161,79 @@ def test_packed_taylor_tensors_match_analytic_derivatives(dim, nodes, shape,
         mask &= x @ (normal / np.linalg.norm(normal)) <= 0.3 * grid.ball_radius
     coeffs, exps = _random_quartic(rng, dim)
     values = _poly_derivative(coeffs, exps, x, ())
-    u = PotentialField(grid, np.where(mask, values, np.nan), mask)
-    t3, t4, valid = taylor_tensors(u)
-    assert np.array_equal(valid, erode_mask(mask, 2)) and valid.any()
-    h = grid.spacing
-    scale = 1.0 + np.abs(values[mask]).max()
+    return PotentialField(grid, np.where(mask, values, np.nan), mask), coeffs, exps
+
+
+def _quartic_cases(test):
+    """Both grids, both masks and three seeds of `_random_quartic_field`."""
+    for mark in (pytest.mark.parametrize("seed", [0, 1, 2]),
+                 pytest.mark.parametrize("shape", ["ball", "cut"]),
+                 pytest.mark.parametrize("dim,nodes", [(2, 25), (3, 13)])):
+        test = mark(test)
+    return test
+
+
+@_quartic_cases
+def test_packed_taylor_tensors_match_analytic_derivatives(dim, nodes, shape,
+                                                         seed):
+    u, coeffs, exps = _random_quartic_field(dim, nodes, shape, seed)
+    inner = erode_mask(u.mask, 1)
+    two = erode_mask(u.mask, 2)[inner]
+    assert two.any() and not two.all()
+    t3, t4 = taylor_tensors(u)
+    x = u.grid.coords()[inner][two]
+    h = u.grid.spacing
+    scale = 1.0 + np.nanmax(np.abs(u.values))
     for k, packed in ((3, t3), (4, t4)):
         multis = list(combinations_with_replacement(range(dim), k))
-        assert packed.shape == grid.shape + (len(multis),)
-        assert np.all(packed[~valid] == 0.0)
-        dense = packed[..., symmetric_slots(dim, k)]
+        assert packed.shape == (len(multis), inner.sum())
+        assert np.all(packed[:, ~two] == 0.0)
+        dense = packed[symmetric_slots(dim, k)]
         for slot in np.ndindex((dim,) * k):
-            want = _poly_derivative(coeffs, exps, x[valid], slot)
-            got = dense[(..., *slot)][valid]
+            want = _poly_derivative(coeffs, exps, x, slot)
+            got = dense[slot][two]
             # stencils of k-th derivatives divide sums of O(scale) values
             # by about h^k: round-off only, since all are exact at degree 4
             assert np.abs(got - want).max() <= 1e-13 * scale / h**k
             for perm in permutations(slot):
-                assert np.array_equal(dense[(..., *perm)], dense[(..., *slot)])
+                assert np.array_equal(dense[perm], dense[slot])
+
+
+@_quartic_cases
+def test_fourth_order_jet_matches_analytic_derivatives(dim, nodes, shape,
+                                                       seed):
+    # degree-4-exact g and H on the two-cell interior, and the plain
+    # centered stencils, bit for bit, on the rim ring around it
+    u, coeffs, exps = _random_quartic_field(dim, nodes, shape, seed)
+    inner = erode_mask(u.mask, 1)
+    two = erode_mask(u.mask, 2)[inner]
+    jet, quartic = fourth_order_jet(u)
+    assert jet.shape == (dim + dim * (dim + 1) // 2, inner.sum())
+    assert np.array_equal(quartic, two) and two.any() and not two.all()
+    x = u.grid.coords()[inner][two]
+    h = u.grid.spacing
+    scale = 1.0 + np.nanmax(np.abs(u.values))
+    for k in range(dim):
+        want = _poly_derivative(coeffs, exps, x, (k,))
+        assert np.abs(jet[k, two] - want).max() <= 1e-13 * scale / h
+    for row, (i, j) in enumerate(zip(*symmetric_pairs(dim)), start=dim):
+        want = _poly_derivative(coeffs, exps, x, (i, j))
+        assert np.abs(jet[row, two] - want).max() <= 1e-13 * scale / h**2
+    grads, _ = gradient_field(u)
+    mats, _ = hessian_matrices(u)
+    i, j = symmetric_pairs(dim)
+    plain = np.concatenate([grads[inner].T, mats[inner][:, i, j].T])
+    assert np.array_equal(jet[:, ~two], plain[:, ~two])
 
 
 def test_taylor_tensors_on_a_mask_without_two_cell_interior():
     grid = GridSpec.ball_box(3, 7)
     u = sample_potential(iso_quad(1.0), grid)
-    t3, t4, valid = taylor_tensors(u)
-    assert not valid.any()
-    assert t3.shape == grid.shape + (10,) and t4.shape == grid.shape + (15,)
+    t3, t4 = taylor_tensors(u)
+    assert t3.shape == (10, 19) and t4.shape == (15, 19)
     assert not t3.any() and not t4.any()
+    jet, quartic = fourth_order_jet(u)
+    assert jet.shape == (9, 19) and not quartic.any()
 
 
 class TestMaResidual:

@@ -140,13 +140,19 @@ class TestRotateQuadratics:
         with pytest.raises(RotationError, match="delta must be positive"):
             rotate(u, ALPHA4, delta=delta)
 
-    def test_mask_without_two_cell_interior_uses_quadratic_models(self):
+    def test_mask_without_two_cell_interior_uses_quadratic_models(self,
+                                                                  caplog):
         # 19 one-cell interior nodes and none two cells in: the quartic
         # jets do not fit anywhere, and the quadratic ones are exact here
         grid = GridSpec.ball_box(3, 7)
         u = sample_potential(iso_quad(1.0), grid)
         params = RotationParams.from_alpha(0.7)
+        caplog.set_level("DEBUG", logger="slag_lab.conjugate")
         rp = rotate(u, params)
+        # the jet rows of the DEBUG line: 19 nodes, 0 degree-4 rows
+        [line] = [r for r in caplog.records
+                  if r.getMessage().startswith("refined_sup:")]
+        assert line.args[2:4] == (19, 0)
         inside = rp.domain.inside
         assert inside.sum() == 19
         ys = rp.field.grid.coords()[inside]

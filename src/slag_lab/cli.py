@@ -48,13 +48,13 @@ from .experiments import (
     _key_value_lines,
     parse_config,
     run_all,
-    run_experiment,
 )
 from .fields import GridSpec, sample_potential
 from .formulas import REGISTRY as FORMULAS
 from .formulas import parse_formula
 from .hessians import hessian_field
 from .operators import ProblemSpec, ma_residual, mar_residual, slag_residual
+from .reports import write_json
 from .rotation import RotatedPotential, RotationParams, rotate
 from .solver import SolverConfig, solve_dirichlet
 
@@ -161,9 +161,7 @@ def cmd_solve(args) -> int:
     field, report = solve_dirichlet(g, spec, grid, cfg)
     fileio.save_field(args.out, field)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.report, report.to_json())
     print(f"converged={report.converged} iterations={report.iterations} "
           f"residual={report.final_residual:.3e}")
     return 0 if report.converged else 1
@@ -208,41 +206,32 @@ def cmd_audit(args) -> int:
             raise SlagLabError(f"unknown audit {args.check!r}")
     payload = report.to_json()
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, payload)
     print(json.dumps(payload if args.verbose else report.summary_row()))
     return 0 if report.passed else 1
 
 
 def cmd_run(args) -> int:
-    if args.parallel < 1:
-        raise ValueError(f"parallel must be at least 1, got {args.parallel}")
-    outdir = Path(args.outdir) if args.outdir else None
+    outdir = args.outdir
     if args.config:
-        cfg = parse_config(Path(args.config).read_text())
-        if outdir is not None:
-            cfg.outdir = outdir
-        result = run_experiment(cfg)
-        results = [result]
+        cfg, file_outdir = parse_config(Path(args.config).read_text())
+        configs = [cfg]
+        outdir = outdir or file_outdir
     elif args.all:
-        results, _ = run_all(outdir=outdir, parallel=args.parallel,
-                             seed=args.seed)
+        configs = [ExperimentConfig(name, seed=args.seed) for name in REGISTRY]
     elif args.experiment:
-        results = [run_experiment(ExperimentConfig(
-            name=args.experiment, outdir=outdir, seed=args.seed))]
+        configs = [ExperimentConfig(args.experiment, seed=args.seed)]
     else:
         print("nothing to run: pass --experiment, --all or --config",
               file=sys.stderr)
         return 2
-    failed = 0
+    results, passed = run_all(configs, outdir)
     for result in results:
         for rep in result.reports:
             status = "pass" if rep.passed else "FAIL"
             print(f"[{status}] {rep.name}: checked={rep.checked_nodes} "
                   f"min_margin={rep.min_margin:.3e}")
-            failed += 0 if rep.passed else 1
-    return 0 if failed == 0 else 1
+    return 0 if passed else 1
 
 
 def cmd_convert(args) -> int:
@@ -337,12 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("run", help="run builtin experiments")
+    p = sub.add_parser("run", help="run builtin experiments one after "
+                       "another; write their artifacts once, at the end")
     p.add_argument("--experiment", choices=sorted(REGISTRY), default=None)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--config", default=None, help="key=value experiment file")
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--config", default=None,
+                   help="key=value experiment file (name, outdir, seed, "
+                        "grid, samples)")
+    p.add_argument("--outdir", default=None,
+                   help="artifact directory (overrides the config's outdir)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_run)
 

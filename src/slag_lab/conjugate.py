@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import adjugate, eigvals_sym
+from .eigen import eigvals_sym
 from .errors import ConvexityError, GridError, SlopeGridError
 from .fields import GridSpec, PotentialField, dilate_mask, erode_mask
 from .hessians import (
@@ -265,20 +265,19 @@ def _separable_sup(f: PotentialField, slopes: GridSpec, masks: np.ndarray):
     return work, picks
 
 
-def sup_with_argmax(f: PotentialField, slopes: GridSpec,
-                    interior_cells: int = 1):
+def sup_with_argmax(f: PotentialField, slopes: GridSpec):
     """Node suprema of y.x - f over the mask, by the separable hull transform.
 
     Returns (values, argmax flat index into masked nodes in row-major order,
     interior values) where the interior values max only over the mask
-    eroded by `interior_cells` (-inf where that leaves no node); their gap
+    eroded by one cell (-inf where that leaves no node); their gap
     to `values` tells whether the sup is forced to the mask boundary.
     Each pass costs a sweep over the grid nodes per peel round plus one
     over the slope nodes. On an exact tie
     the argmax is the first maximizer in row-major order, the node
     `_sup_brute` picks; ties within round-off may resolve to either node.
     """
-    masks = np.stack([f.mask, erode_mask(f.mask, interior_cells)])
+    masks = np.stack([f.mask, erode_mask(f.mask, 1)])
     vals, picks = _separable_sup(f, slopes, masks)
     # the node over the full mask, read back through the passes: axis 0
     # picks x_0, then each later axis looks its pick up at those found
@@ -303,13 +302,13 @@ def _max_plus(ys: np.ndarray, xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sup_brute(f: PotentialField, slopes: GridSpec, interior_cells: int = 1):
+def _sup_brute(f: PotentialField, slopes: GridSpec):
     """O(N*M) reference for `sup_with_argmax`, in chunks of slope nodes.
 
     Same returns; the argmax is numpy's first maximum in row-major order.
     """
     xs, fs = f.masked_points()
-    inner = erode_mask(f.mask, interior_cells)[f.mask]
+    inner = erode_mask(f.mask, 1)[f.mask]
     ys = slopes.coords().reshape(-1, slopes.dim)
     m = ys.shape[0]
     vals = np.empty(m)
@@ -380,13 +379,12 @@ def _model_jets(coords, values, grads, mats, tens3, tens4,
     sum|g_c|), with tail_c = (h/2)^3 sum|t3| / 6 + (h/2)^4 sum|t4| / 24.
     """
     d = len(coords)
-    i, j = symmetric_pairs(d)
     dense = np.moveaxis(mats[symmetric_slots(d, 2)], -1, 0)
     lam_min = eigvals_sym(dense)[:, -1]
     usable = lam_min > _PSD_FLOOR
-    adj, det = adjugate(dense[usable])
+    adj, det = _sym_adjugate(mats[:, usable])
     inv = np.zeros_like(mats)
-    inv[:, usable] = adj[:, i, j].T / det
+    inv[:, usable] = adj / det
     mult3, mult4 = (np.bincount(symmetric_slots(d, k).ravel()).astype(float)
                     for k in (3, 4))
     # node-major copies: BLAS sums the other layout in another order

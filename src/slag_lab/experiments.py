@@ -1,17 +1,18 @@
 """Built-in experiments: one per acceptance criterion, plus spec extras.
 
 Every experiment returns a list of audit reports whose pass/fail decides the
-exit status; `run_experiment` additionally writes PF1 fields, JSON reports
-and a CSV summary row per audit. The registry is shared with the acceptance
-test suite so CI and the CLI exercise identical code.
+exit status; the experiment-level ones are built by `_verdict`, which fails
+a non-finite value or margin. `run_all` runs a list of configs one after
+another on the calling thread and, given a directory, writes once: a JSON
+report and the PF1 fields per experiment and one CSV summary row per audit.
+The registry is shared with the acceptance test suite so CI and the CLI
+exercise identical code.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from datetime import datetime, timezone
 from itertools import product
@@ -50,7 +51,7 @@ from .formulas import (
 )
 from .hessians import hessian_field
 from .operators import ProblemSpec
-from .reports import AuditReport
+from .reports import AuditReport, write_json
 from .rotation import RotatedPotential, RotationParams, rotate
 from .solver import solve_dirichlet
 
@@ -60,7 +61,6 @@ DEFAULT_SEED = 20240817
 @dataclass
 class ExperimentConfig:
     name: str
-    outdir: Path | None = None
     seed: int = DEFAULT_SEED
     overrides: dict = dataclass_field(default_factory=dict)
 
@@ -88,25 +88,34 @@ def _key_value_lines(text: str):
         yield key, value
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Flat key=value lines; unknown keys become float overrides."""
+def parse_config(text: str) -> tuple[ExperimentConfig, Path | None]:
+    """(config, output directory or None) of flat key=value lines.
+
+    The keys are `name` (required), `outdir`, and the integers `seed`,
+    `grid` and `samples`; `grid` and `samples` become overrides. Any other
+    key, or a value that is not an integer, raises ValueError.
+    """
     name = None
     outdir = None
-    seed = DEFAULT_SEED
     overrides = {}
     for key, value in _key_value_lines(text):
         if key == "name":
             name = value
         elif key == "outdir":
             outdir = Path(value)
-        elif key == "seed":
-            seed = int(value)
+        elif key in ("seed", "grid", "samples"):
+            try:
+                overrides[key] = int(value)
+            except ValueError:
+                raise ValueError(f"config key {key!r} needs an integer, "
+                                 f"got {value!r}") from None
         else:
-            overrides[key] = float(value)
+            raise ValueError(f"unknown config key {key!r}; expected name, "
+                             "outdir, seed, grid or samples")
     if name is None:
         raise ValueError("config is missing the experiment name")
-    return ExperimentConfig(name=name, outdir=outdir, seed=seed,
-                            overrides=overrides)
+    seed = overrides.pop("seed", DEFAULT_SEED)
+    return ExperimentConfig(name, seed, overrides), outdir
 
 
 def _box_grid(nodes: int) -> GridSpec:
@@ -114,18 +123,25 @@ def _box_grid(nodes: int) -> GridSpec:
     return GridSpec(2, (nodes, nodes), 2.0 / (nodes - 1), (-1.0, -1.0), None)
 
 
-def _margin_report(name, checked, worst, allowance, quantity,
-                   details=None) -> AuditReport:
-    violations = []
-    if worst > allowance:
-        violations.append(((0, 0), quantity, float(worst)))
+def _verdict(name, checked, ok, quantity, value, margin, details=None,
+             node=(0, 0)) -> AuditReport:
+    """One experiment-level report: passed iff `ok` holds and both `value`
+    and `margin` are finite; otherwise one violation (node, quantity,
+    value)."""
+    ok = ok and math.isfinite(value) and math.isfinite(margin)
     return AuditReport(
         name=name,
         checked_nodes=checked,
-        violations=violations,
-        min_margin=float(allowance - worst),
+        violations=[] if ok else [(node, quantity, float(value))],
+        min_margin=float(margin),
         details=details or {},
     )
+
+
+def _margin_report(name, checked, worst, allowance, quantity,
+                   details=None) -> AuditReport:
+    return _verdict(name, checked, worst <= allowance, quantity, worst,
+                    allowance - worst, details)
 
 
 def exp_quadratic_rotation(cfg: ExperimentConfig) -> ExperimentResult:
@@ -245,14 +261,9 @@ def exp_legendre_laws(cfg: ExperimentConfig) -> ExperimentResult:
     gs = conjugate_brute(bump, slopes)
     order_margin = float((ls.values - gs.values).min())
     reports.append(
-        AuditReport(
-            name="legendre-order-reversal",
-            checked_nodes=ls.grid.n_nodes(),
-            violations=[] if order_margin >= 0 else [
-                ((0, 0), "order_reversal", order_margin)
-            ],
-            min_margin=order_margin,
-        )
+        _verdict("legendre-order-reversal", ls.grid.n_nodes(),
+                 order_margin >= 0, "order_reversal", order_margin,
+                 order_margin)
     )
 
     # fast == brute on 20 randomized convex inputs
@@ -391,8 +402,16 @@ def exp_preservation(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("preservation", reports)
 
 
-def _quartic_data(points):
-    return 0.5 * np.sum(points**2, -1) + 0.1 * points[..., 0] ** 4
+def _quadratic_data(p):
+    return 0.5 * np.sum(p**2, -1)
+
+
+def _quartic_data(p):
+    return 0.5 * np.sum(p**2, -1) + 0.1 * p[..., 0] ** 4
+
+
+def _biaxial_data(p):
+    return 0.55 * np.sum(p**2, -1) + 0.08 * (p[..., 0] ** 4 + p[..., 1] ** 4)
 
 
 def exp_solver_correctness(cfg: ExperimentConfig) -> ExperimentResult:
@@ -401,18 +420,14 @@ def exp_solver_correctness(cfg: ExperimentConfig) -> ExperimentResult:
     spec = ProblemSpec(dim=2, theta=math.pi / 2)
 
     grid = GridSpec.ball_box(2, 33)
-    u, srep = solve_dirichlet(lambda p: 0.5 * np.sum(p**2, -1), spec, grid)
+    u, srep = solve_dirichlet(_quadratic_data, spec, grid)
     ok = srep.converged and srep.final_residual <= 1e-10 and srep.iterations <= 5
     reports.append(
-        AuditReport(
-            name="solver[quadratic-fixed-point]",
-            checked_nodes=int(u.mask.sum()),
-            violations=[] if ok else [((0, 0), "newton_convergence",
-                                       srep.final_residual)],
-            min_margin=1e-10 - srep.final_residual,
-            details={"iterations": srep.iterations,
-                     "final_residual": srep.final_residual},
-        )
+        _verdict("solver[quadratic-fixed-point]", int(u.mask.sum()), ok,
+                 "newton_convergence", srep.final_residual,
+                 1e-10 - srep.final_residual,
+                 {"iterations": srep.iterations,
+                  "final_residual": srep.final_residual})
     )
 
     grid = _box_grid(int(cfg.overrides.get("grid", 129)))
@@ -464,24 +479,15 @@ def exp_coefficient_audit(cfg: ExperimentConfig) -> ExperimentResult:
     rng = np.random.default_rng(cfg.seed)
     n_samples = int(cfg.overrides.get("samples", 100_000))
     min_coeff, negatives, tested = coefficient_sweep(n_samples, rng)
-    rep_main = AuditReport(
-        name="coefficient-sweep",
-        checked_nodes=tested,
-        violations=[] if negatives == 0 else [((0,), "negative_coefficient",
-                                               float(min_coeff))],
-        min_margin=float(min_coeff),
-        details={"tested": tested},
-    )
+    rep_main = _verdict("coefficient-sweep", tested, negatives == 0,
+                        "negative_coefficient", min_coeff, min_coeff,
+                        {"tested": tested}, node=(0,))
     _, ctrl_negatives, ctrl_tested = coefficient_sweep(
         max(2000, n_samples // 20), rng, top_range=(1.0 + 1e-6, 2.0)
     )
-    rep_ctrl = AuditReport(
-        name="coefficient-control",
-        checked_nodes=ctrl_tested,
-        violations=[] if ctrl_negatives > 0 else [((0,), "control_blind", 0.0)],
-        min_margin=float(ctrl_negatives),
-        details={"negatives": ctrl_negatives},
-    )
+    rep_ctrl = _verdict("coefficient-control", ctrl_tested, ctrl_negatives > 0,
+                        "control_blind", ctrl_negatives, ctrl_negatives,
+                        {"negatives": ctrl_negatives}, node=(0,))
     return ExperimentResult("coefficient-audit", [rep_main, rep_ctrl])
 
 
@@ -490,57 +496,45 @@ def exp_subharmonicity(cfg: ExperimentConfig) -> ExperimentResult:
 
     The fitted discretization constant C(h) = max(0, -min)/h must stay
     bounded and stable (within a factor of two above a small noise floor)
-    across the three refinements, and constant-Hessian fields give zero.
+    across the three refinements, each trial must check at least one node,
+    and constant-Hessian fields give zero.
     """
     params = RotationParams.from_alpha(math.pi / 4)
     spec = ProblemSpec(dim=2, theta=math.pi / 2)
     reports = []
     floor = 1e-4
 
-    families = {
-        "quartic-data": _quartic_data,
-        "biaxial-data": lambda p: 0.55 * np.sum(p**2, -1)
-        + 0.08 * (p[..., 0] ** 4 + p[..., 1] ** 4),
-    }
+    families = {"quartic-data": _quartic_data, "biaxial-data": _biaxial_data}
     for fname, data in families.items():
         cs = []
         mins = {}
+        vacuous = False
         for nodes in (65, 129, 257):
             grid = _box_grid(nodes)
             u, srep = solve_dirichlet(data, spec, grid)
             rp = rotate(u, params)
             trial = subharmonicity_trial(rp, m=1, gap_tol=0.1, slack=np.inf)
+            vacuous |= trial.checked_nodes == 0
             c_fit = max(0.0, -trial.min_margin) / grid.spacing
             cs.append(max(c_fit, floor))
             mins[f"h=1/{int(2 / grid.spacing)}"] = trial.min_margin
         stable = max(cs) <= 2.0 * min(cs)
         bounded = max(cs) <= 1.0 + floor
         reports.append(
-            AuditReport(
-                name=f"subharmonicity[{fname}]",
-                checked_nodes=3,
-                violations=[] if (stable and bounded) else [
-                    ((0, 0), "fitted_constant", float(max(cs)))
-                ],
-                min_margin=float(min(mins.values())),
-                details={"fitted_C": cs, "min_laplacian": mins},
-            )
+            _verdict(f"subharmonicity[{fname}]", 3,
+                     stable and bounded and not vacuous, "fitted_constant",
+                     max(cs), min(mins.values()),
+                     {"fitted_C": cs, "min_laplacian": mins})
         )
 
     grid = GridSpec.ball_box(2, 65)
     u = sample_potential(quad_form([[0.8, 0.0], [0.0, 0.2]]), grid)
     flat = RotatedPotential(u, DomainMask(grid, u.mask.copy()), params)
     trial = subharmonicity_trial(flat, m=1, gap_tol=0.1)
-    exact_zero = abs(trial.min_margin) <= 1e-9
     reports.append(
-        AuditReport(
-            name="subharmonicity[constant-hessian]",
-            checked_nodes=trial.checked_nodes,
-            violations=[] if exact_zero else [
-                ((0, 0), "nonzero_flat_laplacian", trial.min_margin)
-            ],
-            min_margin=trial.min_margin,
-        )
+        _verdict("subharmonicity[constant-hessian]", trial.checked_nodes,
+                 abs(trial.min_margin) <= 1e-9, "nonzero_flat_laplacian",
+                 trial.min_margin, trial.min_margin)
     )
     return ExperimentResult("subharmonicity", reports)
 
@@ -550,11 +544,10 @@ def exp_strict_gap(cfg: ExperimentConfig) -> ExperimentResult:
     spec = ProblemSpec(dim=2, theta=math.pi / 2)
     reports = []
     families = {
-        "quadratic": lambda p: 0.5 * np.sum(p**2, -1),
+        "quadratic": _quadratic_data,
         "quartic-x": _quartic_data,
         "quartic-y": lambda p: 0.5 * np.sum(p**2, -1) + 0.12 * p[..., 1] ** 4,
-        "biaxial": lambda p: 0.55 * np.sum(p**2, -1)
-        + 0.08 * (p[..., 0] ** 4 + p[..., 1] ** 4),
+        "biaxial": _biaxial_data,
         "anisotropic": lambda p: 0.5 * (1.4 * p[..., 0] ** 2
                                         + 0.8 * p[..., 1] ** 2)
         + 0.05 * p[..., 0] ** 4,
@@ -579,22 +572,14 @@ def exp_strict_gap(cfg: ExperimentConfig) -> ExperimentResult:
         drift = abs(center_f - center_c) / center_f
         stable = drift <= 0.05
         reports.append(
-            AuditReport(
-                name=f"strict-gap[{fname}]",
-                checked_nodes=rep.checked_nodes,
-                violations=[] if (ok and stable) else [
-                    ((0, 0), "strict_gap_or_stability", float(max_rot))
-                ],
-                min_margin=float(1.0 - 1e-3 - max_rot),
-                details={
-                    "max_rotated_eigenvalue": max_rot,
-                    "center_hessian": center_f,
-                    "center_hessian_coarse": center_c,
-                    "relative_drift": drift,
-                    "osc": rep.details["osc"],
-                    "touching_bound": rep.details["touching_bound"],
-                },
-            )
+            _verdict(f"strict-gap[{fname}]", rep.checked_nodes, ok and stable,
+                     "strict_gap_or_stability", max_rot, 1.0 - 1e-3 - max_rot,
+                     {"max_rotated_eigenvalue": max_rot,
+                      "center_hessian": center_f,
+                      "center_hessian_coarse": center_c,
+                      "relative_drift": drift,
+                      "osc": rep.details["osc"],
+                      "touching_bound": rep.details["touching_bound"]})
         )
     return ExperimentResult("strict-gap", reports)
 
@@ -614,14 +599,11 @@ REGISTRY = {
 }
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment and write its artifacts when outdir is set."""
+    """Run one experiment; `run_all` writes the artifacts."""
     if cfg.name not in REGISTRY:
         raise ValueError(f"unknown experiment {cfg.name!r}; "
                          f"choose from {sorted(REGISTRY)}")
-    result = REGISTRY[cfg.name](cfg)
-    if cfg.outdir is not None:
-        write_artifacts([result], cfg.outdir)
-    return result
+    return REGISTRY[cfg.name](cfg)
 
 
 def write_artifacts(results, outdir: Path):
@@ -639,9 +621,7 @@ def write_artifacts(results, outdir: Path):
             "passed": result.passed,
             "reports": [r.to_json() for r in result.reports],
         }
-        with open(outdir / f"{result.name}.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(outdir / f"{result.name}.json", payload)
         for fname, field in result.fields.items():
             save_field(outdir / f"{fname}.pf1", field)
     with open(outdir / "summary.csv", "w", newline="") as fh:
@@ -654,23 +634,13 @@ def write_artifacts(results, outdir: Path):
                 writer.writerow(r.summary_row())
 
 
-def run_all(outdir: Path | None = None, names=None, parallel: int = 1,
-            seed: int = DEFAULT_SEED):
-    """Run experiments on `parallel` threads (one by default); returns
-    (results, passed).
+def run_all(configs, outdir=None):
+    """Run `configs` one after another; returns (results, passed).
 
-    Artifacts are written from the calling thread once every experiment
-    has finished.
+    With `outdir`, the artifacts of every result are written once, after
+    the last experiment has finished.
     """
-    if parallel < 1:
-        raise ValueError(f"parallel must be at least 1, got {parallel}")
-    names = list(names or REGISTRY)
-    configs = [ExperimentConfig(name=n, seed=seed) for n in names]
-    if parallel == 1:
-        results = [run_experiment(c) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(run_experiment, configs))
+    results = [run_experiment(c) for c in configs]
     if outdir is not None:
         write_artifacts(results, outdir)
     return results, all(r.passed for r in results)

@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` to `path` as JSON: indent 2, sorted keys, a trailing
+    newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass

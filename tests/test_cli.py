@@ -1,10 +1,12 @@
 """CLI flows: subcommands, experiment runner, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,14 +14,17 @@ import pytest
 import slag_lab
 from slag_lab.audits import check_supersolution
 from slag_lab.cli import main
+from slag_lab import experiments
 from slag_lab.experiments import (
     REGISTRY,
     ExperimentConfig,
+    _margin_report,
+    exp_subharmonicity,
     parse_config,
     run_all,
-    run_experiment,
 )
 from slag_lab.fileio import load_field, read_pf1
+from slag_lab.reports import AuditReport
 from slag_lab.rotation import RotationParams, rotate
 
 
@@ -167,9 +172,9 @@ class TestSubcommands:
         capsys.readouterr()
         assert run_cli("subdiff", "--in", str(u), "--point", "0,0,0") == 2
         assert "has 3 coordinates, the field is 2-D" in capsys.readouterr().err
-        # NaN or negative tolerances and slacks, and --parallel 0 in every
-        # form of `run`, fail with one line before any work; so does a
-        # tolerance below every Fenchel gap, here at least h^2/2 at (h, 0)
+        # NaN or negative tolerances and slacks fail with one line before
+        # any work; so does a tolerance below every Fenchel gap, here at
+        # least h^2/2 at (h, 0)
         v = str(tmp_path / "v.pf1")
         q = str(tmp_path / "q.pf1")
         run_cli("sample", "--formula", "quad:1,0,2", "--grid", "17", "--out", q)
@@ -186,13 +191,7 @@ class TestSubcommands:
                 (("audit", "--check", "bm", "--in", str(u), "--slack", "nan"),
                  "slack must be nonnegative"),
                 (("subdiff", "--in", q, "--point", "0.125,0", "--tol", "0"),
-                 "leaves no slope node"),
-                (("run", "--all", "--parallel", "0"),
-                 "parallel must be at least 1"),
-                (("run", "--experiment", "zero-potential", "--parallel", "0"),
-                 "parallel must be at least 1"),
-                (("run", "--config", str(tmp_path / "absent.cfg"),
-                  "--parallel", "-2"), "parallel must be at least 1")):
+                 "leaves no slope node")):
             assert run_cli(*argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
@@ -328,10 +327,11 @@ class TestSubcommands:
 class TestExperimentRunner:
     def test_config_file_round_trip(self, tmp_path):
         cfg_text = "name = zero-potential\nseed = 7\ngrid = 33\n"
-        cfg = parse_config(cfg_text)
+        cfg, outdir = parse_config(cfg_text)
         assert cfg.name == "zero-potential"
         assert cfg.seed == 7
-        assert cfg.overrides["grid"] == 33.0
+        assert cfg.overrides["grid"] == 33
+        assert outdir is None
         path = tmp_path / "exp.cfg"
         path.write_text(cfg_text)
         assert run_cli("run", "--config", str(path),
@@ -343,15 +343,43 @@ class TestExperimentRunner:
         with pytest.raises(ValueError):
             parse_config("grid = 33\n")
 
+    def test_config_outdir_key_places_the_artifacts(self, tmp_path):
+        out = tmp_path / "from-file"
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"name = zero-potential\ngrid = 33\noutdir = {out}\n")
+        assert run_cli("run", "--config", str(path)) == 0
+        assert (out / "zero-potential.json").exists()
+        # --outdir wins over the file's key
+        other = tmp_path / "from-flag"
+        assert run_cli("run", "--config", str(path), "--outdir", str(other)) == 0
+        assert (other / "summary.csv").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("gird = 33", "unknown config key 'gird'"),
+        ("grid = 33.9", "'grid' needs an integer"),
+        ("samples = 1e5", "'samples' needs an integer"),
+        ("seed = 7.5", "'seed' needs an integer"),
+    ])
+    def test_unusable_config_keys_exit_2(self, tmp_path, capsys, line,
+                                          message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(f"name = zero-potential\n{line}\n")
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"name = zero-potential\n{line}\n")
+        assert run_cli("run", "--config", str(path),
+                       "--outdir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_artifacts_and_determinism(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
         for out in (out1, out2):
-            res = run_experiment(
-                ExperimentConfig("zero-potential", outdir=out,
-                                 overrides={"grid": 33})
-            )
-            assert res.passed
+            _, passed = run_all(
+                [ExperimentConfig("zero-potential", overrides={"grid": 33})],
+                out)
+            assert passed
         payloads = []
         for out in (out1, out2):
             data = json.loads((out / "zero-potential.json").read_text())
@@ -362,10 +390,8 @@ class TestExperimentRunner:
         assert field.grid.dim == 2
 
     def test_report_json_schema(self, tmp_path):
-        res = run_experiment(
-            ExperimentConfig("zero-potential", outdir=tmp_path,
-                             overrides={"grid": 33})
-        )
+        run_all([ExperimentConfig("zero-potential", overrides={"grid": 33})],
+                tmp_path)
         data = json.loads((tmp_path / "zero-potential.json").read_text())
         for rep in data["reports"]:
             assert set(rep) == {"name", "checked_nodes", "violations",
@@ -385,8 +411,47 @@ class TestExperimentRunner:
         assert summaries[0] == summaries[1]
 
     def test_parallel_run_writes_one_summary_header(self, tmp_path):
-        results, _ = run_all(outdir=tmp_path, parallel=2,
-                             names=["zero-potential", "coefficient-audit"])
+        # two experiments run one after another on the calling thread and
+        # share one summary.csv
+        def started(thread):
+            raise AssertionError("run_all started a thread")
+
+        configs = [ExperimentConfig("zero-potential"),
+                   ExperimentConfig("coefficient-audit")]
+        with mock.patch("threading.Thread.start", started):
+            results, _ = run_all(configs, tmp_path)
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines.count("name,checked_nodes,min_margin,passed") == 1
         assert len(lines) == 1 + sum(len(r.reports) for r in results)
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("worst", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_deviation_fails(self, worst):
+        rep = _margin_report("x", 1, worst, 1e-6, "q")
+        assert not rep.passed
+        assert rep.violations[0][1] == "q"
+
+    def test_a_finite_deviation_within_the_allowance_passes(self):
+        rep = _margin_report("x", 1, 5e-7, 1e-6, "q")
+        assert rep.passed and rep.min_margin == 1e-6 - 5e-7
+
+    def test_a_trial_that_checks_no_node_fails_criterion_9(self):
+        # the trial's "hypothesis never satisfied" report checks 0 nodes
+        # with a NaN margin; the solves and rotations are skipped
+        def vacuous(*args, **kwargs):
+            return AuditReport(name="subharmonicity", checked_nodes=0,
+                               min_margin=math.nan)
+
+        with mock.patch.object(experiments, "solve_dirichlet",
+                               lambda data, spec, grid: (None, None)), \
+                mock.patch.object(experiments, "rotate",
+                                  lambda u, params: None), \
+                mock.patch.object(experiments, "subharmonicity_trial",
+                                  vacuous):
+            result = exp_subharmonicity(ExperimentConfig("subharmonicity"))
+        families = [r for r in result.reports
+                    if r.name in ("subharmonicity[quartic-data]",
+                                  "subharmonicity[biaxial-data]")]
+        assert len(families) == 2
+        assert not any(r.passed for r in families)

@@ -213,14 +213,17 @@ def cmd_audit(args) -> int:
 
 def cmd_run(args) -> int:
     outdir = args.outdir
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.config:
         cfg, file_outdir = parse_config(Path(args.config).read_text())
+        if args.seed is not None:
+            cfg.seed = args.seed
         configs = [cfg]
         outdir = outdir or file_outdir
     elif args.all:
-        configs = [ExperimentConfig(name, seed=args.seed) for name in REGISTRY]
+        configs = [ExperimentConfig(name, seed=seed) for name in REGISTRY]
     elif args.experiment:
-        configs = [ExperimentConfig(args.experiment, seed=args.seed)]
+        configs = [ExperimentConfig(args.experiment, seed=seed)]
     else:
         print("nothing to run: pass --experiment, --all or --config",
               file=sys.stderr)
@@ -328,14 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run builtin experiments one after "
                        "another; write their artifacts once, at the end")
-    p.add_argument("--experiment", choices=sorted(REGISTRY), default=None)
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--config", default=None,
-                   help="key=value experiment file (name, outdir, seed, "
-                        "grid, samples)")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--experiment", choices=sorted(REGISTRY), default=None)
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--config", default=None,
+                       help="key=value experiment file (name, outdir, seed, "
+                            "grid, samples)")
     p.add_argument("--outdir", default=None,
                    help="artifact directory (overrides the config's outdir)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"experiment seed (overrides the config's seed; "
+                        f"default {DEFAULT_SEED})")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("convert", help="PF1 <-> CSV conversion")

@@ -2,22 +2,39 @@
 
 The solve is a damped Newton iteration on the finite-difference residual
 F_i(u) = sum(arctan(lambda(H_i))) - theta over interior nodes. One table of
-the stencil terms that join two interior nodes, built once per solve by
+the stencil terms that join two interior nodes, from
 `hessians.stencil_terms`, serves both linear systems; D_ij below is the
 (i, j) Hessian entry over those terms alone. The initial guess solves
 sum_i D_ii u = n tan(theta/n) - sum_i R_ii, where R is the Hessian of the
 rim data with the interior set to 0, and the exact Jacobian
 trace((I + M^2)^{-1} dM/du) is sum_ij A_ij D_ij with A = (I + M^2)^{-1}.
-Both systems are assembled once as CSR patterns over the interior nodes in
-row-major order, and each Newton step only scatters its A_ij data into the
-fixed pattern. Every system is solved by restarted GMRES (Saad, *Iterative
-Methods for Sparse Linear Systems*, Alg. 9.5), right-preconditioned by one
-multigrid V-cycle with Galerkin coarse operators (Brandt, Math. Comp. 1977;
+Both systems are CSR over the interior nodes in row-major order, and each
+Newton step only scatters its A_ij data into the fixed Jacobian pattern.
+Every system is solved by restarted GMRES (Saad, *Iterative Methods for
+Sparse Linear Systems*, Alg. 9.5), right-preconditioned by one multigrid
+V-cycle with Galerkin coarse operators (Brandt, Math. Comp. 1977;
 Trottenberg, Oosterlee and Schueller, *Multigrid*, 2001): d-linear
 prolongation P from the interior nodes at even indices, R = P^T, coarse
 operators R A P, weighted-Jacobi smoothing and a dense solve of the
-coarsest level. P and R depend on the mask alone and are built once per
-solve. A linear solve that fails (zero Jacobi diagonal, singular coarsest
+coarsest level.
+
+Newton systems are solved inexactly (Dembo, Eisenstat and Steihaug,
+"Inexact Newton methods", SIAM J. Numer. Anal. 19, 1982): the system of
+step k only to the relative residual eta_k = max(`_KRYLOV_RTOL`,
+min(`_FORCING_CAP`, |F_k|_inf)), since a step far from the solution needs
+no more digits than the residual it corrects; near the solution eta_k
+falls to `_KRYLOV_RTOL`, which keeps the Newton path of a tight solve. The
+Poisson guess is solved to `_POISSON_RTOL`, so that it stays exact on
+quadratic and harmonic data.
+
+What depends on the grid alone is built once per `GridSpec` by
+`_solve_plan` and kept in a small cache: the masks, the Poisson matrix
+with its V-cycle, the Jacobian pattern with the scatter of the stencil
+terms into it, and the prolongations. Reusing it is safe because a plan is
+a pure function of the (frozen, hashable) grid and of the module
+constants, every array in it is read-only, and each Newton step builds its
+Jacobian as a new matrix over the cached pattern, so no solve writes into
+it. A linear solve that fails (zero Jacobi diagonal, singular coarsest
 block, Krylov breakdown, iteration cap, non-finite iterate) logs its cause:
 in the Newton loop it ends the iteration as a non-finite step, and for the
 initial guess it raises LinearSolveError. The report names why the
@@ -27,10 +44,10 @@ system), and records the time and GMRES iterations of the linear solves.
 Mollification and the supporting-plane convex extension implement the
 smooth-approximation devices used by the rotation audits.
 
-scipy is imported inside the two functions that build sparse matrices
-(the CSR patterns and the prolongations), not at module level: the
-package imports this module, and a first scipy import costs a process
-about 0.35 s more than numpy alone (scipy's array-API layer copies
+scipy is imported inside the functions that build sparse matrices (the
+CSR patterns, the prolongations and each Newton Jacobian), not at module
+level: the package imports this module, and a first scipy import costs a
+process about 0.35 s more than numpy alone (scipy's array-API layer copies
 numpy's namespace), which the rotation, conjugate and audit paths do not
 need. The solve uses `scipy.sparse` alone, not `scipy.sparse.linalg`.
 `mollify` erodes its mask and `scale_potential` interpolates in numpy.
@@ -42,6 +59,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -57,12 +75,18 @@ from .reports import AuditReport, SolveReport
 logger = logging.getLogger("slag_lab.solver")
 # extend_convex: relative overshoot above u that still keeps a plane
 _SUPPORT_TOL = 1e-9
-# linear solves: GMRES(_KRYLOV_RESTART) to a relative residual of
-# _KRYLOV_RTOL, preconditioned by one Galerkin V-cycle. The Poisson guess
+# linear solves: GMRES(_KRYLOV_RESTART), preconditioned by one Galerkin
+# V-cycle, to a relative residual of at least _KRYLOV_RTOL. The Poisson guess
 # is used as it stands when it already solves the problem (quadratic and
 # harmonic data), so it is solved to direct-solver accuracy
 _KRYLOV_RTOL = 1e-12
 _POISSON_RTOL = 1e-13
+# a Newton system is solved to max(_KRYLOV_RTOL, min(_FORCING_CAP, |F|_inf)).
+# 0.003 kept the Newton step count of every solve of criteria 7, 9 and 10
+# and of the 21^3 to 65^3 balls; 0.01 and 0.005 each ended one of those
+# solves a step early, its last residual landing just below residual_tol,
+# and 0.1 took 11 steps in place of 8 on the 65^3 ball
+_FORCING_CAP = 0.003
 _KRYLOV_RESTART = 30
 _KRYLOV_MAXITER = 150
 # an Arnoldi vector this small relative to A z ends the Krylov space
@@ -198,22 +222,34 @@ def prolongations(interior: np.ndarray) -> list:
     return out
 
 
+def _read_only(*items):
+    """Make each array, and each sparse matrix's arrays, read-only."""
+    for item in items:
+        parts = (item.data, item.indices, item.indptr) if hasattr(item, "indptr") else (item,)
+        for part in parts:
+            part.flags.writeable = False
+
+
 def _v_cycle(a, prolongs):
     """The Galerkin V-cycle of `a` as a function of the residual.
 
     The coarse operators are R A P with R = P^T, level by level; the
     smoother is weighted Jacobi and the coarsest level is solved dense.
-    Raises LinearSolveError on a zero or non-finite Jacobi diagonal, and
-    LinAlgError on a singular coarsest block.
+    The arrays it builds are read-only. Raises LinearSolveError on a zero
+    or non-finite Jacobi diagonal, and LinAlgError on a singular coarsest
+    block.
     """
     levels = []
     for p, r in prolongs:
         diag = a.diagonal()
         if not (np.isfinite(diag).all() and (diag != 0).all()):
             raise LinearSolveError("zero or non-finite Jacobi diagonal")
-        levels.append((a, _JACOBI_WEIGHT / diag, p, r))
+        scale = _JACOBI_WEIGHT / diag
+        levels.append((a, scale, p, r))
         a = r @ a @ p
+        _read_only(scale, a)
     coarsest = np.linalg.inv(a.toarray())
+    _read_only(coarsest)
 
     def cycle(b):
         rhs, iterates = [], []
@@ -311,19 +347,21 @@ def _gmres(a, b: np.ndarray, precondition, rtol: float):
         r = b - a @ x
 
 
-def _linear_solve(a, rhs: np.ndarray, prolongs: list, rtol: float,
+def _linear_solve(a, rhs: np.ndarray, levels, rtol: float,
                   report: SolveReport):
     """Solve a x = rhs to relative residual `rtol` by multigrid-preconditioned
     GMRES; None when it fails.
 
-    `a` is CSR over the interior nodes in row-major order, and `prolongs`
-    its `prolongations`. A failure logs its cause as a warning. The time
-    goes to `report.linear_solve_s`, the GMRES iterations of a solved
-    system to `report.krylov_iterations`.
+    `a` is CSR over the interior nodes in row-major order, and `levels`
+    its `prolongations`, or its V-cycle when that is already built. A
+    failure logs its cause as a warning. The time goes to
+    `report.linear_solve_s`, the GMRES iterations of a solved system to
+    `report.krylov_iterations`.
     """
     start = time.perf_counter()
     try:
-        x, iterations = _gmres(a, rhs, _v_cycle(a, prolongs), rtol)
+        precondition = levels if callable(levels) else _v_cycle(a, levels)
+        x, iterations = _gmres(a, rhs, precondition, rtol)
     except (LinearSolveError, np.linalg.LinAlgError) as exc:
         logger.warning("linear solve of %d unknowns failed: %s", len(rhs), exc)
         x = None
@@ -331,28 +369,46 @@ def _linear_solve(a, rhs: np.ndarray, prolongs: list, rtol: float,
     report.linear_solve_s += seconds
     if x is not None:
         report.krylov_iterations.append(iterations)
-        logger.debug("solved %d unknowns: %d GMRES iterations in %.3f s",
-                     len(rhs), iterations, seconds)
+        logger.debug("solved %d unknowns to relative residual %.1e: %d GMRES "
+                     "iterations in %.3f s", len(rhs), rtol, iterations, seconds)
     return x
 
 
-def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
-                    cfg: SolverConfig | None = None):
-    """Damped-Newton solve of the phase-theta problem with Dirichlet data.
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What a solve needs that depends on its grid alone; read-only."""
 
-    `g` is a formula (callable on coordinates) or a full value array; it is
-    read on the mask rim. Returns (PotentialField, SolveReport).
+    mask: np.ndarray
+    interior: np.ndarray
+    rim: np.ndarray
+    n: int                  # interior nodes, the unknowns of both systems
+    laplacian: object       # CSR sum of the D_ii, the Poisson matrix
+    poisson_cycle: object   # its V-cycle
+    indptr: np.ndarray      # the CSR pattern of every Newton Jacobian
+    indices: np.ndarray
+    slot: np.ndarray        # data slot of each stencil term in that pattern
+    entry: np.ndarray       # flat index of its A_ij into (n, d, d)
+    weight: np.ndarray      # its weight, doubled for i != j
+    prolongs: list          # `prolongations` of the interior
+
+
+# plans kept: `slag-lab run --all` solves on six grids, at most three of
+# them in turn (criterion 9's 65^2, 129^2 and 257^2), and builds each plan
+# once; a plan takes 28 MB at 257^2 and 86 MB at 65^3, so a longer cache
+# would mostly hold memory
+@lru_cache(maxsize=4)
+def _solve_plan(grid: GridSpec) -> _Plan:
+    """The `_Plan` of `grid`, built on first use and then shared.
+
+    `_COARSEST` and `_JACOBI_WEIGHT` are read when the plan is built;
+    clear the cache after changing them.
     """
-    cfg = cfg or SolverConfig()
     d = grid.dim
-    theta = spec.theta
     mask = grid.ball_mask()
     interior, rim = _interior_and_rim(mask)
     if not interior.any():
         raise GridError("domain too small: no interior nodes")
-    values = np.where(rim, _boundary_values(g, grid, rim), 0.0)
     row, col, pair, weight = stencil_terms(mask, grid.spacing)
-    report = SolveReport()
     # both systems number the interior nodes in row-major order, as the
     # stencil terms do; the hierarchy of their V-cycles depends on the mask
     n = int(interior.sum())
@@ -363,19 +419,44 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
     # right-hand side, are the Hessian of the rim data with the interior at 0
     laplacian, lap_slot = _csr_pattern(key[diagonal], n)
     laplacian.data = np.bincount(lap_slot, weight[diagonal], minlength=laplacian.nnz)
+    # every Jacobian keeps the union stencil pattern with its explicit zeros;
+    # a Newton step only scatters weight * A[row, i, j] into it.
+    # trace(A dM) with A = (I + M^2)^{-1}: off-diagonal pairs count twice
+    jac, slot = _csr_pattern(key, n)
+    entry = (row * d + pair[:, 0]) * d + pair[:, 1]
+    weight = np.where(diagonal, weight, 2.0 * weight)
+    _read_only(mask, interior, rim, laplacian, jac, slot, entry, weight,
+               *(m for level in prolongs for m in level))
+    logger.debug("solve plan of the %s grid: %d unknowns, %d multigrid levels",
+                 "x".join(map(str, grid.shape)), n, len(prolongs) + 1)
+    return _Plan(mask, interior, rim, n, laplacian, _v_cycle(laplacian, prolongs),
+                 jac.indptr, jac.indices, slot, entry, weight, prolongs)
+
+
+def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
+                    cfg: SolverConfig | None = None):
+    """Damped-Newton solve of the phase-theta problem with Dirichlet data.
+
+    `g` is a formula (callable on coordinates) or a full value array; it is
+    read on the mask rim. Returns (PotentialField, SolveReport).
+    """
+    from scipy import sparse
+
+    cfg = cfg or SolverConfig()
+    d = grid.dim
+    theta = spec.theta
+    plan = _solve_plan(grid)
+    mask, interior, rim, n = plan.mask, plan.interior, plan.rim, plan.n
+    values = np.where(rim, _boundary_values(g, grid, rim), 0.0)
+    report = SolveReport()
     rim_hessian = hessian_matrices(PotentialField(grid, values, mask))[0][interior]
     rhs = d * math.tan(theta / d) - sum(rim_hessian[:, i, i] for i in range(d))
-    guess = _linear_solve(laplacian, rhs, prolongs, _POISSON_RTOL, report)
+    guess = _linear_solve(plan.laplacian, rhs, plan.poisson_cycle, _POISSON_RTOL,
+                          report)
     if guess is None:
         raise LinearSolveError("the Poisson system of the initial guess has no solution")
     values[interior] = guess
-    # every Jacobian keeps the union stencil pattern, built once with its
-    # explicit zeros; a Newton step only scatters weight * A[row, i, j] into
-    # it. trace(A dM) with A = (I + M^2)^{-1}: off-diagonal pairs count twice
-    jac, slot = _csr_pattern(key, n)
-    entry = (row * d + pair[:, 0]) * d + pair[:, 1]  # flat index into A
-    weight = np.where(diagonal, weight, 2.0 * weight)
-    del row, col, pair, key, diagonal, laplacian, lap_slot, rim_hessian, guess
+    del rim_hessian, guess
 
     def residual_of(vals_py):
         f = PotentialField(grid, np.where(mask, vals_py, 0.0), mask)
@@ -393,9 +474,12 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
             stop = "converged"
             break
         coeff = slag_linearization_batch(mats[interior])  # (n_interior, d, d)
-        jac.data = np.bincount(slot, weight * coeff.reshape(-1)[entry],
-                               minlength=jac.nnz)
-        step = _linear_solve(jac, -res, prolongs, _KRYLOV_RTOL, report)
+        data = np.bincount(plan.slot, plan.weight * coeff.reshape(-1)[plan.entry],
+                           minlength=len(plan.indices))
+        jac = sparse.csr_matrix((data, plan.indices, plan.indptr), shape=(n, n))
+        # the forcing term: no more digits than the residual it corrects
+        eta = max(_KRYLOV_RTOL, min(_FORCING_CAP, norm))
+        step = _linear_solve(jac, -res, plan.prolongs, eta, report)
         if step is None:
             logger.warning("no Newton step at iteration %d (residual %.3e)",
                            it, norm)
@@ -430,7 +514,7 @@ def solve_dirichlet(g, spec: ProblemSpec, grid: GridSpec,
     report.stop_reason = stop
     report.converged = stop == "converged"
     report.final_residual = norm
-    field = PotentialField(grid, np.where(mask, values, np.nan), mask)
+    field = PotentialField(grid, np.where(mask, values, np.nan), mask.copy())
     return field, report
 
 

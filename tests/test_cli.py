@@ -197,6 +197,18 @@ class TestSubcommands:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert message in err
         assert not (tmp_path / "v.pf1").exists()
+        # --config, --experiment and --all each name the whole run: any two
+        # of them exit 2 before an experiment starts
+        exp = tmp_path / "exp.cfg"
+        exp.write_text("name = zero-potential\ngrid = 33\n")
+        for argv in (("--all", "--config", str(exp)),
+                     ("--experiment", "zero-potential", "--config", str(exp)),
+                     ("--all", "--experiment", "zero-potential"),
+                     ("--all", "--experiment", "zero-potential",
+                      "--config", str(exp))):
+            assert run_cli("run", *argv, "--outdir", str(tmp_path / "runs")) == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("alpha", ["2", "0", "-0.5", str(np.pi / 2), "nan"])
     def test_angle_outside_the_open_quarter_turn_exits_2(self, tmp_path,
@@ -353,6 +365,21 @@ class TestExperimentRunner:
         other = tmp_path / "from-flag"
         assert run_cli("run", "--config", str(path), "--outdir", str(other)) == 0
         assert (other / "summary.csv").exists()
+
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("name = coefficient-audit\nsamples = 2000\nseed = 7\n")
+        margins = {}
+        for seed in (None, "7", "1", "2"):
+            out = tmp_path / str(seed)
+            flag = () if seed is None else ("--seed", seed)
+            assert run_cli("run", "--config", str(path), *flag,
+                           "--outdir", str(out)) == 0
+            data = json.loads((out / "coefficient-audit.json").read_text())
+            margins[seed] = [rep["min_margin"] for rep in data["reports"]]
+        assert margins[None] == margins["7"]
+        assert margins["1"] != margins["2"]
+        assert margins["7"] not in (margins["1"], margins["2"])
 
     @pytest.mark.parametrize("line, message", [
         ("gird = 33", "unknown config key 'gird'"),

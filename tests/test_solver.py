@@ -452,24 +452,140 @@ class TestLinearSolve:
     def test_stall_at_round_off_is_accepted(self, caplog, monkeypatch):
         # below the attainable residual, every restart cycle ends after one
         # iteration at about 3e-15 on this grid; the solve must accept that
-        # floor rather than run into the iteration cap
+        # floor rather than run into the iteration cap. The forcing term asks
+        # no Newton system for 1e-15, so the first Newton system of the 33^2
+        # solve is asked for it directly
+        systems = []
+
+        def recording(a, rhs, levels, rtol, report):
+            systems.append((a, rhs, levels))
+            return _linear_solve(a, rhs, levels, rtol, report)
+
+        monkeypatch.setattr(solver_module, "_linear_solve", recording)
         g = boundary_from(lambda x: 0.5 * np.sum(x * x, axis=-1) + 0.1 * x[..., 0] ** 4)
         spec = ProblemSpec(dim=2, theta=np.pi / 2)
-        grid = box_grid(33)
-        reference, _ = solve_dirichlet(g, spec, grid)
-        monkeypatch.setattr(solver_module, "_KRYLOV_RTOL", 1e-15)
-        with caplog.at_level("DEBUG", logger="slag_lab.solver"):
-            u, rep = solve_dirichlet(g, spec, grid)
+        u, rep = solve_dirichlet(g, spec, box_grid(33))
         assert rep.stop_reason == "converged"
-        assert max(rep.krylov_iterations) < solver_module._KRYLOV_MAXITER
+        a, rhs, levels = systems[1]  # systems[0] is the Poisson guess
+        report = SolveReport()
+        with caplog.at_level("DEBUG", logger="slag_lab.solver"):
+            x = _linear_solve(a, rhs, levels, 1e-15, report)
+        assert x is not None
+        assert report.krylov_iterations[0] < solver_module._KRYLOV_MAXITER
         assert "stalled at the round-off floor" in caplog.text
-        inside = u.mask
-        assert np.abs(u.values[inside] - reference.values[inside]).max() <= 1e-12
+        assert np.linalg.norm(rhs - a @ x) <= _KRYLOV_RTOL * np.linalg.norm(rhs)
 
     def test_zero_right_hand_side_needs_no_iteration(self):
         a = sparse.csr_matrix(np.eye(3))
         x, iterations = _gmres(a, np.zeros(3), lambda v: v, _KRYLOV_RTOL)
         assert iterations == 0 and not x.any()
+
+
+def _quartic_x(x):
+    """Criterion 7's data |x|^2/2 + x_1^4/10."""
+    return 0.5 * np.sum(x * x, axis=-1) + 0.1 * x[..., 0] ** 4
+
+
+def _plan_arrays(plan):
+    """Every array of a plan, the ones its Poisson V-cycle holds included."""
+    cycle = dict(zip(plan.poisson_cycle.__code__.co_freevars,
+                     (c.cell_contents for c in plan.poisson_cycle.__closure__)))
+    matrices = [plan.laplacian, *(m for level in plan.prolongs for m in level)]
+    arrays = [plan.mask, plan.interior, plan.rim, plan.indptr, plan.indices,
+              plan.slot, plan.entry, plan.weight, cycle["coarsest"]]
+    for op, scale, p, r in cycle["levels"]:
+        matrices += [op, p, r]
+        arrays.append(scale)
+    return arrays + [a for m in matrices for a in (m.data, m.indices, m.indptr)]
+
+
+class TestSolvePlan:
+    """What a solve needs of its grid alone is built once per grid."""
+
+    def test_equal_grids_share_one_read_only_plan(self):
+        plan = solver_module._solve_plan(GridSpec.ball_box(2, 33))
+        assert solver_module._solve_plan(GridSpec.ball_box(2, 33)) is plan
+        arrays = _plan_arrays(plan)
+        assert len(arrays) > 20
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_a_solve_leaves_no_state_in_the_plan(self):
+        # a solve on the grid, then another on the shared plan, then the
+        # second again on a fresh plan: equal to the last bit
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        grid = box_grid(33)
+        solve_dirichlet(boundary_from(quartic(2.0)), spec, grid)
+        g = boundary_from(_quartic_x)
+        shared = solve_dirichlet(g, spec, grid)
+        solver_module._solve_plan.cache_clear()
+        fresh = solve_dirichlet(g, spec, grid)
+        (u, rep), (v, fresh_rep) = shared, fresh
+        assert rep.iterations >= 2
+        assert np.array_equal(u.values.view(np.uint64), v.values.view(np.uint64))
+        assert np.array_equal(u.mask, v.mask)
+        payloads = [r.to_json() for r in (rep, fresh_rep)]
+        for payload in payloads:
+            del payload["linear_solve_s"]
+        assert payloads[0] == payloads[1]
+
+    def test_a_second_solve_on_the_grid_builds_no_plan(self, caplog):
+        solver_module._solve_plan.cache_clear()
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        grid = GridSpec.ball_box(2, 33)
+        builds = []
+        with caplog.at_level("DEBUG", logger="slag_lab.solver"):
+            for _ in range(2):
+                caplog.clear()
+                u, rep = solve_dirichlet(boundary_from(quartic(1.0)), spec, grid)
+                builds.append([r.message for r in caplog.records
+                               if r.message.startswith("solve plan")])
+        assert builds[0] == ["solve plan of the 33x33 grid: 673 unknowns, "
+                             "3 multigrid levels"]
+        assert builds[1] == []
+        # the returned mask is the field's own, not the plan's
+        assert u.mask.flags.writeable
+
+
+class TestForcingTerm:
+    """Each Newton system is solved to max(_KRYLOV_RTOL, min(cap, |F|))."""
+
+    @pytest.mark.parametrize("grid", [box_grid(129), GridSpec.ball_box(3, 21)],
+                             ids=["box-129", "ball-21"])
+    def test_the_cap_keeps_the_newton_path(self, grid, monkeypatch):
+        spec = ProblemSpec(dim=grid.dim, theta=np.pi / 2)
+        g = boundary_from(_quartic_x)
+        u, rep = solve_dirichlet(g, spec, grid)
+        # a cap of 0 solves every system to _KRYLOV_RTOL
+        monkeypatch.setattr(solver_module, "_FORCING_CAP", 0.0)
+        tight, tight_rep = solve_dirichlet(g, spec, grid)
+        assert rep.converged and tight_rep.converged
+        assert rep.iterations == tight_rep.iterations >= 4
+        assert rep.step_history == tight_rep.step_history
+        assert np.abs(u.values - tight.values)[u.mask].max() <= 1e-12
+        assert sum(rep.krylov_iterations) < sum(tight_rep.krylov_iterations)
+
+    def test_each_system_is_asked_for_its_forcing_term(self, caplog,
+                                                       monkeypatch):
+        asked = []
+
+        def recording(a, rhs, levels, rtol, report):
+            asked.append((rtol, float(np.abs(rhs).max())))
+            return _linear_solve(a, rhs, levels, rtol, report)
+
+        monkeypatch.setattr(solver_module, "_linear_solve", recording)
+        spec = ProblemSpec(dim=2, theta=np.pi / 2)
+        with caplog.at_level("DEBUG", logger="slag_lab.solver"):
+            u, rep = solve_dirichlet(boundary_from(_quartic_x), spec, box_grid(33))
+        assert asked[0][0] == solver_module._POISSON_RTOL
+        # the rhs of a Newton system is -F
+        expected = [max(_KRYLOV_RTOL, min(solver_module._FORCING_CAP, norm))
+                    for _, norm in asked[1:]]
+        assert [rtol for rtol, _ in asked[1:]] == expected
+        assert expected[0] == solver_module._FORCING_CAP > expected[-1]
+        lines = [r.message for r in caplog.records if r.message.startswith("solved")]
+        assert len(lines) == len(asked) == rep.iterations + 1
+        for line, (rtol, _) in zip(lines, asked):
+            assert f" to relative residual {rtol:.1e}: " in line
 
 
 class TestMollify:

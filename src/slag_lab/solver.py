@@ -23,7 +23,7 @@ Newton systems are solved inexactly (Dembo, Eisenstat and Steihaug,
 step k only to the relative residual eta_k = max(`_KRYLOV_RTOL`,
 min(`_FORCING_CAP`, |F_k|_inf)), since a step far from the solution needs
 no more digits than the residual it corrects; near the solution eta_k
-falls to `_KRYLOV_RTOL`, which keeps the Newton path of a tight solve. The
+falls to `_KRYLOV_RTOL`, as in a tight solve. The
 Poisson guess is solved to `_POISSON_RTOL`, so that it stays exact on
 quadratic and harmonic data.
 
